@@ -193,6 +193,13 @@ pub fn open(text: &str) -> (&str, Integrity) {
             )),
         );
     }
+    if !text.is_char_boundary(len) {
+        // Only corruption puts the claimed end inside a character.
+        return (
+            &text[..footer_start],
+            Integrity::Damaged(format!("payload length mismatch: {len} splits a character")),
+        );
+    }
     let payload = &text[..len];
     if !text[len..footer_start].trim().is_empty() {
         return (
@@ -872,6 +879,13 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicU32;
 
+    /// Held by every test that writes: the injected-fault budget is
+    /// process-wide, so a test arming it must not race another's writes.
+    fn io_lock() -> std::sync::MutexGuard<'static, ()> {
+        static IO: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        IO.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     fn tmpdir(tag: &str) -> PathBuf {
         static N: AtomicU32 = AtomicU32::new(0);
         let n = N.fetch_add(1, Ordering::SeqCst);
@@ -942,6 +956,7 @@ mod tests {
 
     #[test]
     fn write_durable_keeps_a_backup_generation() {
+        let _io = io_lock();
         let dir = tmpdir("bak");
         let path = dir.join("state.json");
         let policy = DurabilityPolicy::fast();
@@ -958,6 +973,7 @@ mod tests {
 
     #[test]
     fn transient_faults_are_retried_within_budget() {
+        let _io = io_lock();
         let dir = tmpdir("retry");
         let path = dir.join("state.json");
         let policy = DurabilityPolicy {
@@ -976,6 +992,7 @@ mod tests {
 
     #[test]
     fn persistent_faults_exhaust_retries_with_typed_error() {
+        let _io = io_lock();
         let dir = tmpdir("enospc");
         let path = dir.join("state.json");
         let policy = DurabilityPolicy {
@@ -1008,6 +1025,7 @@ mod tests {
 
     #[test]
     fn load_recoverable_falls_back_to_backup_on_corruption() {
+        let _io = io_lock();
         let dir = tmpdir("ladder");
         let path = dir.join("state.json");
         let policy = DurabilityPolicy::fast();

@@ -200,8 +200,10 @@ mod tests {
     #[test]
     fn injected_failure_isolates_to_the_named_layer() {
         let net = zoo::alexnet_conv();
-        let _scope = FaultScope::inject(FaultPlan::fail(["conv2"]));
-        let set = find_candidates(&net, &Architecture::eyeriss_base(), &SearchConfig::quick());
+        // A design of its own, so the fault cannot reach other tests.
+        let arch = Architecture::eyeriss_base().with_name("fault-target");
+        let _scope = FaultScope::inject(FaultPlan::fail(["conv2"]).for_arch("fault-target"));
+        let set = find_candidates(&net, &arch, &SearchConfig::quick());
         let idx = net
             .layers()
             .iter()

@@ -591,9 +591,11 @@ mod tests {
 
     #[test]
     fn degraded_and_failed_outcomes_survive_the_round_trip() {
-        let arch =
-            Architecture::eyeriss_base().with_crypto(CryptoConfig::new(EngineClass::Parallel, 3));
-        let _scope = FaultScope::inject(FaultPlan::fail(["conv3"]));
+        // A design of its own, so the fault cannot reach other tests.
+        let arch = Architecture::eyeriss_base()
+            .with_crypto(CryptoConfig::new(EngineClass::Parallel, 3))
+            .with_name("fault-target");
+        let _scope = FaultScope::inject(FaultPlan::fail(["conv3"]).for_arch("fault-target"));
         let s = Scheduler::new(arch)
             .with_search(SearchConfig::quick())
             .with_annealing(AnnealingConfig::quick())

@@ -10,13 +10,15 @@ use secureloop_arch::{Architecture, Dataflow, DramSpec};
 use secureloop_artifact::DurabilityPolicy;
 use secureloop_crypto::{CryptoConfig, EngineClass, SchemeId};
 use secureloop_json::Json;
-use secureloop_mapper::{SearchConfig, SearchMode};
+use secureloop_mapper::SearchMode;
 use secureloop_workload::{zoo, Network};
 
-use crate::annealing::AnnealingConfig;
-use crate::dse::{apply_scheme, evaluate_designs_sweep, fig16_design_space, pareto_front};
+use crate::dse::{
+    apply_scheme, evaluate_designs_sweep, fig16_design_space, fig16_designs, pareto_front,
+};
 use crate::error::SecureLoopError;
 use crate::report;
+use crate::run::{parse_scheme, Entry, RunSpec};
 use crate::scheduler::{Algorithm, LayerOutcome, Scheduler};
 
 /// Usage text printed on argument errors.
@@ -204,40 +206,22 @@ fn arch_err(field: impl Into<String>, message: impl Into<String>) -> CliError {
 pub struct Options {
     /// Subcommand: `schedule`, `dse` or `workloads`.
     pub command: String,
-    /// Workload name.
-    pub workload: Option<String>,
-    /// Algorithm.
-    pub algorithm: Algorithm,
-    /// Engine class.
-    pub engine: EngineClass,
-    /// Engine count (0 = no crypto).
-    pub engines: usize,
-    /// Protection scheme (`--scheme`): `None` keeps the default
-    /// AES-GCM pricing from the arch file / engine flags.
-    pub scheme: Option<SchemeId>,
-    /// PE array.
-    pub pe: (usize, usize),
-    /// GLB capacity in kB.
-    pub glb_kb: u64,
-    /// DRAM interface name.
-    pub dram: String,
-    /// Mapper samples.
-    pub samples: usize,
+    /// The run fields (`--workload`, `--algorithm`, `--samples`,
+    /// `--iterations`, `--seed`, `--deadline-secs`, `--scheme`). A
+    /// `--scheme` of `None` keeps the default AES-GCM pricing from the
+    /// arch file / engine flags.
+    pub run: RunSpec,
+    /// The architecture flags (`--pe`, `--glb-kb`, `--dram`,
+    /// `--engine`, `--engines`), validated like an `--arch-file`.
+    pub arch: ArchFile,
     /// Mapper exploration strategy (`--search-mode`).
     pub search_mode: SearchMode,
-    /// SA iterations.
-    pub iterations: usize,
-    /// Seed.
-    pub seed: u64,
     /// JSON output.
     pub json: bool,
     /// Layer index for the `trace` command.
     pub layer: usize,
     /// Optional JSON architecture file.
     pub arch_file: Option<String>,
-    /// Wall-clock budget (seconds) per layer search and per annealed
-    /// segment.
-    pub deadline_secs: Option<f64>,
     /// Checkpoint file for the `dse` command.
     pub checkpoint: Option<String>,
     /// Restore finished design points from the checkpoint.
@@ -284,22 +268,16 @@ impl Default for Options {
     fn default() -> Self {
         Options {
             command: String::new(),
-            workload: None,
-            algorithm: Algorithm::CryptOptCross,
-            engine: EngineClass::Parallel,
-            engines: 3,
-            scheme: None,
-            pe: (14, 12),
-            glb_kb: 131,
-            dram: "lpddr4".into(),
-            samples: 3000,
+            run: RunSpec::default(),
+            // The Eyeriss base with three parallel engines.
+            arch: ArchFile {
+                engines: Some(3),
+                ..ArchFile::default()
+            },
             search_mode: SearchMode::Guided,
-            iterations: 1000,
-            seed: 1,
             json: false,
             layer: 0,
             arch_file: None,
-            deadline_secs: None,
             checkpoint: None,
             resume: false,
             cache: true,
@@ -326,7 +304,9 @@ impl Default for Options {
 ///
 /// # Errors
 ///
-/// [`CliError::Usage`] on unknown commands, flags or malformed values.
+/// [`CliError::Usage`] on unknown commands, flags or malformed values;
+/// [`CliError::Arch`] naming the field when the architecture flags
+/// fail the `--arch-file` checks.
 pub fn parse(args: &[String]) -> Result<Options, CliError> {
     let mut opts = Options::default();
     let mut it = args.iter();
@@ -344,84 +324,44 @@ pub fn parse(args: &[String]) -> Result<Options, CliError> {
                 .ok_or_else(|| usage(format!("flag {flag} needs a value")))
         };
         match flag.as_str() {
-            "--workload" => opts.workload = Some(value()?),
-            "--algorithm" => {
-                opts.algorithm = match value()?.as_str() {
-                    "unsecure" => Algorithm::Unsecure,
-                    "crypt-tile-single" => Algorithm::CryptTileSingle,
-                    "crypt-opt-single" => Algorithm::CryptOptSingle,
-                    "crypt-opt-cross" => Algorithm::CryptOptCross,
-                    other => return Err(usage(format!("unknown algorithm '{other}'"))),
-                }
+            "--workload" | "--algorithm" | "--scheme" | "--samples" | "--iterations" | "--seed"
+            | "--deadline-secs" => {
+                let text = value()?;
+                opts.run.set_flag(flag, &text).map_err(usage)?;
             }
-            "--engine" => {
-                opts.engine = match value()?.as_str() {
-                    "pipelined" => EngineClass::Pipelined,
-                    "parallel" => EngineClass::Parallel,
-                    "serial" => EngineClass::Serial,
-                    other => return Err(usage(format!("unknown engine '{other}'"))),
-                }
-            }
+            "--engine" => opts.arch.engine = Some(value()?),
             "--engines" => {
-                opts.engines = value()?
-                    .parse()
-                    .map_err(|_| usage("--engines expects an integer"))?
-            }
-            "--scheme" => {
-                let v = value()?;
-                opts.scheme = Some(SchemeId::from_name(&v).ok_or_else(|| {
-                    usage(format!(
-                        "unknown scheme '{v}' (expected none | aes-gcm | seculator | seda)"
-                    ))
-                })?);
+                opts.arch.engines = Some(
+                    value()?
+                        .parse()
+                        .map_err(|_| usage("--engines expects an integer"))?,
+                )
             }
             "--pe" => {
                 let v = value()?;
                 let (x, y) = v
                     .split_once('x')
                     .ok_or_else(|| usage("--pe expects XxY, e.g. 14x12"))?;
-                opts.pe = (
+                opts.arch.pe = Some([
                     x.parse().map_err(|_| usage("bad PE width"))?,
                     y.parse().map_err(|_| usage("bad PE height"))?,
-                );
+                ]);
             }
             "--glb-kb" => {
-                opts.glb_kb = value()?
-                    .parse()
-                    .map_err(|_| usage("--glb-kb expects an integer"))?
+                opts.arch.glb_kb = Some(
+                    value()?
+                        .parse()
+                        .map_err(|_| usage("--glb-kb expects an integer"))?,
+                )
             }
-            "--dram" => opts.dram = value()?,
+            "--dram" => opts.arch.dram = Some(value()?),
             "--search-mode" => {
                 let v = value()?;
                 opts.search_mode = SearchMode::from_name(&v)
                     .ok_or_else(|| usage(format!("unknown search mode '{v}'")))?;
             }
-            "--samples" => {
-                opts.samples = value()?
-                    .parse()
-                    .map_err(|_| usage("--samples expects an integer"))?
-            }
-            "--iterations" => {
-                opts.iterations = value()?
-                    .parse()
-                    .map_err(|_| usage("--iterations expects an integer"))?
-            }
-            "--seed" => {
-                opts.seed = value()?
-                    .parse()
-                    .map_err(|_| usage("--seed expects an integer"))?
-            }
             "--json" => opts.json = true,
             "--arch-file" => opts.arch_file = Some(value()?),
-            "--deadline-secs" => {
-                let secs: f64 = value()?
-                    .parse()
-                    .map_err(|_| usage("--deadline-secs expects a number of seconds"))?;
-                if !secs.is_finite() || secs < 0.0 {
-                    return Err(usage("--deadline-secs must be a non-negative number"));
-                }
-                opts.deadline_secs = Some(secs);
-            }
             "--checkpoint" => opts.checkpoint = Some(value()?),
             "--resume" => opts.resume = true,
             "--no-cache" => opts.cache = false,
@@ -544,6 +484,9 @@ pub fn parse(args: &[String]) -> Result<Options, CliError> {
             other => return Err(usage(format!("unknown flag '{other}'"))),
         }
     }
+    // The architecture flags meet the `--arch-file` checks here, before
+    // any command runs (and even where the command ignores them).
+    arch_from_file(&opts.arch)?;
     Ok(opts)
 }
 
@@ -740,38 +683,28 @@ impl ArchFile {
                 ));
             }
         }
-        if let Some(s) = &self.scheme {
-            if SchemeId::from_name(s).is_none() {
-                return Err(arch_err(
-                    "scheme",
-                    format!("unknown scheme '{s}' (expected none | aes-gcm | seculator | seda)"),
-                ));
-            }
-        }
+        self.scheme()?;
         Ok(())
     }
-}
 
-fn dram_by_name(name: &str) -> Result<DramSpec, CliError> {
-    match name {
-        "lpddr4" => Ok(DramSpec::lpddr4_64()),
-        "lpddr4-128" => Ok(DramSpec::lpddr4_128()),
-        "hbm2" => Ok(DramSpec::hbm2_64()),
-        other => Err(usage(format!("unknown dram '{other}'"))),
+    fn scheme(&self) -> Result<Option<SchemeId>, CliError> {
+        self.scheme
+            .as_deref()
+            .map(parse_scheme)
+            .transpose()
+            .map_err(|e| arch_err("scheme", e))
     }
 }
 
-fn engine_by_name(name: &str) -> Result<EngineClass, CliError> {
-    match name {
-        "pipelined" => Ok(EngineClass::Pipelined),
-        "parallel" => Ok(EngineClass::Parallel),
-        "serial" => Ok(EngineClass::Serial),
-        other => Err(usage(format!("unknown engine '{other}'"))),
-    }
-}
-
-/// Build an [`Architecture`] from a parsed [`ArchFile`].
+/// Validate an [`ArchFile`] (see [`ArchFile::validate`]) and build the
+/// [`Architecture`] it describes. Architecture flags, `--arch-file`
+/// and a scenario's `arch:` block all come through here.
+///
+/// # Errors
+///
+/// [`CliError::Arch`] naming the offending field.
 pub fn arch_from_file(f: &ArchFile) -> Result<Architecture, CliError> {
+    f.validate()?;
     let mut arch = Architecture::eyeriss_base();
     if let Some(name) = &f.name {
         arch = arch.with_name(name.clone());
@@ -786,9 +719,12 @@ pub fn arch_from_file(f: &ArchFile) -> Result<Architecture, CliError> {
         arch = arch.with_noc_bytes_per_cycle(bw);
     }
     if let Some(d) = &f.dram {
-        arch = arch.with_dram(
-            dram_by_name(d).map_err(|_| arch_err("dram", format!("unknown interface '{d}'")))?,
-        );
+        arch = arch.with_dram(match d.as_str() {
+            "lpddr4" => DramSpec::lpddr4_64(),
+            "lpddr4-128" => DramSpec::lpddr4_128(),
+            "hbm2" => DramSpec::hbm2_64(),
+            other => return Err(arch_err("dram", format!("unknown interface '{other}'"))),
+        });
     }
     if let Some(df) = &f.dataflow {
         arch = arch.with_dataflow(match df.as_str() {
@@ -799,13 +735,13 @@ pub fn arch_from_file(f: &ArchFile) -> Result<Architecture, CliError> {
             other => return Err(arch_err("dataflow", format!("unknown dataflow '{other}'"))),
         });
     }
-    let scheme = match f.scheme.as_deref() {
-        None => None,
-        Some(s) => Some(
-            SchemeId::from_name(s)
-                .ok_or_else(|| arch_err("scheme", format!("unknown scheme '{s}'")))?,
-        ),
+    let class = match f.engine.as_deref() {
+        None | Some("parallel") => EngineClass::Parallel,
+        Some("pipelined") => EngineClass::Pipelined,
+        Some("serial") => EngineClass::Serial,
+        Some(_) => return Err(arch_err("engine", "expected pipelined | parallel | serial")),
     };
+    let scheme = f.scheme()?;
     let count = f.engines.unwrap_or(if f.engine.is_some() { 3 } else { 0 });
     if count == 0 && scheme.is_some_and(|s| s != SchemeId::None) {
         return Err(arch_err(
@@ -817,8 +753,6 @@ pub fn arch_from_file(f: &ArchFile) -> Result<Architecture, CliError> {
         ));
     }
     if count > 0 && scheme != Some(SchemeId::None) {
-        let class = engine_by_name(f.engine.as_deref().unwrap_or("parallel"))
-            .map_err(|_| arch_err("engine", "expected pipelined | parallel | serial"))?;
         let mut cfg = CryptoConfig::new(class, count);
         if let Some(s) = scheme {
             if !s.model().supports(class) {
@@ -839,57 +773,43 @@ pub fn arch_from_file(f: &ArchFile) -> Result<Architecture, CliError> {
     Ok(arch)
 }
 
-/// Build the architecture from the arch file / engine flags, before
-/// any `--scheme` override (the `compare-schemes` command needs the
-/// scheme-agnostic base to re-price under every backend).
+/// Build the architecture from the arch file or the architecture
+/// flags, before any `--scheme` override (the `compare-schemes` command
+/// needs the scheme-agnostic base to re-price under every backend).
 fn architecture_base(opts: &Options) -> Result<Architecture, CliError> {
-    if let Some(path) = &opts.arch_file {
-        let text =
-            std::fs::read_to_string(path).map_err(|e| usage(format!("cannot read {path}: {e}")))?;
-        let file = ArchFile::parse(&text)?;
-        return arch_from_file(&file);
+    match &opts.arch_file {
+        Some(path) => {
+            let text = std::fs::read_to_string(path)
+                .map_err(|e| usage(format!("cannot read {path}: {e}")))?;
+            arch_from_file(&ArchFile::parse(&text)?)
+        }
+        None => arch_from_file(&opts.arch),
     }
-    let dram = match opts.dram.as_str() {
-        other => dram_by_name(other)?,
-    };
-    let mut arch = Architecture::eyeriss_base()
-        .with_pe_array(opts.pe.0, opts.pe.1)
-        .with_glb_kb(opts.glb_kb)
-        .with_dram(dram);
-    if opts.engines > 0 {
-        arch = arch.with_crypto(CryptoConfig::new(opts.engine, opts.engines));
-    }
-    Ok(arch)
 }
 
 fn architecture(opts: &Options) -> Result<Architecture, CliError> {
     let arch = architecture_base(opts)?;
-    match opts.scheme {
+    match opts.run.scheme {
         None => Ok(arch),
         Some(s) => apply_scheme(&arch, s).map_err(usage),
     }
 }
 
+/// The command's network; `--workload` is required.
+fn network(opts: &Options) -> Result<Network, CliError> {
+    let name = opts
+        .run
+        .workload
+        .as_deref()
+        .ok_or_else(|| usage(format!("{} needs --workload", opts.command)))?;
+    workload(name)
+}
+
 fn scheduler(opts: &Options, arch: Architecture) -> Scheduler {
-    let deadline = opts.deadline_secs.map(Duration::from_secs_f64);
+    let (search, annealing) = opts.run.configs(Entry::Schedule, opts.search_mode);
     Scheduler::new(arch)
-        .with_search(SearchConfig {
-            samples: opts.samples,
-            top_k: 6,
-            seed: opts.seed,
-            threads: 4,
-            deadline,
-            mode: opts.search_mode,
-        })
-        .with_annealing({
-            let annealing = AnnealingConfig::paper_default()
-                .with_iterations(opts.iterations)
-                .with_seed(opts.seed);
-            match deadline {
-                Some(d) => annealing.with_deadline(d),
-                None => annealing,
-            }
-        })
+        .with_search(search)
+        .with_annealing(annealing)
 }
 
 /// Human-readable outcome summary appended to `schedule` output when
@@ -1014,7 +934,7 @@ fn dispatch(opts: &Options) -> Result<CliOutput, CliError> {
                 std::path::Path::new(dir),
                 opts.json,
                 opts.search_mode,
-                opts.scheme,
+                opts.run.scheme,
             )
         }
         "serve" => {
@@ -1027,7 +947,7 @@ fn dispatch(opts: &Options) -> Result<CliOutput, CliError> {
                 .with_workers(opts.service_workers)
                 .with_job_workers(opts.job_workers)
                 .with_search_mode(opts.search_mode)
-                .with_default_scheme(opts.scheme)
+                .with_default_scheme(opts.run.scheme)
                 .with_durability(opts.durability);
             if let Some(mb) = opts.cache_budget_mb {
                 cfg = cfg.with_cache_budget_bytes(mb.saturating_mul(1024 * 1024));
@@ -1059,13 +979,9 @@ fn dispatch(opts: &Options) -> Result<CliOutput, CliError> {
             })
         }
         "schedule" => {
-            let name = opts
-                .workload
-                .as_deref()
-                .ok_or_else(|| usage("schedule needs --workload"))?;
-            let net = workload(name)?;
-            let arch = architecture(&opts)?;
-            let sched = scheduler(opts, arch).schedule(&net, opts.algorithm)?;
+            let net = network(opts)?;
+            let arch = architecture(opts)?;
+            let sched = scheduler(opts, arch).schedule(&net, opts.run.algorithm)?;
             let status = if sched.degraded_count() + sched.failed_count() > 0 {
                 RunStatus::Degraded
             } else {
@@ -1120,11 +1036,7 @@ fn dispatch(opts: &Options) -> Result<CliOutput, CliError> {
             }
         }
         "trace" => {
-            let name = opts
-                .workload
-                .as_deref()
-                .ok_or_else(|| usage("trace needs --workload"))?;
-            let net = workload(name)?;
+            let net = network(opts)?;
             let layer = net.layers().get(opts.layer).ok_or_else(|| {
                 usage(format!(
                     "--layer {} out of range (network has {} layers)",
@@ -1132,23 +1044,13 @@ fn dispatch(opts: &Options) -> Result<CliOutput, CliError> {
                     net.len()
                 ))
             })?;
-            let arch = architecture(&opts)?;
-            let best = secureloop_mapper::search(
-                layer,
-                &arch,
-                &SearchConfig {
-                    samples: opts.samples,
-                    top_k: 1,
-                    seed: opts.seed,
-                    threads: 4,
-                    deadline: opts.deadline_secs.map(Duration::from_secs_f64),
-                    mode: opts.search_mode,
-                },
-            )
-            .map_err(|e| CliError::Engine(format!("mapper: {e}; raise --samples")))?
-            .best()
-            .ok_or_else(|| usage("no valid schedule found; raise --samples"))?
-            .clone();
+            let arch = architecture(opts)?;
+            let (search, _) = opts.run.configs(Entry::Trace, opts.search_mode);
+            let best = secureloop_mapper::search(layer, &arch, &search)
+                .map_err(|e| CliError::Engine(format!("mapper: {e}; raise --samples")))?
+                .best()
+                .ok_or_else(|| usage("no valid schedule found; raise --samples"))?
+                .clone();
             let trace = secureloop_sim::generate_trace(layer, &arch, &best.0)
                 .map_err(|e| usage(format!("cannot trace this schedule: {e}")))?;
             let replayed = secureloop_sim::replay(&trace, &arch);
@@ -1174,42 +1076,9 @@ fn dispatch(opts: &Options) -> Result<CliOutput, CliError> {
             Ok(CliOutput::ok(out))
         }
         "dse" => {
-            let name = opts
-                .workload
-                .as_deref()
-                .ok_or_else(|| usage("dse needs --workload"))?;
-            let net = workload(name)?;
-            let space = fig16_design_space();
-            let mut scheme_note = None;
-            let designs = match opts.scheme {
-                None => space,
-                Some(s) => {
-                    let kept: Vec<_> = space
-                        .iter()
-                        .filter_map(|a| apply_scheme(a, s).ok())
-                        .collect();
-                    if kept.is_empty() {
-                        return Err(usage(format!(
-                            "scheme '{s}' supports no design in the space"
-                        )));
-                    }
-                    if kept.len() < space.len() {
-                        scheme_note = Some(format!(
-                            "scheme '{s}': {} design(s) excluded (engine class unsupported)",
-                            space.len() - kept.len()
-                        ));
-                    }
-                    kept
-                }
-            };
-            let deadline = opts.deadline_secs.map(Duration::from_secs_f64);
-            let annealing = {
-                let a = AnnealingConfig::paper_default().with_iterations(opts.iterations.min(300));
-                match deadline {
-                    Some(d) => a.with_deadline(d),
-                    None => a,
-                }
-            };
+            let net = network(opts)?;
+            let designs = fig16_designs(&[], opts.run.scheme).map_err(usage)?;
+            let (search, annealing) = opts.run.configs(Entry::Sweep, opts.search_mode);
             let mut sweep_opts = crate::dse::SweepOptions::new()
                 .with_cache(opts.cache)
                 .with_resume(opts.resume)
@@ -1230,20 +1099,16 @@ fn dispatch(opts: &Options) -> Result<CliOutput, CliError> {
             let mut sweep = evaluate_designs_sweep(
                 &net,
                 &designs,
-                opts.algorithm,
-                &SearchConfig {
-                    samples: opts.samples,
-                    top_k: 4,
-                    seed: opts.seed,
-                    threads: 4,
-                    deadline,
-                    mode: opts.search_mode,
-                },
+                opts.run.algorithm,
+                &search,
                 &annealing,
                 &sweep_opts,
             )?;
-            if let Some(note) = scheme_note {
-                sweep.warnings.push(note);
+            let excluded = fig16_design_space().len() - designs.len();
+            if let (Some(s), 1..) = (opts.run.scheme, excluded) {
+                sweep.warnings.push(format!(
+                    "scheme '{s}': {excluded} design(s) excluded (engine class unsupported)"
+                ));
             }
             let results = &sweep.results;
             let front = pareto_front(results);
@@ -1324,10 +1189,11 @@ fn dispatch(opts: &Options) -> Result<CliOutput, CliError> {
         }
         "compare-schemes" => {
             let name = opts
+                .run
                 .workload
                 .as_deref()
                 .ok_or_else(|| usage("compare-schemes needs --workload"))?;
-            if opts.algorithm == Algorithm::Unsecure {
+            if opts.run.algorithm == Algorithm::Unsecure {
                 return Err(usage(
                     "compare-schemes runs the unprotected baseline itself; \
                      pick a secure --algorithm for the protected rows",
@@ -1358,7 +1224,7 @@ fn dispatch(opts: &Options) -> Result<CliOutput, CliError> {
                         let algorithm = if id == SchemeId::None {
                             Algorithm::Unsecure
                         } else {
-                            opts.algorithm
+                            opts.run.algorithm
                         };
                         let area = secureloop_energy::AreaModel::of(&arch);
                         let sched = scheduler(opts, arch).schedule(&net, algorithm)?;
@@ -1490,12 +1356,12 @@ mod tests {
         ))
         .unwrap();
         assert_eq!(o.command, "schedule");
-        assert_eq!(o.workload.as_deref(), Some("alexnet"));
-        assert_eq!(o.algorithm, Algorithm::CryptOptSingle);
-        assert_eq!(o.engine, EngineClass::Serial);
-        assert_eq!(o.engines, 30);
-        assert_eq!(o.pe, (28, 24));
-        assert_eq!(o.glb_kb, 16);
+        assert_eq!(o.run.workload.as_deref(), Some("alexnet"));
+        assert_eq!(o.run.algorithm, Algorithm::CryptOptSingle);
+        assert_eq!(o.arch.engine.as_deref(), Some("serial"));
+        assert_eq!(o.arch.engines, Some(30));
+        assert_eq!(o.arch.pe, Some([28, 24]));
+        assert_eq!(o.arch.glb_kb, Some(16));
         assert!(o.json);
     }
 
@@ -1555,12 +1421,12 @@ mod tests {
     #[test]
     fn parse_scheme_flag() {
         let o = parse(&argv("dse --workload alexnet --scheme seculator")).unwrap();
-        assert_eq!(o.scheme, Some(SchemeId::Seculator));
+        assert_eq!(o.run.scheme, Some(SchemeId::Seculator));
         let o = parse(&argv("suite suites/smoke --scheme none")).unwrap();
-        assert_eq!(o.scheme, Some(SchemeId::None));
+        assert_eq!(o.run.scheme, Some(SchemeId::None));
         let o = parse(&argv("compare-schemes --workload alexnet")).unwrap();
         assert_eq!(o.command, "compare-schemes");
-        assert_eq!(o.scheme, None, "default is the architecture's scheme");
+        assert_eq!(o.run.scheme, None, "default is the architecture's scheme");
         let e = parse(&argv("dse --workload alexnet --scheme rot13")).unwrap_err();
         assert!(
             e.to_string().contains("none | aes-gcm | seculator | seda"),
@@ -1788,6 +1654,37 @@ mod tests {
     fn trace_rejects_bad_layer() {
         let e = run(&argv("trace --workload alexnet --layer 99 --samples 50")).unwrap_err();
         assert!(e.to_string().contains("out of range"), "{e}");
+    }
+
+    #[test]
+    fn architecture_flags_meet_the_arch_file_checks() {
+        // Each used to run a whole search (or exit 0); now parsing fails
+        // first, naming the field.
+        for (flags, field) in [
+            ("--pe 0x12", "pe"),
+            ("--glb-kb 0", "glb_kb"),
+            ("--engines 100000", "engines"),
+            ("--dram ddr9", "dram"),
+            ("--engine warp", "engine"),
+        ] {
+            let e = parse(&argv(&format!("schedule --workload alexnet {flags}"))).unwrap_err();
+            assert!(
+                matches!(&e, CliError::Arch { field: f, .. } if f == field),
+                "{flags}: {e}"
+            );
+        }
+        let e = parse(&argv("schedule --workload alexnet --samples 0")).unwrap_err();
+        assert_eq!(e, CliError::Usage("'samples' must be at least 1".into()));
+        // The flag defaults build the same design as the Eyeriss base
+        // with three parallel engines.
+        let o = parse(&argv("schedule --workload alexnet")).unwrap();
+        let arch = architecture(&o).unwrap();
+        let want = Architecture::eyeriss_base()
+            .with_pe_array(14, 12)
+            .with_glb_kb(131)
+            .with_dram(DramSpec::lpddr4_64())
+            .with_crypto(CryptoConfig::new(EngineClass::Parallel, 3));
+        assert_eq!(format!("{arch:?}"), format!("{want:?}"));
     }
 
     #[test]

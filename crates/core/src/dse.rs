@@ -161,6 +161,58 @@ pub fn apply_scheme(arch: &Architecture, scheme: SchemeId) -> Result<Architectur
     }
 }
 
+/// The Fig. 16 designs a `dse` run or a service job sweeps: `labels`
+/// resolved against [`fig16_design_space`] in the order given (empty =
+/// the whole space, in space order), re-priced under `scheme` when one
+/// is chosen.
+///
+/// With explicit labels, a scheme that cannot be realised on a named
+/// design's engine class is an error (the caller asked for a
+/// contradiction). With the whole space, unsupported designs are
+/// filtered out instead — "the whole space under scheme S" means the
+/// supported part of it.
+///
+/// # Errors
+///
+/// Names the first unknown label or invalid scheme/class pairing, or
+/// a scheme that supports no design in the space.
+pub fn fig16_designs(
+    labels: &[String],
+    scheme: Option<SchemeId>,
+) -> Result<Vec<Architecture>, String> {
+    let space = fig16_design_space();
+    if labels.is_empty() {
+        let Some(s) = scheme else {
+            return Ok(space);
+        };
+        let kept: Vec<Architecture> = space
+            .iter()
+            .filter_map(|a| apply_scheme(a, s).ok())
+            .collect();
+        if kept.is_empty() {
+            return Err(format!("scheme '{s}' supports no design in the space"));
+        }
+        return Ok(kept);
+    }
+    let named: Vec<Architecture> = labels
+        .iter()
+        .map(|want| {
+            space
+                .iter()
+                .find(|a| a.name() == want)
+                .cloned()
+                .ok_or_else(|| format!("unknown design '{want}'"))
+        })
+        .collect::<Result<_, _>>()?;
+    let Some(s) = scheme else {
+        return Ok(named);
+    };
+    named
+        .iter()
+        .map(|a| apply_scheme(a, s).map_err(|e| format!("design '{}': {e}", a.name())))
+        .collect()
+}
+
 /// One completed sweep (possibly resumed from a checkpoint).
 #[derive(Debug, Clone, Default)]
 pub struct SweepRun {

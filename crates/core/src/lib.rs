@@ -57,6 +57,7 @@ pub mod error;
 pub mod fusion;
 pub mod report;
 pub mod roofline;
+pub mod run;
 pub mod scheduler;
 pub mod segment;
 pub mod service;
@@ -70,5 +71,6 @@ pub use secureloop_artifact as artifact;
 pub use candidates::{CandidateSet, LayerCandidates};
 pub use checkpoint::SweepCheckpoint;
 pub use error::SecureLoopError;
+pub use run::RunSpec;
 pub use scheduler::{Algorithm, LayerOutcome, LayerResult, NetworkSchedule, Scheduler};
 pub use supervisor::{SupervisedOutcome, SupervisorConfig};

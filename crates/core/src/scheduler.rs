@@ -67,16 +67,15 @@ impl Algorithm {
         }
     }
 
-    /// Parse a display name back into an algorithm (the inverse of
-    /// [`Algorithm::name`], used by checkpoint deserialisation).
+    /// The one algorithm-name parser. Accepts the display name that
+    /// reports, checkpoints and the service journal write
+    /// (`Crypt-Opt-Cross`, the inverse of [`Algorithm::name`]) and the
+    /// kebab spelling users type (`crypt-opt-cross`).
     pub fn from_name(name: &str) -> Option<Algorithm> {
-        match name {
-            "Unsecure" => Some(Algorithm::Unsecure),
-            "Crypt-Tile-Single" => Some(Algorithm::CryptTileSingle),
-            "Crypt-Opt-Single" => Some(Algorithm::CryptOptSingle),
-            "Crypt-Opt-Cross" => Some(Algorithm::CryptOptCross),
-            _ => None,
-        }
+        [Algorithm::Unsecure]
+            .into_iter()
+            .chain(Algorithm::SECURE)
+            .find(|a| name == a.name() || name == a.name().to_ascii_lowercase())
     }
 }
 
@@ -714,11 +713,25 @@ mod tests {
         assert_eq!(Algorithm::from_name("nonsense"), None);
     }
 
+    /// A secure quick scheduler on an architecture of its own, so the
+    /// fault plans the tests below scope to it cannot reach the other
+    /// tests scheduling AlexNet at the same time.
+    fn faulty_scheduler() -> Scheduler {
+        let arch = Architecture::eyeriss_base()
+            .with_crypto(CryptoConfig::new(EngineClass::Parallel, 3))
+            .with_name(FAULTY);
+        Scheduler::new(arch)
+            .with_search(SearchConfig::quick())
+            .with_annealing(AnnealingConfig::quick())
+    }
+
+    const FAULTY: &str = "fault-target";
+
     #[test]
     fn injected_failure_is_isolated_not_fatal() {
         let net = zoo::alexnet_conv();
-        let s = quick_scheduler(true);
-        let _scope = FaultScope::inject(FaultPlan::fail(["conv2", "conv4"]));
+        let s = faulty_scheduler();
+        let _scope = FaultScope::inject(FaultPlan::fail(["conv2", "conv4"]).for_arch(FAULTY));
         for alg in [
             Algorithm::CryptTileSingle,
             Algorithm::CryptOptSingle,
@@ -744,10 +757,10 @@ mod tests {
     #[test]
     fn all_layers_failing_is_an_error() {
         let net = zoo::alexnet_conv();
-        let s = quick_scheduler(true);
-        let _scope = FaultScope::inject(FaultPlan::fail([
-            "conv1", "conv2", "conv3", "conv4", "conv5",
-        ]));
+        let s = faulty_scheduler();
+        let _scope = FaultScope::inject(
+            FaultPlan::fail(["conv1", "conv2", "conv3", "conv4", "conv5"]).for_arch(FAULTY),
+        );
         let err = s.schedule(&net, Algorithm::CryptOptSingle).unwrap_err();
         assert!(matches!(err, SecureLoopError::Schedule(_)));
         assert!(err.to_string().contains("AlexNet"));

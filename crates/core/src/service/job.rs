@@ -4,13 +4,12 @@
 use std::time::Duration;
 
 use secureloop_arch::Architecture;
-use secureloop_crypto::SchemeId;
 use secureloop_json::Json;
 use secureloop_mapper::FaultPlan;
 use secureloop_workload::Network;
 
-use crate::dse::{apply_scheme, fig16_design_space};
-use crate::scheduler::Algorithm;
+use crate::dse::fig16_designs;
+use crate::run::RunSpec;
 
 /// Job ids become file names (`<state_dir>/<id>.ckpt.json`), so they
 /// are restricted to a filesystem-safe alphabet.
@@ -105,83 +104,34 @@ impl FaultSpec {
     }
 }
 
+/// Keys a `submit` request or journalled spec may carry, for the
+/// unknown-key error.
+const SUBMIT_KEYS: &str =
+    "id, workload, designs, algorithm, samples, iterations, seed, deadline_secs, scheme, fault";
+
 /// One job: what a client asked the server to explore.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobSpec {
     /// Client-chosen id (see [`valid_job_id`]).
     pub id: String,
-    /// Workload name (`alexnet`, `resnet18`, ... — the CLI zoo).
-    pub workload: String,
+    /// The run itself; the workload is required, budgets default like
+    /// the one-shot CLI, and annealing is capped like the `dse` command.
+    pub run: RunSpec,
     /// Design labels from the Fig. 16 space; empty = the full space.
     pub designs: Vec<String>,
-    /// Scheduling algorithm.
-    pub algorithm: Algorithm,
-    /// Mapper samples per layer.
-    pub samples: usize,
-    /// Annealing iterations (capped like the `dse` command).
-    pub iterations: usize,
-    /// RNG seed.
-    pub seed: u64,
-    /// Optional per-layer wall-clock deadline in seconds. A deadline
-    /// trades determinism for latency exactly as in the one-shot CLI.
-    pub deadline_secs: Option<f64>,
-    /// Optional protection scheme re-pricing the resolved designs
-    /// (`None` keeps the space's default AES-GCM pricing; mirrors the
-    /// CLI's `--scheme`).
-    pub scheme: Option<SchemeId>,
     /// Optional injected fault (chaos-test hook).
     pub fault: Option<FaultSpec>,
 }
 
 impl JobSpec {
-    /// Resolve the design labels against the Fig. 16 space, in space
-    /// order (empty = the whole space, exactly like `secureloop dse`),
-    /// then re-price under the job's protection scheme if one was
-    /// requested.
-    ///
-    /// With an explicit design list, a scheme that cannot be realised
-    /// on a named design's engine class is an error (the client asked
-    /// for a contradiction). With the full space, unsupported designs
-    /// are filtered out instead — "the whole space under scheme S"
-    /// means the supported part of it.
+    /// The job's designs and their pricing, resolved exactly like
+    /// `secureloop dse` (see [`fig16_designs`]).
     ///
     /// # Errors
     ///
     /// Names the first unknown label or invalid scheme/class pairing.
     pub fn resolve_designs(&self) -> Result<Vec<Architecture>, String> {
-        let space = fig16_design_space();
-        let resolved: Vec<Architecture> = if self.designs.is_empty() {
-            space
-        } else {
-            self.designs
-                .iter()
-                .map(|want| {
-                    space
-                        .iter()
-                        .find(|a| a.name() == want)
-                        .cloned()
-                        .ok_or_else(|| format!("unknown design '{want}'"))
-                })
-                .collect::<Result<_, _>>()?
-        };
-        let Some(scheme) = self.scheme else {
-            return Ok(resolved);
-        };
-        if self.designs.is_empty() {
-            let kept: Vec<Architecture> = resolved
-                .iter()
-                .filter_map(|a| apply_scheme(a, scheme).ok())
-                .collect();
-            if kept.is_empty() {
-                return Err(format!("scheme '{scheme}' supports no design in the space"));
-            }
-            Ok(kept)
-        } else {
-            resolved
-                .iter()
-                .map(|a| apply_scheme(a, scheme).map_err(|e| format!("design '{}': {e}", a.name())))
-                .collect()
-        }
+        fig16_designs(&self.designs, self.run.scheme)
     }
 
     /// Resolve the workload name against the model zoo.
@@ -190,14 +140,16 @@ impl JobSpec {
     ///
     /// An unknown workload name.
     pub fn resolve_workload(&self) -> Result<Network, String> {
-        crate::cli::workload(&self.workload).map_err(|e| e.to_string())
+        let name = self.run.workload.as_deref().unwrap_or_default();
+        crate::cli::workload(name).map_err(|e| e.to_string())
     }
 
     /// Serialise for the journal (and for echoing back to clients).
     pub fn to_json(&self) -> Json {
+        let run = &self.run;
         let mut v = Json::obj()
             .field("id", self.id.as_str())
-            .field("workload", self.workload.as_str())
+            .field("workload", run.workload.as_deref().unwrap_or_default())
             .field(
                 "designs",
                 Json::Arr(
@@ -207,14 +159,14 @@ impl JobSpec {
                         .collect(),
                 ),
             )
-            .field("algorithm", self.algorithm.name())
-            .field("samples", self.samples as u64)
-            .field("iterations", self.iterations as u64)
-            .field("seed", self.seed);
-        if let Some(d) = self.deadline_secs {
+            .field("algorithm", run.algorithm.name())
+            .field("samples", run.samples as u64)
+            .field("iterations", run.iterations as u64)
+            .field("seed", run.seed);
+        if let Some(d) = run.deadline_secs {
             v = v.field("deadline_secs", d);
         }
-        if let Some(s) = self.scheme {
+        if let Some(s) = run.scheme {
             v = v.field("scheme", s.name());
         }
         if let Some(f) = &self.fault {
@@ -223,84 +175,62 @@ impl JobSpec {
         v
     }
 
-    /// Parse a [`JobSpec`] from a `submit` request or the journal.
-    /// Absent budget fields take the one-shot CLI defaults.
+    /// Parse a [`JobSpec`] from a `submit` request (whose `op` key is
+    /// ignored) or the journal. Run fields go through [`RunSpec::set`];
+    /// absent ones take the one-shot CLI defaults.
     ///
     /// # Errors
     ///
-    /// Names the missing or ill-typed field.
+    /// Names the missing, unknown or ill-typed key.
     pub fn from_json(v: &Json) -> Result<JobSpec, String> {
-        let id = v["id"]
-            .as_str()
-            .ok_or("submit needs a string 'id'")?
-            .to_string();
+        let fields = v.as_object().ok_or("a job spec must be a JSON object")?;
+        let mut id = None;
+        let mut run = RunSpec::default();
+        let mut designs = Vec::new();
+        let mut fault = None;
+        for (key, value) in fields {
+            match key.as_str() {
+                "op" => {}
+                "id" => id = Some(value.as_str().ok_or("submit needs a string 'id'")?),
+                "designs" => {
+                    designs = match value {
+                        Json::Null => Vec::new(),
+                        list => list
+                            .as_array()
+                            .ok_or("'designs' must be an array of labels")?
+                            .iter()
+                            .map(|d| {
+                                d.as_str()
+                                    .map(str::to_string)
+                                    .ok_or_else(|| "design labels must be strings".to_string())
+                            })
+                            .collect::<Result<Vec<_>, _>>()?,
+                    }
+                }
+                "fault" if !value.is_null() => fault = Some(FaultSpec::from_json(value)?),
+                "fault" => {}
+                other => {
+                    if !run.set(other, value)? {
+                        return Err(format!(
+                            "unknown submit field '{other}' (expected {SUBMIT_KEYS})"
+                        ));
+                    }
+                }
+            }
+        }
+        let id = id.ok_or("submit needs a string 'id'")?.to_string();
         if !valid_job_id(&id) {
             return Err(format!(
                 "invalid job id '{id}' (1-64 chars from [A-Za-z0-9_-])"
             ));
         }
-        let workload = v["workload"]
-            .as_str()
-            .ok_or("submit needs a string 'workload'")?
-            .to_string();
-        let designs = match &v["designs"] {
-            Json::Null => Vec::new(),
-            list => list
-                .as_array()
-                .ok_or("'designs' must be an array of labels")?
-                .iter()
-                .map(|d| {
-                    d.as_str()
-                        .map(str::to_string)
-                        .ok_or_else(|| "design labels must be strings".to_string())
-                })
-                .collect::<Result<Vec<_>, _>>()?,
-        };
-        let algorithm = match v["algorithm"].as_str() {
-            None => Algorithm::CryptOptCross,
-            Some(name) => Algorithm::from_name(name)
-                .or_else(|| match name {
-                    "unsecure" => Some(Algorithm::Unsecure),
-                    "crypt-tile-single" => Some(Algorithm::CryptTileSingle),
-                    "crypt-opt-single" => Some(Algorithm::CryptOptSingle),
-                    "crypt-opt-cross" => Some(Algorithm::CryptOptCross),
-                    _ => None,
-                })
-                .ok_or_else(|| format!("unknown algorithm '{name}'"))?,
-        };
-        let deadline_secs = match &v["deadline_secs"] {
-            Json::Null => None,
-            d => {
-                let secs = d.as_f64().ok_or("'deadline_secs' must be a number")?;
-                if !secs.is_finite() || secs <= 0.0 {
-                    return Err("'deadline_secs' must be positive and finite".to_string());
-                }
-                Some(secs)
-            }
-        };
-        let scheme = match &v["scheme"] {
-            Json::Null => None,
-            s => {
-                let name = s.as_str().ok_or("'scheme' must be a string")?;
-                Some(SchemeId::from_name(name).ok_or_else(|| {
-                    format!("unknown scheme '{name}' (expected none | aes-gcm | seculator | seda)")
-                })?)
-            }
-        };
-        let fault = match &v["fault"] {
-            Json::Null => None,
-            f => Some(FaultSpec::from_json(f)?),
-        };
+        if run.workload.is_none() {
+            return Err("submit needs a string 'workload'".to_string());
+        }
         Ok(JobSpec {
             id,
-            workload,
+            run,
             designs,
-            algorithm,
-            samples: v["samples"].as_usize().unwrap_or(3000),
-            iterations: v["iterations"].as_usize().unwrap_or(1000),
-            seed: v["seed"].as_u64().unwrap_or(1),
-            deadline_secs,
-            scheme,
             fault,
         })
     }
@@ -470,13 +400,11 @@ impl AdmissionPolicy {
     ///
     /// A client-facing reason string for the typed `rejected` response.
     pub fn admit(&self, spec: &JobSpec) -> Result<(), String> {
-        if spec.samples == 0 {
-            return Err("'samples' must be at least 1".to_string());
-        }
-        if spec.samples > self.max_samples {
+        let run = &spec.run;
+        if run.samples > self.max_samples {
             return Err(format!(
                 "samples {} exceeds the admission cap {}",
-                spec.samples, self.max_samples
+                run.samples, self.max_samples
             ));
         }
         let designs = spec.resolve_designs()?;
@@ -487,7 +415,13 @@ impl AdmissionPolicy {
                 self.max_designs
             ));
         }
-        if let Some(secs) = spec.deadline_secs {
+        if let Some(secs) = run.deadline_secs {
+            // The CLI and suites accept a 0-second deadline (every
+            // search degrades at once); a job that can only degrade is
+            // refused instead of holding a queue slot.
+            if secs == 0.0 {
+                return Err("'deadline_secs' must be positive for a job".to_string());
+            }
             if secs > self.max_deadline_secs {
                 return Err(format!(
                     "deadline {secs}s exceeds the admission cap {}s",
@@ -503,18 +437,22 @@ impl AdmissionPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scheduler::Algorithm;
+    use secureloop_crypto::SchemeId;
 
     fn spec() -> JobSpec {
         JobSpec {
             id: "job-1".into(),
-            workload: "alexnet".into(),
+            run: RunSpec {
+                workload: Some("alexnet".into()),
+                algorithm: Algorithm::CryptOptSingle,
+                samples: 200,
+                iterations: 20,
+                seed: 7,
+                deadline_secs: None,
+                scheme: None,
+            },
             designs: vec!["14x12/16kB/Pipelined".into()],
-            algorithm: Algorithm::CryptOptSingle,
-            samples: 200,
-            iterations: 20,
-            seed: 7,
-            deadline_secs: None,
-            scheme: None,
             fault: None,
         }
     }
@@ -528,8 +466,8 @@ mod tests {
             arch: "14x12/16kB/Pipelined".into(),
             stall_ms: 50,
         });
-        s.deadline_secs = Some(2.5);
-        s.scheme = Some(SchemeId::Seculator);
+        s.run.deadline_secs = Some(2.5);
+        s.run.scheme = Some(SchemeId::Seculator);
         let back = JobSpec::from_json(&s.to_json()).unwrap();
         assert_eq!(back, s);
     }
@@ -546,17 +484,17 @@ mod tests {
         use secureloop_crypto::EngineClass;
         // Explicit design + supported scheme: re-priced in place.
         let mut s = spec();
-        s.scheme = Some(SchemeId::Seculator);
+        s.run.scheme = Some(SchemeId::Seculator);
         let designs = s.resolve_designs().unwrap();
         let cc = designs[0].crypto().unwrap();
         assert_eq!(cc.scheme, SchemeId::Seculator);
         assert_eq!(cc.tag_bits, 32);
         // `none` strips crypto entirely.
-        s.scheme = Some(SchemeId::None);
+        s.run.scheme = Some(SchemeId::None);
         assert!(s.resolve_designs().unwrap()[0].crypto().is_none());
         // Full space under SeDA keeps only the Parallel designs.
         s.designs.clear();
-        s.scheme = Some(SchemeId::Seda);
+        s.run.scheme = Some(SchemeId::Seda);
         let seda = s.resolve_designs().unwrap();
         assert!(!seda.is_empty());
         assert!(seda
@@ -570,7 +508,7 @@ mod tests {
         // The explicitly named design is Pipelined; SeDA cannot be
         // realised on a fully-pipelined core.
         let mut s = spec();
-        s.scheme = Some(SchemeId::Seda);
+        s.run.scheme = Some(SchemeId::Seda);
         let err = policy.admit(&s).unwrap_err();
         assert!(
             err.contains("does not support the Pipelined engine class"),
@@ -628,7 +566,7 @@ mod tests {
         assert!(policy.admit(&spec()).is_ok());
 
         let mut too_many_samples = spec();
-        too_many_samples.samples = 501;
+        too_many_samples.run.samples = 501;
         assert!(policy
             .admit(&too_many_samples)
             .unwrap_err()
@@ -642,11 +580,11 @@ mod tests {
             .contains("admission cap"));
 
         let mut too_long = spec();
-        too_long.deadline_secs = Some(11.0);
+        too_long.run.deadline_secs = Some(11.0);
         assert!(policy.admit(&too_long).unwrap_err().contains("deadline"));
 
         let mut bad_workload = spec();
-        bad_workload.workload = "gpt-17".into();
+        bad_workload.run.workload = Some("gpt-17".into());
         assert!(policy.admit(&bad_workload).is_err());
 
         let mut bad_design = spec();
@@ -655,6 +593,37 @@ mod tests {
             .admit(&bad_design)
             .unwrap_err()
             .contains("unknown design"));
+    }
+
+    #[test]
+    fn ill_typed_and_unknown_budget_keys_are_rejected() {
+        // Each of these used to run the default 3000-sample budget.
+        for (field, key) in [
+            (r#""samples":"40""#, "'samples'"),
+            (r#""samples":-3"#, "'samples'"),
+            (r#""sample":40"#, "'sample'"),
+            (r#""iterations":true"#, "'iterations'"),
+        ] {
+            let line = format!(r#"{{"op":"submit","id":"j1","workload":"alexnet",{field}}}"#);
+            let err = JobSpec::from_json(&Json::parse(&line).unwrap()).unwrap_err();
+            assert!(err.contains(key), "{field}: {err}");
+        }
+        // Every key `to_json` writes still loads.
+        let mut s = spec();
+        s.run.deadline_secs = Some(1.5);
+        s.run.scheme = Some(SchemeId::Seda);
+        assert_eq!(JobSpec::from_json(&s.to_json()).unwrap(), s);
+    }
+
+    #[test]
+    fn admission_refuses_a_zero_deadline() {
+        let mut s = spec();
+        s.run.deadline_secs = Some(0.0);
+        // The shared parser accepts 0 (the CLI and suites run with it)...
+        assert_eq!(JobSpec::from_json(&s.to_json()).unwrap(), s);
+        // ...but a job that could only degrade is refused.
+        let err = AdmissionPolicy::default().admit(&s).unwrap_err();
+        assert!(err.contains("'deadline_secs' must be positive"), "{err}");
     }
 
     #[test]

@@ -205,6 +205,7 @@ impl ServiceJournal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::run::RunSpec;
     use crate::scheduler::Algorithm;
     use crate::service::job::{JobSpec, JobState};
 
@@ -212,14 +213,16 @@ mod tests {
         JobRecord {
             spec: JobSpec {
                 id: id.into(),
-                workload: "alexnet".into(),
+                run: RunSpec {
+                    workload: Some("alexnet".into()),
+                    algorithm: Algorithm::CryptOptCross,
+                    samples: 100,
+                    iterations: 10,
+                    seed: 1,
+                    deadline_secs: None,
+                    scheme: None,
+                },
                 designs: vec![],
-                algorithm: Algorithm::CryptOptCross,
-                samples: 100,
-                iterations: 10,
-                seed: 1,
-                deadline_secs: None,
-                scheme: None,
                 fault: None,
             },
             state,

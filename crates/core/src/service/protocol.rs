@@ -5,9 +5,9 @@
 //! ```text
 //! {"op":"submit","id":"job-1","workload":"alexnet",
 //!  "designs":["14x12/16kB/Pipelined"],   // optional; absent = full Fig. 16 space
-//!  "algorithm":"crypt-opt-cross",        // optional
-//!  "samples":500,"iterations":100,"seed":1,   // optional budgets
-//!  "deadline_secs":5.0,                  // optional
+//!  "algorithm":"crypt-opt-cross",        // optional run fields: see below
+//!  "samples":500,"iterations":100,"seed":1,
+//!  "deadline_secs":5.0,"scheme":"seculator",
 //!  "fault":{"kind":"panic","layers":["fc0"],"arch":"..."}}  // chaos hook
 //! {"op":"cancel","id":"job-1"}
 //! {"op":"stats"}
@@ -33,6 +33,11 @@
 //! {"event":"error","reason":"..."}       // unparseable request line
 //! {"event":"shutdown","resumable":N}     // last line before exit
 //! ```
+//!
+//! A submit's run fields (`workload` … `scheme`) are the ones every
+//! entry point shares; their defaults and validation rules are in
+//! DESIGN.md "Run specification". An ill-typed value or an unknown key
+//! gets an `error` event naming the key.
 
 use secureloop_json::Json;
 
@@ -175,7 +180,7 @@ mod tests {
         match parse_request(r#"{"op":"submit","id":"j1","workload":"alexnet"}"#).unwrap() {
             Request::Submit(spec) => {
                 assert_eq!(spec.id, "j1");
-                assert_eq!(spec.samples, 3000, "defaults mirror the CLI");
+                assert_eq!(spec.run.samples, 3000, "defaults mirror the CLI");
             }
             other => panic!("expected submit, got {other:?}"),
         }

@@ -26,16 +26,14 @@ use std::time::Duration;
 use secureloop_artifact::DurabilityPolicy;
 
 use secureloop_json::Json;
-use secureloop_mapper::{
-    cancel, CancelToken, CandidateCache, FaultScope, SearchConfig, SearchMode,
-};
+use secureloop_mapper::{cancel, CancelToken, CandidateCache, FaultScope, SearchMode};
 use secureloop_telemetry::{self as telemetry, Sink};
 
-use crate::annealing::AnnealingConfig;
 use crate::cli::RunStatus;
 use crate::dse::{evaluate_designs_sweep, pareto_front, SweepOptions};
 use crate::error::SecureLoopError;
 use crate::report;
+use crate::run::Entry;
 use crate::service::job::{AdmissionPolicy, JobRecord, JobSpec, JobState};
 use crate::service::persist::{self, ServiceJournal};
 use crate::service::protocol::{self, Request};
@@ -541,8 +539,8 @@ impl Server {
         // Fill in the server-level default scheme *before* admission so
         // the scheme/engine-class validation applies to what will run,
         // and the journalled spec records the effective scheme.
-        if spec.scheme.is_none() {
-            spec.scheme = self.cfg.default_scheme;
+        if spec.run.scheme.is_none() {
+            spec.run.scheme = self.cfg.default_scheme;
         }
         if let Err(reason) = self.cfg.admission.admit(&spec) {
             out.send(protocol::rejected(&id, &reason));
@@ -698,25 +696,10 @@ impl Server {
             Err(e) => return fail(e),
         };
 
-        // Budgets mirror the one-shot `secureloop dse` command exactly,
-        // so a healthy service job is byte-identical to the same run
-        // through the CLI.
-        let deadline = spec.deadline_secs.map(Duration::from_secs_f64);
-        let annealing = {
-            let a = AnnealingConfig::paper_default().with_iterations(spec.iterations.min(300));
-            match deadline {
-                Some(d) => a.with_deadline(d),
-                None => a,
-            }
-        };
-        let search = SearchConfig {
-            samples: spec.samples,
-            top_k: 4,
-            seed: spec.seed,
-            threads: 4,
-            deadline,
-            mode: self.cfg.search_mode,
-        };
+        // Budgets are the one-shot `secureloop dse` command's, so a
+        // healthy service job is byte-identical to the same run through
+        // the CLI.
+        let (search, annealing) = spec.run.configs(Entry::Sweep, self.cfg.search_mode);
         let ckpt_path = persist::job_checkpoint_path(&self.cfg.state_dir, id);
         let opts = SweepOptions::new()
             .with_checkpoint(ckpt_path)
@@ -738,7 +721,7 @@ impl Server {
         let outcome = evaluate_designs_sweep(
             &network,
             &designs,
-            spec.algorithm,
+            spec.run.algorithm,
             &search,
             &annealing,
             &opts,

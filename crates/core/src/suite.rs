@@ -16,19 +16,19 @@
 //! workload: attention          # required; a `secureloop workloads` name
 //! batch: 4                     # optional batch-size variant
 //! word_bits: 16                # optional word-width variant (fp16)
-//! algorithm: crypt-opt-cross   # optional; default crypt-opt-cross
+//! algorithm: crypt-opt-cross   # optional run field
 //! arch:                        # optional; same fields as --arch-file
 //!   pe: [14, 12]
 //!   glb_kb: 131
 //!   engine: parallel
 //!   engines: 3
 //! crypto:                      # optional protection-scheme selection
-//!   scheme: seculator          # none | aes-gcm | seculator | seda
-//! search:                      # optional budgets
-//!   samples: 1024              # mapper sample cap per layer (default 1024)
-//!   iterations: 60             # SA iterations (default 60)
-//!   seed: 1                    # RNG seed (default 1)
-//!   deadline_secs: 30          # per-layer/per-segment wall budget
+//!   scheme: seculator          # run field
+//! search:                      # optional run fields (budgets)
+//!   samples: 1024
+//!   iterations: 60
+//!   seed: 1
+//!   deadline_secs: 30
 //! expect:                      # required, with at least one bound
 //!   max_latency_cycles: 4000000
 //!   max_energy_uj: 900.0
@@ -51,31 +51,26 @@
 //! Load errors are detected for *all* files before anything runs, so
 //! a typo'd scenario fails the suite in milliseconds, not after an
 //! hour of sweeps.
+//!
+//! The run fields (`workload`, `algorithm`, the `search:` budgets and
+//! `crypto: scheme:`) are parsed by [`RunSpec::set`] like the CLI flags
+//! and service submits; DESIGN.md "Run specification" lists their
+//! defaults and validation rules.
 
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::time::Duration;
 
 use secureloop_arch::Architecture;
 use secureloop_crypto::SchemeId;
 use secureloop_json::{parse_yaml, Json};
-use secureloop_mapper::{CandidateCache, SearchConfig, SearchMode};
+use secureloop_mapper::{CandidateCache, SearchMode};
 use secureloop_workload::Network;
 
-use crate::annealing::AnnealingConfig;
 use crate::cli::{arch_from_file, ArchFile, CliError, CliOutput, RunStatus};
 use crate::dse::{apply_scheme, evaluate_designs_sweep, SweepOptions};
+use crate::run::{Entry, RunSpec};
 use crate::scheduler::{Algorithm, NetworkSchedule};
-
-/// Default mapper sample *cap* per layer for suite runs. Under the
-/// guided default this is a ceiling, not a budget — searches stop when
-/// the Pareto front stops improving, typically well under the cap — so
-/// it is set high enough that convergence, not truncation, decides
-/// where each search ends. Override per scenario via `search: samples:`.
-pub const DEFAULT_SAMPLES: usize = 1024;
-/// Default simulated-annealing iterations for suite runs.
-pub const DEFAULT_ITERATIONS: usize = 60;
 
 fn scenario_err(path: &Path, message: impl Into<String>) -> CliError {
     CliError::Scenario {
@@ -175,20 +170,10 @@ pub struct Scenario {
     pub network: Network,
     /// The architecture (Eyeriss base overridden by the `arch:` block).
     pub arch: Architecture,
-    /// Scheduling algorithm.
-    pub algorithm: Algorithm,
-    /// Mapper samples per layer.
-    pub samples: usize,
-    /// Simulated-annealing iterations.
-    pub iterations: usize,
-    /// RNG seed.
-    pub seed: u64,
-    /// Optional wall-clock budget per layer search / annealed segment.
-    pub deadline: Option<Duration>,
-    /// Protection scheme declared by the scenario's `crypto:` block.
+    /// The run fields. `run.scheme` is the `crypto:` block's choice;
     /// `None` means "whatever the architecture says" (AES-GCM when the
     /// arch carries a crypto config) — a CLI `--scheme` still overrides.
-    pub scheme: Option<SchemeId>,
+    pub run: RunSpec,
     /// Expected-result bounds.
     pub expect: Bounds,
 }
@@ -260,16 +245,6 @@ fn parse_bounds(path: &Path, v: &Json) -> Result<Bounds, CliError> {
     Ok(b)
 }
 
-fn parse_algorithm(path: &Path, s: &str) -> Result<Algorithm, CliError> {
-    match s {
-        "unsecure" => Ok(Algorithm::Unsecure),
-        "crypt-tile-single" => Ok(Algorithm::CryptTileSingle),
-        "crypt-opt-single" => Ok(Algorithm::CryptOptSingle),
-        "crypt-opt-cross" => Ok(Algorithm::CryptOptCross),
-        other => Err(scenario_err(path, format!("unknown algorithm '{other}'"))),
-    }
-}
-
 /// Load and validate one scenario file.
 ///
 /// # Errors
@@ -285,17 +260,16 @@ pub fn load_scenario(path: &Path) -> Result<Scenario, CliError> {
         .ok_or_else(|| scenario_err(path, "a scenario must be a YAML mapping"))?;
 
     let mut name: Option<String> = None;
-    let mut workload_name: Option<String> = None;
     let mut batch: Option<u64> = None;
     let mut word_bits: Option<u64> = None;
-    let mut algorithm = Algorithm::CryptOptCross;
     let mut arch = Architecture::eyeriss_base();
-    let mut samples = DEFAULT_SAMPLES;
-    let mut iterations = DEFAULT_ITERATIONS;
-    let mut seed = 1u64;
-    let mut deadline = None;
-    let mut scheme: Option<SchemeId> = None;
+    let mut run = RunSpec::suite_default();
     let mut expect: Option<Bounds> = None;
+    // A run field, through the shared parser, with its line number.
+    let mut set = |key: &str, value: &Json| {
+        run.set(key, value)
+            .map_err(|e| scenario_err(path, at_line(&text, key, e)))
+    };
 
     for (key, value) in fields {
         match key.as_str() {
@@ -307,13 +281,8 @@ pub fn load_scenario(path: &Path) -> Result<Scenario, CliError> {
                         .to_string(),
                 )
             }
-            "workload" => {
-                workload_name = Some(
-                    value
-                        .as_str()
-                        .ok_or_else(|| scenario_err(path, "'workload' expects a string"))?
-                        .to_string(),
-                )
+            "workload" | "algorithm" => {
+                set(key, value)?;
             }
             "batch" => {
                 let n = want_u64(path, key, value)?;
@@ -329,17 +298,9 @@ pub fn load_scenario(path: &Path) -> Result<Scenario, CliError> {
                 }
                 word_bits = Some(n);
             }
-            "algorithm" => {
-                let s = value
-                    .as_str()
-                    .ok_or_else(|| scenario_err(path, "'algorithm' expects a string"))?;
-                algorithm = parse_algorithm(path, s)?;
-            }
             "arch" => {
-                let file = ArchFile::from_json(value)
-                    .and_then(|f| f.validate().map(|()| f))
-                    .map_err(|e| scenario_err(path, format!("arch block: {e}")))?;
-                arch = arch_from_file(&file)
+                arch = ArchFile::from_json(value)
+                    .and_then(|f| arch_from_file(&f))
                     .map_err(|e| scenario_err(path, format!("arch block: {e}")))?;
             }
             "search" => {
@@ -348,17 +309,8 @@ pub fn load_scenario(path: &Path) -> Result<Scenario, CliError> {
                     .ok_or_else(|| scenario_err(path, "'search' must be a mapping"))?;
                 for (bk, bv) in budgets {
                     match bk.as_str() {
-                        "samples" => {
-                            samples = want_u64(path, bk, bv)? as usize;
-                            if samples == 0 {
-                                return Err(scenario_err(path, "'samples' must be at least 1"));
-                            }
-                        }
-                        "iterations" => iterations = want_u64(path, bk, bv)? as usize,
-                        "seed" => seed = want_u64(path, bk, bv)?,
-                        "deadline_secs" => {
-                            let secs = want_f64(path, bk, bv)?;
-                            deadline = Some(Duration::from_secs_f64(secs));
+                        "samples" | "iterations" | "seed" | "deadline_secs" => {
+                            set(bk, bv)?;
                         }
                         other => {
                             return Err(scenario_err(
@@ -382,26 +334,7 @@ pub fn load_scenario(path: &Path) -> Result<Scenario, CliError> {
                 for (ck, cv) in block {
                     match ck.as_str() {
                         "scheme" => {
-                            let s = cv.as_str().ok_or_else(|| {
-                                scenario_err(
-                                    path,
-                                    at_line(&text, "scheme", "'scheme' expects a string".into()),
-                                )
-                            })?;
-                            let parsed = SchemeId::from_name(s).ok_or_else(|| {
-                                scenario_err(
-                                    path,
-                                    at_line(
-                                        &text,
-                                        "scheme",
-                                        format!(
-                                            "unknown crypto scheme '{s}' (expected none | \
-                                             aes-gcm | seculator | seda)"
-                                        ),
-                                    ),
-                                )
-                            })?;
-                            scheme = Some(parsed);
+                            set(ck, cv)?;
                         }
                         other => {
                             return Err(scenario_err(
@@ -434,7 +367,7 @@ pub fn load_scenario(path: &Path) -> Result<Scenario, CliError> {
     // so the combo check has to wait until both are parsed. A suite
     // with an impossible pairing fails in milliseconds, before any
     // sweep runs, with the offending line called out.
-    if let Some(s) = scheme {
+    if let Some(s) = run.scheme {
         if let Err(e) = apply_scheme(&arch, s) {
             return Err(scenario_err(
                 path,
@@ -443,9 +376,11 @@ pub fn load_scenario(path: &Path) -> Result<Scenario, CliError> {
         }
     }
 
-    let workload_name =
-        workload_name.ok_or_else(|| scenario_err(path, "missing required field 'workload'"))?;
-    let mut network = crate::cli::workload(&workload_name)
+    let workload_name = run
+        .workload
+        .as_deref()
+        .ok_or_else(|| scenario_err(path, "missing required field 'workload'"))?;
+    let mut network = crate::cli::workload(workload_name)
         .map_err(|_| scenario_err(path, format!("unknown workload '{workload_name}'")))?;
     if let Some(n) = batch {
         network = network.with_batch(n);
@@ -469,12 +404,7 @@ pub fn load_scenario(path: &Path) -> Result<Scenario, CliError> {
         path: path.to_path_buf(),
         network,
         arch,
-        algorithm,
-        samples,
-        iterations,
-        seed,
-        deadline,
-        scheme,
+        run,
         expect,
     })
 }
@@ -589,13 +519,13 @@ pub fn run_suite(
     // block; an unprotected run also drops to the unsecure algorithm so
     // the schedule carries no phantom crypto passes.
     for sc in &mut scenarios {
-        let Some(effective) = scheme_override.or(sc.scheme) else {
+        let Some(effective) = scheme_override.or(sc.run.scheme) else {
             continue;
         };
         sc.arch = apply_scheme(&sc.arch, effective)
             .map_err(|e| scenario_err(&sc.path, format!("crypto scheme: {e}")))?;
         if effective == SchemeId::None {
-            sc.algorithm = Algorithm::Unsecure;
+            sc.run.algorithm = Algorithm::Unsecure;
         }
     }
     let scenarios = scenarios;
@@ -605,28 +535,12 @@ pub fn run_suite(
     let mut interrupted = false;
     for sc in &scenarios {
         let _scope = secureloop_telemetry::enter_scope(format!("suite:{}", sc.name));
-        let search = SearchConfig {
-            samples: sc.samples,
-            top_k: 4,
-            seed: sc.seed,
-            threads: 4,
-            deadline: sc.deadline,
-            mode,
-        };
-        let annealing = {
-            let a = AnnealingConfig::quick()
-                .with_iterations(sc.iterations)
-                .with_seed(sc.seed);
-            match sc.deadline {
-                Some(d) => a.with_deadline(d),
-                None => a,
-            }
-        };
+        let (search, annealing) = sc.run.configs(Entry::Suite, mode);
         let opts = SweepOptions::new().with_shared_cache(Arc::clone(&cache));
         let sweep = evaluate_designs_sweep(
             &sc.network,
             &[sc.arch.clone()],
-            sc.algorithm,
+            sc.run.algorithm,
             &search,
             &annealing,
             &opts,

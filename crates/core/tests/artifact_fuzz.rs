@@ -16,7 +16,7 @@ use secureloop::artifact::{self, Integrity};
 use secureloop::checkpoint::SweepCheckpoint;
 use secureloop::dse::{evaluate_designs_sweep, SweepOptions, SweepRun};
 use secureloop::service::{JobRecord, JobSpec, JobState, ServiceJournal};
-use secureloop::{Algorithm, AnnealingConfig};
+use secureloop::{Algorithm, AnnealingConfig, RunSpec};
 use secureloop_arch::Architecture;
 use secureloop_crypto::{CryptoConfig, EngineClass};
 use secureloop_json::Json;
@@ -222,14 +222,16 @@ fn journal_fixture() -> ServiceJournal {
     let record = |id: &str, state: JobState| JobRecord {
         spec: JobSpec {
             id: id.into(),
-            workload: "alexnet".into(),
+            run: RunSpec {
+                workload: Some("alexnet".into()),
+                algorithm: Algorithm::CryptOptCross,
+                samples: 100,
+                iterations: 10,
+                seed: 1,
+                deadline_secs: None,
+                scheme: None,
+            },
             designs: vec![],
-            algorithm: Algorithm::CryptOptCross,
-            samples: 100,
-            iterations: 10,
-            seed: 1,
-            deadline_secs: None,
-            scheme: None,
             fault: None,
         },
         state,

@@ -49,6 +49,35 @@ fn unknown_workload_exits_one() {
 }
 
 #[test]
+fn bad_architecture_flags_and_zero_samples_exit_one_naming_the_field() {
+    // Each of these used to run a search first (and `--engines 100000`
+    // or `--samples 0` finished with exit 0 or 2). Now the arguments are
+    // refused before any search: the runs below would take minutes with
+    // the default budgets, so a quick exit is part of the check.
+    for (flag, value, field) in [
+        ("--pe", "0x12", "'pe'"),
+        ("--glb-kb", "0", "'glb_kb'"),
+        ("--engines", "100000", "'engines'"),
+        ("--samples", "0", "'samples'"),
+    ] {
+        let started = Instant::now();
+        let out = bin()
+            .args(["schedule", "--workload", "resnet50", flag, value])
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{flag} {value}: {stderr}");
+        assert!(stderr.contains(field), "{flag} {value}: {stderr}");
+        assert!(out.stdout.is_empty(), "{flag} {value}: no report");
+        assert!(
+            started.elapsed() < Duration::from_secs(10),
+            "{flag} {value} was refused only after {:?}",
+            started.elapsed()
+        );
+    }
+}
+
+#[test]
 fn degraded_schedule_exits_two() {
     // A zero deadline cuts every layer search down to the greedy floor,
     // so the schedule completes but every layer is degraded.

@@ -151,7 +151,7 @@ fn unknown_crypto_scheme_is_a_line_numbered_error() {
         "workload: llm_decode\ncrypto:\n  scheme: rot13\nexpect:\n  max_latency_cycles: 1\n",
     );
     let result = load_scenario(&p);
-    assert_scenario_err(result, "unknown crypto scheme 'rot13'");
+    assert_scenario_err(result, "unknown scheme 'rot13'");
     // The message points at the offending line: `scheme:` is line 3.
     match load_scenario(&p) {
         Err(CliError::Scenario { message, .. }) => {

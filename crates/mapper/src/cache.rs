@@ -585,6 +585,7 @@ mod tests {
 
     #[test]
     fn second_search_hits_and_matches_the_first() {
+        let _quiet = fault::exclusive();
         let cache = CandidateCache::new();
         let arch = Architecture::eyeriss_base();
         let cfg = SearchConfig::quick();
@@ -602,6 +603,7 @@ mod tests {
 
     #[test]
     fn renamed_architecture_shares_the_entry() {
+        let _quiet = fault::exclusive();
         let cache = CandidateCache::new();
         let cfg = SearchConfig::quick();
         let a = Architecture::eyeriss_base();
@@ -614,6 +616,7 @@ mod tests {
 
     #[test]
     fn different_budget_is_a_different_entry() {
+        let _quiet = fault::exclusive();
         let cache = CandidateCache::new();
         let arch = Architecture::eyeriss_base();
         search_cached(&layer(), &arch, &SearchConfig::quick(), Some(&cache)).unwrap();
@@ -630,6 +633,7 @@ mod tests {
 
     #[test]
     fn guided_and_random_never_share_an_entry() {
+        let _quiet = fault::exclusive();
         let cache = CandidateCache::new();
         let arch = Architecture::eyeriss_base();
         let random = SearchConfig::quick();
@@ -667,6 +671,7 @@ mod tests {
 
     #[test]
     fn disk_round_trip_thaws_to_identical_results() {
+        let _quiet = fault::exclusive();
         let dir = std::env::temp_dir().join("secureloop-cache-roundtrip");
         fs::create_dir_all(&dir).unwrap();
         let path = dir.join("cache.json");
@@ -729,6 +734,7 @@ mod tests {
 
     #[test]
     fn torn_cache_salvages_intact_entries_and_never_crosses_versions() {
+        let _quiet = fault::exclusive();
         let dir = std::env::temp_dir().join("secureloop-cache-salvage");
         fs::create_dir_all(&dir).unwrap();
         let path = dir.join("cache.json");
@@ -790,6 +796,7 @@ mod tests {
 
     #[test]
     fn schemes_never_share_an_entry() {
+        let _quiet = fault::exclusive();
         use secureloop_crypto::{CryptoConfig, EngineClass, SchemeId};
         let cache = CandidateCache::new();
         let cfg = SearchConfig::quick();
@@ -819,6 +826,7 @@ mod tests {
 
     #[test]
     fn budget_evicts_least_recently_used_first() {
+        let _quiet = fault::exclusive();
         let layers: Vec<ConvLayer> = zoo::alexnet_conv().layers().to_vec();
         let arch = Architecture::eyeriss_base();
         let cfg = SearchConfig::quick();
@@ -848,6 +856,7 @@ mod tests {
 
     #[test]
     fn oversized_single_entry_still_serves() {
+        let _quiet = fault::exclusive();
         let cache = CandidateCache::new().with_budget_bytes(1);
         let arch = Architecture::eyeriss_base();
         let cfg = SearchConfig::quick();
@@ -859,6 +868,7 @@ mod tests {
 
     #[test]
     fn unbounded_cache_never_evicts() {
+        let _quiet = fault::exclusive();
         let cache = CandidateCache::new();
         let arch = Architecture::eyeriss_base();
         let cfg = SearchConfig::quick();

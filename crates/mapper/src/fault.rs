@@ -156,6 +156,14 @@ fn io_fired() -> MutexGuard<'static, BTreeMap<String, u32>> {
     IO_FIRED.lock().unwrap_or_else(|e| e.into_inner())
 }
 
+/// Hold the fault-scope lock without arming a plan. A test that counts
+/// cache hits takes it: while another test's plan is armed, every
+/// search bypasses the cache.
+#[cfg(test)]
+pub(crate) fn exclusive() -> MutexGuard<'static, ()> {
+    SCOPE_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 /// Whether any fault plan is currently armed. Layer-shape caches must
 /// be bypassed while one is: faults key on layer *names*, which a
 /// shape-dedup cache would conflate.

@@ -3,6 +3,8 @@
 # jobs, a burst that overflows the queue), SIGTERM mid-run, restart on
 # the same state dir, then assert:
 #
+#   - a submit with a misspelled budget key gets an `error` naming the
+#     key and never becomes a job,
 #   - the burst was shed with typed `overloaded` responses,
 #   - the poison jobs settled as `poisoned` with their cause,
 #   - every resumable job completed after the restart,
@@ -52,6 +54,11 @@ say "phase 1: server up, 20-job burst against a depth-6 queue"
 start_server "$WORK/in1" "$WORK/soak-1.log"
 exec 3>"$WORK/in1"
 wait_for '"event":"ready"' "$WORK/soak-1.log" 30
+
+# A misspelled budget key ("sample") is refused outright instead of
+# silently running the default budget; it takes no queue slot.
+echo '{"op":"submit","id":"typo","workload":"mlp","sample":20,"iterations":3,"seed":1}' >&3
+wait_for '"event":"error"' "$WORK/soak-1.log" 30
 
 # j01 is the byte-identity reference (full space, no designs filter —
 # the exact sweep the one-shot run above did). j02/j03 are the planned
@@ -116,6 +123,12 @@ for log in ("soak-1.log", "soak-2.log"):
 results = {e["id"]: e for e in events if e.get("event") == "result"}
 shed = {e["id"] for e in events if e.get("event") == "overloaded"}
 jobs = {f"j{i:02d}" for i in range(1, 21)}
+
+# The misspelled submit got one error naming the key, and nothing else:
+# no acceptance, no result, no shed.
+errors = [e for e in events if e.get("event") == "error"]
+assert len(errors) == 1 and "'sample'" in errors[0]["reason"], errors
+assert not [e for e in events if e.get("id") == "typo"], "the typo submit became a job"
 
 # Every job reached a disposition: a terminal result or a typed shed.
 missing = jobs - set(results) - shed
