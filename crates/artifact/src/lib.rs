@@ -588,7 +588,9 @@ pub fn load_recoverable<T>(
                 Integrity::Damaged(reason) => Some(reason.clone()),
                 _ => None,
             };
-            if envelope_note.is_none() {
+            if let Some(note) = envelope_note {
+                primary_failure = note;
+            } else {
                 match parse(&payload) {
                     Ok(value) => {
                         return Ok(Recovered {
@@ -599,16 +601,12 @@ pub fn load_recoverable<T>(
                     }
                     Err(e) => primary_failure = e,
                 }
-            } else {
-                primary_failure = envelope_note.unwrap();
             }
             if let Some((value, note)) = salvage(&payload) {
                 return Ok(Recovered {
                     value,
                     source: LoadSource::PrimarySalvaged,
-                    warnings: vec![format!(
-                        "salvaged '{display}' ({primary_failure}): {note}"
-                    )],
+                    warnings: vec![format!("salvaged '{display}' ({primary_failure}): {note}")],
                 });
             }
         }
@@ -934,7 +932,10 @@ mod tests {
         let footer_at = sealed.rfind(FOOTER_PREFIX).unwrap();
         let mangled = format!("{}{}", &sealed[..10], &sealed[footer_at..]);
         let (_, integrity) = open(&mangled);
-        assert!(matches!(integrity, Integrity::Damaged(_)), "got {integrity:?}");
+        assert!(
+            matches!(integrity, Integrity::Damaged(_)),
+            "got {integrity:?}"
+        );
     }
 
     #[test]
@@ -942,7 +943,10 @@ mod tests {
         let sealed = seal("{\"a\": 1}");
         let mangled = sealed.replace("fnv1a=", "fnv1a=zz");
         let (_, integrity) = open(&mangled);
-        assert!(matches!(integrity, Integrity::Damaged(_)), "got {integrity:?}");
+        assert!(
+            matches!(integrity, Integrity::Damaged(_)),
+            "got {integrity:?}"
+        );
     }
 
     #[test]
@@ -1004,7 +1008,11 @@ mod tests {
         let res = write_durable(&path, "{}", &policy);
         fault::disarm();
         match res {
-            Err(ArtifactError::Io { ref path, ref message, .. }) => {
+            Err(ArtifactError::Io {
+                ref path,
+                ref message,
+                ..
+            }) => {
                 assert!(path.contains("state.json"));
                 assert!(message.contains("injected"));
             }

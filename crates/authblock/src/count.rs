@@ -13,7 +13,7 @@ use std::collections::HashSet;
 
 use secureloop_telemetry::Counter;
 
-use crate::congruence::{count_residues_le, floor_sum};
+use crate::congruence::count_residues_le;
 use crate::lattice::{BlockAssignment, Region, TileRect};
 
 /// How many times the closed-form congruence solver ran — the unit the
@@ -174,19 +174,6 @@ pub fn count_blocks(region: Region, tile: TileRect, assign: BlockAssignment) -> 
         blocks,
         fetched_elems: fetched_from_blocks(region, u, blocks, hi_last == last_id),
     }
-}
-
-/// Total floor-sum-based block-index of the last element of row `r` —
-/// exposed for the Criterion benchmark that contrasts the closed-form
-/// path against enumeration.
-#[doc(hidden)]
-pub fn envelope_probe(region: Region, tile: TileRect, u: u64) -> i64 {
-    floor_sum(
-        tile.rows as i64,
-        u as i64,
-        region.w as i64,
-        (tile.row0 * region.w + tile.col0 + tile.cols - 1) as i64,
-    )
 }
 
 #[cfg(test)]

@@ -11,9 +11,6 @@
 //! residue-count partition identities that the gap formula relies on.
 
 use proptest::prelude::*;
-// The crate's `Strategy` enum shadows proptest's trait of the same
-// name; re-import the trait anonymously so combinator methods resolve.
-use proptest::strategy::Strategy as _;
 
 use secureloop_authblock::congruence::{count_residues_in, count_residues_le, floor_sum_i128};
 use secureloop_authblock::count::count_blocks;
@@ -141,7 +138,7 @@ proptest! {
         // Every i lands in exactly one of [0, t] and [t+1, m-1].
         let le_t = count_residues_le(n, a, b, m, t);
         prop_assert!(le_t <= n);
-        let above = if t + 1 <= m - 1 {
+        let above = if t < m - 1 {
             count_residues_in(n, a, b, m, t + 1, m - 1)
         } else {
             0

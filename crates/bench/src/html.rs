@@ -1,5 +1,5 @@
 //! Self-contained HTML report assembly: combines the CSVs and SVGs the
-//! experiment binaries drop under `results/` into a single page
+//! figure-table entries write under `results/` into a single page
 //! (`results/index.html`), so a whole reproduction run can be reviewed
 //! in a browser.
 

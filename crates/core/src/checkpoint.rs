@@ -506,7 +506,8 @@ impl SweepCheckpoint {
             return None;
         }
         let workload = artifact::salvage_string_field(payload, "workload")?;
-        let algorithm = Algorithm::from_name(&artifact::salvage_string_field(payload, "algorithm")?)?;
+        let algorithm =
+            Algorithm::from_name(&artifact::salvage_string_field(payload, "algorithm")?)?;
         let mut ckpt = SweepCheckpoint::new(workload, algorithm);
         let mut dropped = 0usize;
         for item in artifact::salvage_array_items(payload, "designs") {

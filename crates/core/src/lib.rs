@@ -67,10 +67,10 @@ pub mod supervisor;
 pub mod tensors;
 
 pub use annealing::{AnnealState, AnnealingConfig, Cooling};
-pub use secureloop_artifact as artifact;
 pub use candidates::{CandidateSet, LayerCandidates};
 pub use checkpoint::SweepCheckpoint;
 pub use error::SecureLoopError;
 pub use run::RunSpec;
 pub use scheduler::{Algorithm, LayerOutcome, LayerResult, NetworkSchedule, Scheduler};
+pub use secureloop_artifact as artifact;
 pub use supervisor::{SupervisedOutcome, SupervisorConfig};

@@ -485,7 +485,7 @@ impl Scheduler {
         span.add_field("scheduled", n_sched);
         span.add_field("degraded", n_degr);
         span.add_field("failed", n_fail);
-        if layers.is_empty() && network.len() > 0 {
+        if layers.is_empty() && !network.is_empty() {
             span.add_field("error", "no usable mapping for any layer");
             return Err(SecureLoopError::Schedule(format!(
                 "no layer of '{}' produced a usable mapping under {}",
@@ -822,7 +822,7 @@ mod tests {
         let store = Arc::new(FeedbackStore::new());
         let guided = SearchConfig::quick().with_mode(secureloop_mapper::SearchMode::Guided);
         let a = Scheduler::new(arch.clone())
-            .with_search(guided.clone())
+            .with_search(guided)
             .with_annealing(AnnealingConfig::quick())
             .with_feedback(Arc::clone(&store));
         a.schedule(&net, Algorithm::CryptOptCross)

@@ -476,10 +476,10 @@ impl Server {
         });
 
         self.save_journal(&out);
-        if let Err(e) = self
-            .cache
-            .save_with(&persist::cache_path(&self.cfg.state_dir), &self.cfg.durability)
-        {
+        if let Err(e) = self.cache.save_with(
+            &persist::cache_path(&self.cfg.state_dir),
+            &self.cfg.durability,
+        ) {
             self.degraded.store(true, Ordering::Relaxed);
             out.send(warning(format!("cache save failed: {e}")));
         }

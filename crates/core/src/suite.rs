@@ -539,7 +539,7 @@ pub fn run_suite(
         let opts = SweepOptions::new().with_shared_cache(Arc::clone(&cache));
         let sweep = evaluate_designs_sweep(
             &sc.network,
-            &[sc.arch.clone()],
+            std::slice::from_ref(&sc.arch),
             sc.run.algorithm,
             &search,
             &annealing,

@@ -501,7 +501,10 @@ fn warm_cache_reruns_are_byte_identical_and_traced_per_job() {
     // The cache was persisted on drain: a fresh server starts warm.
     assert!(dir.join("service.cache.json").exists());
     let server = Server::new(quick_cfg(&dir)).unwrap();
-    assert!(server.cache().len() > 0, "restored a warm cache from disk");
+    assert!(
+        !server.cache().is_empty(),
+        "restored a warm cache from disk"
+    );
 }
 
 // ---------------------------------------------------------------------------

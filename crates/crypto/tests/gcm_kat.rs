@@ -10,7 +10,7 @@ use secureloop_crypto::ghash::Ghash;
 use secureloop_crypto::{Aes128, AesGcm, Tag};
 
 fn hex(s: &str) -> Vec<u8> {
-    assert!(s.len() % 2 == 0, "odd-length hex string");
+    assert!(s.len().is_multiple_of(2), "odd-length hex string");
     (0..s.len())
         .step_by(2)
         .map(|i| u8::from_str_radix(&s[i..i + 2], 16).expect("valid hex"))

@@ -9,7 +9,7 @@
 //! boundary rounding (partial blocks always round up to the scheme's
 //! native granularity) and zero-length streams (always free).
 
-use secureloop_crypto::{EngineClass, ProtectionScheme, SchemeId};
+use secureloop_crypto::{EngineClass, SchemeId};
 
 /// One known-answer row: scheme x class → (cycles/block, pJ/block,
 /// kGates, block bytes).

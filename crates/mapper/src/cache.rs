@@ -476,7 +476,10 @@ impl CandidateCache {
         let mut inner = Inner::default();
         let mut dropped = 0usize;
         for item in artifact::salvage_array_items(payload, "entries") {
-            match Json::parse(&item).map_err(|e| e.to_string()).and_then(|v| entry_from_json(&v)) {
+            match Json::parse(&item)
+                .map_err(|e| e.to_string())
+                .and_then(|v| entry_from_json(&v))
+            {
                 Ok((key, frozen)) => inner.insert(key, Entry::Frozen(frozen)),
                 Err(_) => dropped += 1,
             }

@@ -45,7 +45,7 @@ pub fn space_upper_bound(layer: &ConvLayer) -> u128 {
         let mut p = 2u64;
         while p * p <= n {
             let mut e = 0u128;
-            while n % p == 0 {
+            while n.is_multiple_of(p) {
                 n /= p;
                 e += 1;
             }
@@ -164,7 +164,7 @@ pub(crate) fn run_exhaustive(
     let mut truncated = false;
 
     // Odometer over the per-dimension split choices.
-    let mut idx = vec![0usize; 7];
+    let mut idx = [0usize; 7];
     'outer: loop {
         // Assemble the factor maps.
         let mut dram = DimMap::splat(1u64);
@@ -203,7 +203,7 @@ pub(crate) fn run_exhaustive(
                         truncated = true;
                         break 'outer;
                     }
-                    if evaluated % DEADLINE_STRIDE == 0 {
+                    if evaluated.is_multiple_of(DEADLINE_STRIDE) {
                         if let Some(dl) = deadline {
                             if Instant::now() >= dl {
                                 truncated = true;

@@ -111,7 +111,7 @@ pub enum SearchMode {
     /// Pareto-guided exploration: rounds of chunks biased toward the
     /// neighbourhood of the current per-space Pareto front, with
     /// patience-based early stopping. Reaches comparable fronts with
-    /// far fewer samples (gated ≥5× by `guided_bench --check`).
+    /// far fewer samples (gated ≥5× by `secureloop-bench guided --check`).
     Guided,
 }
 

@@ -146,7 +146,7 @@ fn smallest_prime_factor(n: u64) -> u64 {
     debug_assert!(n >= 2);
     let mut f = 2;
     while f * f <= n {
-        if n % f == 0 {
+        if n.is_multiple_of(f) {
             return f;
         }
         f += 1;

@@ -452,7 +452,9 @@ impl ConvLayerBuilder {
                     .into(),
             ));
         }
-        if self.in_channels % self.groups != 0 || self.out_channels % self.groups != 0 {
+        if !self.in_channels.is_multiple_of(self.groups)
+            || !self.out_channels.is_multiple_of(self.groups)
+        {
             return Err(LayerShapeError(format!(
                 "groups {} must divide both cin {} and cout {}",
                 self.groups, self.in_channels, self.out_channels
