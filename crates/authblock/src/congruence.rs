@@ -9,6 +9,106 @@
 //! [`count_residues_le`] uses it to count how many terms of an
 //! arithmetic progression fall in a residue range — the paper's Eq. 4.
 
+use std::ops::{Add, Div, Mul, Rem, Sub};
+
+/// Operands below this bound run the counter at native width (`i64`);
+/// anything larger takes the `i128` path.
+///
+/// Why `2^31` is enough: [`count_residues_le`] calls the floor sum with
+/// `0 <= n, m < 2^31` and `|a|, |b| < m`. Every term of
+/// `Σ ⌊(a·i + b)/m⌋` then lies in `(-n, n]`, so the sum and each partial
+/// sum the Euclidean recurrence accumulates stay below `n² < 2^62` in
+/// magnitude. The `a < 0` / `b < 0` corrections are at most
+/// `n(n-1)/2 + n < 2^62`, and each remainder step forms `y = a·n + b`
+/// with `a, b` below the current modulus `m <= 2^31` and `n` never
+/// growing, so `y < 2^31·(2^31 + 1) < 2^63`. Nothing reaches `i64::MAX`.
+/// The closed-form block counter ([`crate::count::count_blocks`])
+/// applies the same bound to the region's element count and the block
+/// size: its linear indices stay below the element count, and the
+/// congruence it solves has `n < rows` and `m = u`.
+pub const NATIVE_BOUND: u64 = 1 << 31;
+
+/// The signed integer widths the counter runs at: `i64` under
+/// [`NATIVE_BOUND`], `i128` otherwise. Only std operator traits, so the
+/// one generic Euclid loop below monomorphises to native code for each.
+pub(crate) trait Word:
+    Copy
+    + Ord
+    + TryFrom<u64>
+    + TryInto<u64>
+    + Add<Output = Self>
+    + Sub<Output = Self>
+    + Mul<Output = Self>
+    + Div<Output = Self>
+    + Rem<Output = Self>
+{
+}
+
+impl Word for i64 {}
+impl Word for i128 {}
+
+/// `x` at width `T`. Callers pick `T` so that every operand fits.
+pub(crate) fn word<T: Word>(x: u64) -> T {
+    T::try_from(x)
+        .ok()
+        .expect("operand fits the counter's width")
+}
+
+/// A non-negative counter result back at `u64`.
+pub(crate) fn to_u64<T: Word>(x: T) -> u64 {
+    x.try_into()
+        .ok()
+        .expect("count is non-negative and fits u64")
+}
+
+/// The Euclidean floor-sum recurrence at width `T`: the one loop behind
+/// [`floor_sum`], [`floor_sum_i64`] and [`floor_sum_i128`].
+fn floor_sum_at<T: Word>(n: T, m: T, a: T, b: T) -> T {
+    let (zero, one, two) = (word::<T>(0), word::<T>(1), word::<T>(2));
+    assert!(m > zero, "modulus must be positive");
+    assert!(n >= zero, "term count must be non-negative");
+    let rem_euclid = |x: T, m: T| {
+        let r = x % m;
+        if r < zero {
+            r + m
+        } else {
+            r
+        }
+    };
+    let mut a = a;
+    let mut b = b;
+    let mut ans = zero;
+    if a < zero {
+        let a2 = rem_euclid(a, m);
+        ans = ans - n * (n - one) / two * ((a2 - a) / m);
+        a = a2;
+    }
+    if b < zero {
+        let b2 = rem_euclid(b, m);
+        ans = ans - n * ((b2 - b) / m);
+        b = b2;
+    }
+    let (mut n, mut m) = (n, m);
+    loop {
+        if a >= m {
+            ans = ans + n * (n - one) / two * (a / m);
+            a = a % m;
+        }
+        if b >= m {
+            ans = ans + n * (b / m);
+            b = b % m;
+        }
+        let y_max = a * n + b;
+        if y_max < m {
+            break;
+        }
+        n = y_max / m;
+        b = y_max % m;
+        std::mem::swap(&mut m, &mut a);
+    }
+    ans
+}
+
 /// `Σ_{i=0}^{n-1} ⌊(a·i + b) / m⌋` in `O(log max(a, m))`.
 ///
 /// Negative `a` or `b` are supported (the Euclidean-algorithm structure
@@ -34,40 +134,35 @@ pub fn floor_sum(n: i64, m: i64, a: i64, b: i64) -> i64 {
 ///
 /// Panics if `m <= 0` or `n < 0`.
 pub fn floor_sum_i128(n: i128, m: i128, a: i128, b: i128) -> i128 {
-    assert!(m > 0, "modulus must be positive");
-    assert!(n >= 0, "term count must be non-negative");
-    let mut a = a;
-    let mut b = b;
-    let mut ans: i128 = 0;
-    if a < 0 {
-        let a2 = a.rem_euclid(m);
-        ans -= n * (n - 1) / 2 * ((a2 - a) / m);
-        a = a2;
-    }
-    if b < 0 {
-        let b2 = b.rem_euclid(m);
-        ans -= n * ((b2 - b) / m);
-        b = b2;
-    }
-    let (mut n, mut m) = (n, m);
-    loop {
-        if a >= m {
-            ans += n * (n - 1) / 2 * (a / m);
-            a %= m;
-        }
-        if b >= m {
-            ans += n * (b / m);
-            b %= m;
-        }
-        let y_max = a * n + b;
-        if y_max < m {
-            break;
-        }
-        n = y_max / m;
-        b = y_max % m;
-        std::mem::swap(&mut m, &mut a);
-    }
-    ans
+    floor_sum_at(n, m, a, b)
+}
+
+/// [`floor_sum`] at native width, for operands under [`NATIVE_BOUND`]
+/// with `a` and `b` reduced below the modulus — the domain
+/// [`count_residues_le`] uses it on. Same recurrence as
+/// [`floor_sum_i128`], without the software `i128` division.
+///
+/// # Panics
+///
+/// Panics unless `0 <= n < 2^31`, `0 < m < 2^31`, `|a| < m` and
+/// `|b| < m`.
+pub fn floor_sum_i64(n: i64, m: i64, a: i64, b: i64) -> i64 {
+    let bound = NATIVE_BOUND as i64;
+    assert!(
+        (0..bound).contains(&n)
+            && (1..bound).contains(&m)
+            && (1 - m..m).contains(&a)
+            && (1 - m..m).contains(&b),
+        "floor_sum_i64 operands outside its native-width domain"
+    );
+    floor_sum_at(n, m, a, b)
+}
+
+/// `#{i ∈ [0, n) : (a·i + b) mod m <= t}` at width `T`, for
+/// `a, b, t < m`.
+pub(crate) fn residues_le_at<T: Word>(n: T, a: T, b: T, m: T, t: T) -> T {
+    // (x mod m) <= t  <=>  floor(x/m) - floor((x - t - 1)/m) == 1.
+    floor_sum_at(n, m, a, b) - floor_sum_at(n, m, a, b - t - word(1))
 }
 
 /// Count `i ∈ [0, n)` with `(a·i + b) mod m ≤ t`.
@@ -75,7 +170,9 @@ pub fn floor_sum_i128(n: i128, m: i128, a: i128, b: i128) -> i128 {
 /// This is the solution counter for the paper's linear-congruence
 /// formulation: the residues `(a·i + b) mod m` visit a coset of the
 /// subgroup generated by `gcd(a, m)` and the count falls out of two
-/// floor sums.
+/// floor sums. Operands under [`NATIVE_BOUND`] run at `i64`; larger
+/// ones (near-`u32::MAX` tile extents give operands near `u64::MAX`)
+/// run at `i128`, which holds any `u64` losslessly.
 ///
 /// # Panics
 ///
@@ -85,18 +182,23 @@ pub fn count_residues_le(n: u64, a: u64, b: u64, m: u64, t: u64) -> u64 {
     if t >= m - 1 {
         return n; // every residue qualifies
     }
-    // Pre-reduce so the operands (which may approach `u64::MAX` for
-    // near-`u32::MAX` tile extents) stay well inside the `i128` core's
-    // exact range; a `u64` always fits an `i128` losslessly.
-    let n = n as i128;
-    let a = (a % m) as i128;
-    let b = (b % m) as i128;
-    let m = m as i128;
-    let t = t as i128;
-    // (x mod m) <= t  <=>  floor(x/m) - floor((x - t - 1)/m) == 1.
-    let hi = floor_sum_i128(n, m, a, b);
-    let lo = floor_sum_i128(n, m, a, b - t - 1);
-    u64::try_from(hi - lo).expect("count is non-negative")
+    let (a, b) = (a % m, b % m);
+    if n < NATIVE_BOUND && m < NATIVE_BOUND {
+        residues_le_u64::<i64>(n, a, b, m, t)
+    } else {
+        residues_le_u64::<i128>(n, a, b, m, t)
+    }
+}
+
+/// [`residues_le_at`] on `u64` operands, computed at width `T`.
+fn residues_le_u64<T: Word>(n: u64, a: u64, b: u64, m: u64, t: u64) -> u64 {
+    to_u64(residues_le_at::<T>(
+        word(n),
+        word(a),
+        word(b),
+        word(m),
+        word(t),
+    ))
 }
 
 /// Count `i ∈ [0, n)` with `(a·i + b) mod m ∈ [lo, hi]` (inclusive).

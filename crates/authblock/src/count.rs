@@ -13,7 +13,7 @@ use std::collections::HashSet;
 
 use secureloop_telemetry::Counter;
 
-use crate::congruence::count_residues_le;
+use crate::congruence::{residues_le_at, to_u64, word, Word, NATIVE_BOUND};
 use crate::lattice::{BlockAssignment, Region, TileRect};
 
 /// How many times the closed-form congruence solver ran — the unit the
@@ -122,58 +122,70 @@ pub fn count_blocks_rows(region: Region, tile: TileRect, assign: BlockAssignment
 /// are monotone, so their union is the envelope minus the gaps between
 /// consecutive rows — and the gap sizes depend only on
 /// `(e_r mod u)`, a linear-congruence count.
+///
+/// Regions with fewer than [`NATIVE_BOUND`] elements and block sizes
+/// below it run at native width (see its doc for why that is exact);
+/// larger ones, up to near-`u32::MAX` extents, run the same formulas
+/// widened to `i128`.
 pub fn count_blocks(region: Region, tile: TileRect, assign: BlockAssignment) -> BlockCount {
     CONGRUENCE_CALLS.incr();
     let (region, tile) = assign.to_row_major(region, tile);
     assert_tile_fits(region, tile);
-    // All linear-index arithmetic is widened to u128: `e0 + (n-1)*w`
-    // is the tile's last linear element (bounded by `elems - 1` for an
-    // in-bounds tile), but the products along the way are formed from
-    // near-`u32::MAX` extents and must not wrap before the division.
     let u = assign.size;
-    let u128w = u as u128;
-    let w = region.w;
-    let n = tile.rows;
-    let s0 = tile.row0 as u128 * w as u128 + tile.col0 as u128;
-    let e0 = s0 + tile.cols as u128 - 1;
+    let (blocks, touches_last) = if region.elems() < NATIVE_BOUND && u < NATIVE_BOUND {
+        closed_form::<i64>(region, tile, u)
+    } else {
+        closed_form::<i128>(region, tile, u)
+    };
+    BlockCount {
+        blocks,
+        fetched_elems: fetched_from_blocks(region, u, blocks, touches_last),
+    }
+}
 
-    let lo_first = s0 / u128w;
-    let hi_last = (e0 + (n as u128 - 1) * w as u128) / u128w;
-    let envelope = hi_last - lo_first + 1;
+/// [`count_blocks`] on a row-major region at width `T`: the distinct
+/// blocks touched and whether the region's last block is among them.
+fn closed_form<T: Word>(region: Region, tile: TileRect, u: u64) -> (u64, bool) {
+    let (zero, one) = (word::<T>(0), word::<T>(1));
+    let (uw, w, n) = (word::<T>(u), word::<T>(region.w), word::<T>(tile.rows));
+    // `e0 + (n-1)*w` is the tile's last linear element, bounded by
+    // `elems - 1` for an in-bounds tile; at `i128` the products along
+    // the way cannot wrap even for near-`u32::MAX` extents.
+    let s0 = word::<T>(tile.row0) * w + word(tile.col0);
+    let e0 = s0 + word(tile.cols) - one;
+
+    let lo_first = s0 / uw;
+    let hi_last = (e0 + (n - one) * w) / uw;
+    let envelope = hi_last - lo_first + one;
 
     // Gap between row r-1's last block and row r's first block:
     // g = s_r - e_{r-1} = w - cols + 1 linear positions. The number of
     // block boundaries inside that span is q = ⌊g/u⌋ plus one more when
     // (e_{r-1} mod u) >= u - (g mod u); gaps of zero blocks are free.
-    let gaps: u128 = if n >= 2 {
-        let g = w - tile.cols + 1;
+    let gaps = if tile.rows >= 2 {
+        let g = region.w - tile.cols + 1;
         let q = g / u;
         if q == 0 {
-            0
+            zero
         } else {
             let rem = g % u;
-            let pairs = n - 1;
+            let pairs = n - one;
             let extra = if rem == 0 {
-                0
+                zero
             } else {
                 // #{r in [0, pairs): (w*r + e0) mod u >= u - rem}
-                pairs - count_residues_le(pairs, w % u, (e0 % u128w) as u64, u, u - rem - 1)
+                pairs - residues_le_at(pairs, w % uw, e0 % uw, uw, word(u - rem - 1))
             };
-            (pairs as u128) * (q as u128 - 1) + extra as u128
+            pairs * (word::<T>(q) - one) + extra
         }
     } else {
-        0
+        zero
     };
     // The union of the per-row intervals has at least one block per
     // row-pair boundary left, so `gaps < envelope` and the count fits
     // u64 (it is at most `blocks_in(region)`).
-    let blocks = u64::try_from(envelope - gaps).expect("block count fits the region");
-
-    let last_id = (region.elems() - 1) as u128 / u128w;
-    BlockCount {
-        blocks,
-        fetched_elems: fetched_from_blocks(region, u, blocks, hi_last == last_id),
-    }
+    let last_id = word::<T>(region.elems() - 1) / uw;
+    (to_u64(envelope - gaps), hi_last == last_id)
 }
 
 #[cfg(test)]

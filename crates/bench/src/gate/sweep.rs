@@ -10,6 +10,11 @@
 //! the cold cache-enabled pass sees no intra-sweep hits; the reuse the
 //! cache buys shows up in the *warm* pass, which `--check` compares
 //! against the cache-disabled pass.
+//!
+//! A fourth pass runs the cache-disabled sweep on one worker and records
+//! the AuthBlock optimiser's work counts (optimiser runs, congruence
+//! calls, overhead-memo misses). On one worker they are deterministic,
+//! so `--diff-against` gates them exactly.
 
 use std::time::Instant;
 
@@ -29,9 +34,17 @@ const WORKERS: usize = 4;
 /// `--check` floor on the warm-cache speedup over the cache-disabled pass.
 const MIN_SPEEDUP: f64 = 1.3;
 
+/// Work counters the single-worker pass records, by telemetry name.
+const WORK_COUNTS: [&str; 3] = [
+    "authblock.optimize_runs",
+    "authblock.congruence_calls",
+    "scheduler.overhead_cache_misses",
+];
+
 struct Phase {
     wall_ms: f64,
     mapper_samples: u64,
+    work: [u64; 3],
     run: SweepRun,
 }
 
@@ -52,16 +65,18 @@ fn run_phase(label: &str, opts: SweepOptions) -> Phase {
         Algorithm::CryptOptSingle,
         &search,
         &AnnealingConfig::quick(),
-        &opts.with_workers(WORKERS),
+        &opts,
     )
     .expect("sweep succeeds");
     let wall_ms = start.elapsed().as_secs_f64() * 1e3;
     for w in &run.warnings {
         eprintln!("warning ({label}): {w}");
     }
+    let snap = telemetry::snapshot();
     let phase = Phase {
         wall_ms,
-        mapper_samples: telemetry::snapshot().counter("mapper.samples_evaluated"),
+        mapper_samples: snap.counter("mapper.samples_evaluated"),
+        work: WORK_COUNTS.map(|name| snap.counter(name)),
         run,
     };
     println!(
@@ -84,6 +99,15 @@ fn phase_json(p: &Phase) -> Json {
         .field("hit_rate", p.run.cache_hit_rate())
 }
 
+fn work_json(p: &Phase) -> Json {
+    WORK_COUNTS
+        .iter()
+        .zip(p.work)
+        .fold(Json::obj().field("wall_ms", p.wall_ms), |j, (name, n)| {
+            j.field(name, n)
+        })
+}
+
 pub(super) fn run() -> GateRun {
     let cache_file = std::env::temp_dir().join("secureloop-sweep-bench.cache.json");
     let _ = std::fs::remove_file(&cache_file);
@@ -91,28 +115,34 @@ pub(super) fn run() -> GateRun {
         "sweep gate: Fig. 16 space (18 designs) on AlexNet, {SAMPLES} samples/search, \
          {WORKERS} worker(s)\n"
     );
-    let disabled = run_phase("cache-disabled", SweepOptions::new().with_cache(false));
-    let cold = run_phase(
-        "cache-cold",
-        SweepOptions::new().with_cache_path(&cache_file),
-    );
-    let warm = run_phase(
-        "cache-warm",
-        SweepOptions::new().with_cache_path(&cache_file),
-    );
+    let pooled = || SweepOptions::new().with_workers(WORKERS);
+    let disabled = run_phase("cache-disabled", pooled().with_cache(false));
+    let cold = run_phase("cache-cold", pooled().with_cache_path(&cache_file));
+    let warm = run_phase("cache-warm", pooled().with_cache_path(&cache_file));
     let _ = std::fs::remove_file(&cache_file);
+    // Concurrent workers may both compute one memo key, so only a
+    // single-worker pass has exact work counts.
+    let counted = run_phase(
+        "one-worker",
+        SweepOptions::new().with_cache(false).with_workers(1),
+    );
+    for (name, n) in WORK_COUNTS.iter().zip(counted.work) {
+        println!("{:<16} {name} = {n}", "");
+    }
 
-    // The cached sweep must reproduce the baseline bit for bit; a perf
-    // harness that silently changed the answers would be worse than
-    // none.
-    assert_eq!(warm.run.results.len(), disabled.run.results.len());
-    for (a, b) in warm.run.results.iter().zip(&disabled.run.results) {
-        assert_eq!(a.label, b.label, "design order must match");
-        assert_eq!(
-            a.schedule.total_latency_cycles, b.schedule.total_latency_cycles,
-            "{}: cached sweep diverged from baseline",
-            a.label
-        );
+    // The cached and the one-worker sweeps must reproduce the baseline
+    // bit for bit; a perf harness that silently changed the answers
+    // would be worse than none.
+    for other in [&warm, &counted] {
+        assert_eq!(other.run.results.len(), disabled.run.results.len());
+        for (a, b) in other.run.results.iter().zip(&disabled.run.results) {
+            assert_eq!(a.label, b.label, "design order must match");
+            assert_eq!(
+                a.schedule.total_latency_cycles, b.schedule.total_latency_cycles,
+                "{}: sweep diverged from baseline",
+                a.label
+            );
+        }
     }
 
     let speedup = disabled.wall_ms / warm.wall_ms.max(1e-9);
@@ -127,6 +157,7 @@ pub(super) fn run() -> GateRun {
         .field("cold_no_cache", phase_json(&disabled))
         .field("cold_with_cache", phase_json(&cold))
         .field("warm_with_cache", phase_json(&warm))
+        .field("work_one_worker", work_json(&counted))
         .field("sweep_wall_ms", disabled.wall_ms)
         .field("warm_wall_ms", warm.wall_ms)
         .field("cache_hit_rate", warm.run.cache_hit_rate())

@@ -103,6 +103,18 @@ fn authblock(m: &mut Micro) {
         let (r, t, a) = args();
         count_blocks(r, t, a)
     });
+    // The same tile deep inside a near-`u32::MAX` square: past the
+    // native-width bound, so the counter runs at `i128`.
+    let near = u64::from(u32::MAX) - 1;
+    let wide = (
+        Region::new(near, near),
+        TileRect::new(near / 2, near / 2, 56, 60),
+        assign,
+    );
+    m.case("count_blocks/closed_form_wide", || {
+        let (r, t, a) = black_box(wide);
+        count_blocks(r, t, a)
+    });
 
     let region = Region::new(56, 56);
     let problem = AssignmentProblem {
@@ -193,7 +205,7 @@ fn annealing(m: &mut Micro) {
         .map(|&li| cands.per_layer[li].best().expect("has candidates").clone())
         .collect();
     // The warm-up runs fill the cache, so this times the steady state.
-    let mut cache = OverheadCache::new();
+    let cache = OverheadCache::new();
     m.case("segment_eval_cached", || {
         evaluate_segment(
             black_box(&net),
@@ -201,7 +213,7 @@ fn annealing(m: &mut Micro) {
             seg,
             &choices,
             StrategyMode::Optimal,
-            &mut cache,
+            &cache,
         )
     });
     let annealing = AnnealingConfig::paper_default().with_iterations(100);
@@ -212,7 +224,7 @@ fn annealing(m: &mut Micro) {
             seg,
             &cands,
             &annealing,
-            &mut OverheadCache::new(),
+            &OverheadCache::new(),
         )
     });
 }

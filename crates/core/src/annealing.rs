@@ -222,7 +222,7 @@ fn eval_choice(
     seg: &[usize],
     candidates: &CandidateSet,
     choice: &[usize],
-    cache: &mut OverheadCache,
+    cache: &OverheadCache,
 ) -> SegmentEvaluation {
     let picks: Vec<_> = seg
         .iter()
@@ -249,7 +249,7 @@ pub fn anneal_segment(
     seg: &[usize],
     candidates: &CandidateSet,
     cfg: &AnnealingConfig,
-    cache: &mut OverheadCache,
+    cache: &OverheadCache,
 ) -> AnnealOutcome {
     anneal_segment_resumable(network, arch, seg, candidates, cfg, cache, None).outcome
 }
@@ -263,7 +263,7 @@ pub fn anneal_segment_resumable(
     seg: &[usize],
     candidates: &CandidateSet,
     cfg: &AnnealingConfig,
-    cache: &mut OverheadCache,
+    cache: &OverheadCache,
     resume: Option<AnnealState>,
 ) -> AnnealRun {
     let deadline = cfg.deadline.map(|d| Instant::now() + d);
@@ -442,7 +442,7 @@ mod tests {
     fn annealing_never_worse_than_initial() {
         let (net, arch, cands) = setup();
         let segs = net.segments();
-        let mut cache = OverheadCache::new();
+        let cache = OverheadCache::new();
         for seg in &segs {
             let out = anneal_segment(
                 &net,
@@ -450,7 +450,7 @@ mod tests {
                 &seg.layers,
                 &cands,
                 &AnnealingConfig::quick(),
-                &mut cache,
+                &cache,
             );
             assert!(
                 out.eval.total_latency <= out.initial_latency,
@@ -466,10 +466,10 @@ mod tests {
         let (net, arch, cands) = setup();
         let seg = &net.segments()[2].layers;
         let cfg = AnnealingConfig::quick().with_seed(5);
-        let mut c1 = OverheadCache::new();
-        let mut c2 = OverheadCache::new();
-        let a = anneal_segment(&net, &arch, seg, &cands, &cfg, &mut c1);
-        let b = anneal_segment(&net, &arch, seg, &cands, &cfg, &mut c2);
+        let c1 = OverheadCache::new();
+        let c2 = OverheadCache::new();
+        let a = anneal_segment(&net, &arch, seg, &cands, &cfg, &c1);
+        let b = anneal_segment(&net, &arch, seg, &cands, &cfg, &c2);
         assert_eq!(a.choice, b.choice);
         assert_eq!(a.eval.total_latency, b.eval.total_latency);
     }
@@ -479,8 +479,8 @@ mod tests {
         let (net, arch, cands) = setup();
         let seg = &net.segments()[2].layers;
         let cfg = AnnealingConfig::quick().with_k(1);
-        let mut cache = OverheadCache::new();
-        let out = anneal_segment(&net, &arch, seg, &cands, &cfg, &mut cache);
+        let cache = OverheadCache::new();
+        let out = anneal_segment(&net, &arch, seg, &cands, &cfg, &cache);
         assert!(out.choice.iter().all(|&c| c == 0));
         assert_eq!(out.eval.total_latency, out.initial_latency);
     }
@@ -501,22 +501,15 @@ mod tests {
     fn restarts_only_improve() {
         let (net, arch, cands) = setup();
         let seg = &net.segments()[2].layers;
-        let mut cache = OverheadCache::new();
-        let one = anneal_segment(
-            &net,
-            &arch,
-            seg,
-            &cands,
-            &AnnealingConfig::quick(),
-            &mut cache,
-        );
+        let cache = OverheadCache::new();
+        let one = anneal_segment(&net, &arch, seg, &cands, &AnnealingConfig::quick(), &cache);
         let five = anneal_segment(
             &net,
             &arch,
             seg,
             &cands,
             &AnnealingConfig::quick().with_restarts(5),
-            &mut cache,
+            &cache,
         );
         assert!(five.eval.total_latency <= one.eval.total_latency);
     }
@@ -529,25 +522,24 @@ mod tests {
         let (net, arch, cands) = setup();
         let seg = &net.segments()[2].layers;
         let cfg = AnnealingConfig::quick().with_iterations(80).with_seed(11);
-        let mut c1 = OverheadCache::new();
-        let full = anneal_segment(&net, &arch, seg, &cands, &cfg, &mut c1);
+        let c1 = OverheadCache::new();
+        let full = anneal_segment(&net, &arch, seg, &cands, &cfg, &c1);
 
-        let mut c2 = OverheadCache::new();
+        let c2 = OverheadCache::new();
         let mut run = anneal_segment_resumable(
             &net,
             &arch,
             seg,
             &cands,
             &cfg.with_deadline(Duration::from_micros(200)),
-            &mut c2,
+            &c2,
             None,
         );
         let mut resumes = 0;
         while !run.completed {
             resumes += 1;
             assert!(resumes < 1000, "resume loop must terminate");
-            run =
-                anneal_segment_resumable(&net, &arch, seg, &cands, &cfg, &mut c2, Some(run.state));
+            run = anneal_segment_resumable(&net, &arch, seg, &cands, &cfg, &c2, Some(run.state));
         }
         assert_eq!(run.outcome.choice, full.choice);
         assert_eq!(run.outcome.eval.total_latency, full.eval.total_latency);
@@ -557,14 +549,14 @@ mod tests {
     fn zero_deadline_keeps_the_initial_floor() {
         let (net, arch, cands) = setup();
         let seg = &net.segments()[2].layers;
-        let mut cache = OverheadCache::new();
+        let cache = OverheadCache::new();
         let run = anneal_segment_resumable(
             &net,
             &arch,
             seg,
             &cands,
             &AnnealingConfig::quick().with_deadline(Duration::ZERO),
-            &mut cache,
+            &cache,
             None,
         );
         assert!(!run.completed);
@@ -578,12 +570,12 @@ mod tests {
         let (net, arch, cands) = setup();
         let seg = &net.segments()[2].layers;
         let cfg = AnnealingConfig::quick();
-        let mut c1 = OverheadCache::new();
-        let clean = anneal_segment(&net, &arch, seg, &cands, &cfg, &mut c1);
+        let c1 = OverheadCache::new();
+        let clean = anneal_segment(&net, &arch, seg, &cands, &cfg, &c1);
         // A snapshot from a different (wrong-length) segment is ignored.
         let stale = AnnealState::fresh(seg.len() + 3);
-        let mut c2 = OverheadCache::new();
-        let run = anneal_segment_resumable(&net, &arch, seg, &cands, &cfg, &mut c2, Some(stale));
+        let c2 = OverheadCache::new();
+        let run = anneal_segment_resumable(&net, &arch, seg, &cands, &cfg, &c2, Some(stale));
         assert!(run.completed);
         assert_eq!(run.outcome.choice, clean.choice);
     }
@@ -592,14 +584,14 @@ mod tests {
     fn geometric_cooling_still_never_regresses() {
         let (net, arch, cands) = setup();
         let seg = &net.segments()[2].layers;
-        let mut cache = OverheadCache::new();
+        let cache = OverheadCache::new();
         let out = anneal_segment(
             &net,
             &arch,
             seg,
             &cands,
             &AnnealingConfig::quick().with_cooling(Cooling::Geometric),
-            &mut cache,
+            &cache,
         );
         assert!(out.eval.total_latency <= out.initial_latency);
     }
@@ -608,14 +600,14 @@ mod tests {
     fn larger_k_explores_more() {
         let (net, arch, cands) = setup();
         let seg = &net.segments()[2].layers;
-        let mut cache = OverheadCache::new();
+        let cache = OverheadCache::new();
         let k1 = anneal_segment(
             &net,
             &arch,
             seg,
             &cands,
             &AnnealingConfig::quick().with_k(1),
-            &mut cache,
+            &cache,
         );
         let k4 = anneal_segment(
             &net,
@@ -623,7 +615,7 @@ mod tests {
             seg,
             &cands,
             &AnnealingConfig::quick().with_k(4).with_iterations(200),
-            &mut cache,
+            &cache,
         );
         assert!(k4.eval.total_latency <= k1.eval.total_latency);
     }

@@ -29,10 +29,14 @@
 //! canonical key (see `secureloop_loopnest::SearchSpaceKey`) repeats
 //! across design points — or across `--resume` invocations, via the
 //! on-disk cache file next to the [`SweepCheckpoint`] — are computed
-//! once. Determinism is preserved exactly as in the mapper: every
-//! design point owns a fixed result slot, workers pull indices from an
-//! atomic queue, and results merge in design order, so the [`SweepRun`]
-//! is byte-identical for any worker count and any cache state.
+//! once. The designs also share one AuthBlock overhead memo
+//! ([`crate::segment::OverheadCache`]), made fresh per call, so a
+//! per-tensor assignment problem that recurs across design points is
+//! optimised once per sweep. Determinism is preserved exactly as in
+//! the mapper: every design point owns a fixed result slot, workers
+//! pull indices from an atomic queue, and results merge in design
+//! order, so the [`SweepRun`] is byte-identical for any worker count
+//! and any cache state.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -50,6 +54,7 @@ use crate::annealing::AnnealingConfig;
 use crate::checkpoint::SweepCheckpoint;
 use crate::error::SecureLoopError;
 use crate::scheduler::{Algorithm, NetworkSchedule, Scheduler};
+use crate::segment::OverheadCache;
 use crate::supervisor::{self, SupervisedOutcome, SupervisorConfig};
 
 static DESIGNS_EVALUATED: Counter = Counter::new("dse.designs_evaluated");
@@ -594,6 +599,10 @@ pub fn evaluate_designs_sweep(
         None
     };
     let stats_base = cache.as_ref().map(|c| (c.hits(), c.misses()));
+    // One AuthBlock overhead memo for the whole sweep: the designs of a
+    // space repeat most per-tensor problems, and its key fully
+    // determines its value, so sharing it never changes a result.
+    let overheads = Arc::new(OverheadCache::new());
 
     // Fixed slot per design point. Checkpointed designs (finished or
     // quarantined) fill theirs before the pool starts; the queue only
@@ -646,12 +655,14 @@ pub fn evaluate_designs_sweep(
             let arch = arch.clone();
             let network = network.clone();
             let cache = cache.clone();
+            let overheads = Arc::clone(&overheads);
             let search = *search;
             let annealing = *annealing;
             move || {
                 let mut scheduler = Scheduler::new(arch)
                     .with_search(search)
-                    .with_annealing(annealing);
+                    .with_annealing(annealing)
+                    .with_overhead_cache(Arc::clone(&overheads));
                 if let Some(cache) = &cache {
                     scheduler = scheduler.with_candidate_cache(Arc::clone(cache));
                 }

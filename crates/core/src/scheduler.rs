@@ -238,6 +238,7 @@ pub struct Scheduler {
     annealing: AnnealingConfig,
     cache: Option<Arc<CandidateCache>>,
     feedback: Arc<FeedbackStore>,
+    overheads: Arc<OverheadCache>,
 }
 
 impl Scheduler {
@@ -250,6 +251,7 @@ impl Scheduler {
             annealing: AnnealingConfig::paper_default(),
             cache: None,
             feedback: Arc::new(FeedbackStore::new()),
+            overheads: Arc::new(OverheadCache::new()),
         }
     }
 
@@ -283,6 +285,15 @@ impl Scheduler {
     /// spaces. Schedulers built without this carry a private store.
     pub fn with_feedback(mut self, feedback: Arc<FeedbackStore>) -> Self {
         self.feedback = feedback;
+        self
+    }
+
+    /// Share a per-tensor AuthBlock overhead memo with this scheduler.
+    /// Its key fully determines its value, so one memo may serve every
+    /// design point of a sweep (see [`OverheadCache`]). Schedulers
+    /// built without this carry a private memo.
+    pub fn with_overhead_cache(mut self, overheads: Arc<OverheadCache>) -> Self {
+        self.overheads = overheads;
         self
     }
 
@@ -399,7 +410,6 @@ impl Scheduler {
             .map(|l| (l.name().to_string(), LayerOutcome::Scheduled))
             .collect();
         let mut overhead = OverheadBreakdown::default();
-        let mut cache = OverheadCache::new();
 
         for seg in network.segments() {
             // Split the segment into maximal runs of schedulable layers;
@@ -430,7 +440,7 @@ impl Scheduler {
 
             for run in &runs {
                 let (choice, seg_eval, fell_back) =
-                    self.evaluate_run(network, &arch, algorithm, run, candidates, &mut cache);
+                    self.evaluate_run(network, &arch, algorithm, run, candidates);
 
                 overhead.add(&seg_eval.breakdown);
                 for (pos, &li) in run.iter().enumerate() {
@@ -516,8 +526,8 @@ impl Scheduler {
         algorithm: Algorithm,
         run: &[usize],
         candidates: &CandidateSet,
-        cache: &mut OverheadCache,
     ) -> (Vec<usize>, SegmentEvaluation, bool) {
+        let cache = &*self.overheads;
         let best_picks = |run: &[usize]| -> Vec<(Mapping, Evaluation)> {
             run.iter()
                 .map(|&li| {

@@ -9,6 +9,7 @@
 //! bandwidth.
 
 use std::collections::HashMap;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use secureloop_arch::Architecture;
 use secureloop_authblock::{
@@ -34,13 +35,25 @@ pub enum StrategyMode {
     Optimal,
 }
 
-/// Memoises per-tensor overheads across simulated-annealing iterations:
-/// the same (problem, mode) pair recurs whenever the same pair of
-/// candidate schedules is revisited.
+/// Memoises per-tensor AuthBlock overheads for one sweep.
+///
+/// The key — the tensor's [`AssignmentProblem`], the [`StrategyMode`]
+/// and whether the tensor is coupled — fully determines the value, so
+/// one memo serves every annealing iteration, every algorithm and every
+/// design point of a sweep: [`crate::dse::evaluate_designs_sweep`]
+/// creates one per call and hands it to each design's
+/// [`crate::Scheduler`]. A scheduler built without one carries a
+/// private memo. Thread-safe: concurrent sweep workers share it
+/// through `&self`. The optimiser runs outside the lock, so two workers
+/// that miss on the same key at once both compute it — exactly as the
+/// mapper's `CandidateCache` — and, the value being a pure function of
+/// the key, either insert is the same.
 #[derive(Debug, Default)]
 pub struct OverheadCache {
-    map: HashMap<(AssignmentProblem, StrategyMode, bool), SplitOverhead>,
+    map: Mutex<OverheadMap>,
 }
+
+type OverheadMap = HashMap<(AssignmentProblem, StrategyMode, bool), SplitOverhead>;
 
 impl OverheadCache {
     /// Fresh empty cache.
@@ -50,17 +63,23 @@ impl OverheadCache {
 
     /// Number of cached tensor problems.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.lock().len()
     }
 
     /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.lock().is_empty()
     }
 
-    fn overhead(&mut self, case: &TensorCase, mode: StrategyMode) -> SplitOverhead {
+    /// The map, even if a worker panicked while holding the lock: every
+    /// entry is inserted whole, so a poisoned map is still consistent.
+    fn lock(&self) -> MutexGuard<'_, OverheadMap> {
+        self.map.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn overhead(&self, case: &TensorCase, mode: StrategyMode) -> SplitOverhead {
         let key = (case.problem.clone(), mode, case.coupled);
-        if let Some(hit) = self.map.get(&key) {
+        if let Some(hit) = self.lock().get(&key) {
             CACHE_HITS.incr();
             return *hit;
         }
@@ -91,7 +110,7 @@ impl OverheadCache {
             }
             StrategyMode::Optimal => optimize(&case.problem).overhead,
         };
-        self.map.insert(key, split);
+        self.lock().insert(key, split);
         split
     }
 }
@@ -159,7 +178,7 @@ pub fn evaluate_segment(
     seg: &[usize],
     choices: &[(Mapping, Evaluation)],
     mode: StrategyMode,
-    cache: &mut OverheadCache,
+    cache: &OverheadCache,
 ) -> SegmentEvaluation {
     let mappings: Vec<&Mapping> = choices.iter().map(|(m, _)| m).collect();
     let cases = segment_tensor_cases(network, arch, seg, &mappings);
@@ -229,23 +248,9 @@ mod tests {
             .iter()
             .map(|&li| cands.per_layer[li].best().expect("has candidates").clone())
             .collect();
-        let mut cache = OverheadCache::new();
-        let tile = evaluate_segment(
-            &net,
-            &arch,
-            seg,
-            &choices,
-            StrategyMode::TileRehash,
-            &mut cache,
-        );
-        let opt = evaluate_segment(
-            &net,
-            &arch,
-            seg,
-            &choices,
-            StrategyMode::Optimal,
-            &mut cache,
-        );
+        let cache = OverheadCache::new();
+        let tile = evaluate_segment(&net, &arch, seg, &choices, StrategyMode::TileRehash, &cache);
+        let opt = evaluate_segment(&net, &arch, seg, &choices, StrategyMode::Optimal, &cache);
         assert!(
             opt.breakdown.total_bits() <= tile.breakdown.total_bits(),
             "optimal {} vs tile {}",
@@ -267,15 +272,8 @@ mod tests {
             .iter()
             .map(|&li| cands.per_layer[li].best().expect("has candidates").clone())
             .collect();
-        let mut cache = OverheadCache::new();
-        let e = evaluate_segment(
-            &net,
-            &arch,
-            seg,
-            &choices,
-            StrategyMode::Optimal,
-            &mut cache,
-        );
+        let cache = OverheadCache::new();
+        let e = evaluate_segment(&net, &arch, seg, &choices, StrategyMode::Optimal, &cache);
         // Every layer reads weights at minimum: nonzero overhead.
         for (i, &bits) in e.extra_bits.iter().enumerate() {
             assert!(bits > 0, "layer {i} has zero overhead bits");
@@ -296,24 +294,10 @@ mod tests {
             .iter()
             .map(|&li| cands.per_layer[li].best().expect("has candidates").clone())
             .collect();
-        let mut cache = OverheadCache::new();
-        let a = evaluate_segment(
-            &net,
-            &arch,
-            seg,
-            &choices,
-            StrategyMode::Optimal,
-            &mut cache,
-        );
+        let cache = OverheadCache::new();
+        let a = evaluate_segment(&net, &arch, seg, &choices, StrategyMode::Optimal, &cache);
         let n = cache.len();
-        let b = evaluate_segment(
-            &net,
-            &arch,
-            seg,
-            &choices,
-            StrategyMode::Optimal,
-            &mut cache,
-        );
+        let b = evaluate_segment(&net, &arch, seg, &choices, StrategyMode::Optimal, &cache);
         assert_eq!(cache.len(), n, "second evaluation must be fully cached");
         assert_eq!(a.total_latency, b.total_latency);
     }

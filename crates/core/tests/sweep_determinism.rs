@@ -3,10 +3,15 @@
 //! cache state (off, cold, warm). Workers pull from an atomic queue but
 //! merge into fixed per-design slots, and a cache hit returns exactly
 //! what the search it memoised computed, so nothing observable may vary.
+//! The same holds for the AuthBlock overhead memo a sweep shares across
+//! its designs: a sweep reproduces independent per-design schedules.
 
-use secureloop::dse::{evaluate_designs_sweep, fig16_design_space, pareto_front, SweepOptions};
-use secureloop::{Algorithm, AnnealingConfig};
+use secureloop::dse::{
+    evaluate_designs_sweep, fig16_design_space, pareto_front, DseResult, SweepOptions,
+};
+use secureloop::{Algorithm, AnnealingConfig, Scheduler};
 use secureloop_arch::Architecture;
+use secureloop_energy::AreaModel;
 use secureloop_mapper::SearchConfig;
 use secureloop_workload::zoo;
 
@@ -97,6 +102,47 @@ fn sweep_is_byte_identical_across_workers_and_cache_states() {
         assert_eq!(
             front, baseline_front,
             "pareto front diverges between [{baseline_cfg}] and [{cfg}]"
+        );
+    }
+}
+
+#[test]
+fn shared_overhead_memo_matches_independent_schedules() {
+    // Crypt-Opt-Cross anneals every segment, so it consults the sweep's
+    // AuthBlock overhead memo most; the renamed clone repeats every
+    // tensor problem of the first design and is answered from it.
+    let net = zoo::alexnet_conv();
+    let mut designs: Vec<Architecture> = fig16_design_space().into_iter().take(3).collect();
+    designs.push(designs[0].clone().with_name("clone-of-first"));
+    let search = SearchConfig::quick();
+    let annealing = AnnealingConfig::quick();
+    let algorithm = Algorithm::CryptOptCross;
+
+    // Each design on its own scheduler, so each with a private memo.
+    let independent: Vec<DseResult> = designs
+        .iter()
+        .map(|arch| DseResult {
+            label: arch.name().to_string(),
+            area: AreaModel::of(arch),
+            schedule: Scheduler::new(arch.clone())
+                .with_search(search)
+                .with_annealing(annealing)
+                .schedule(&net, algorithm)
+                .expect("design schedules"),
+        })
+        .collect();
+    let expected = transcript(&independent);
+    assert!(!expected.is_empty());
+
+    for workers in [1usize, 2, 4] {
+        let opts = SweepOptions::new().with_cache(false).with_workers(workers);
+        let run = evaluate_designs_sweep(&net, &designs, algorithm, &search, &annealing, &opts)
+            .expect("sweep succeeds");
+        assert_eq!(run.evaluated, designs.len());
+        assert_eq!(
+            transcript(&run.results),
+            expected,
+            "{workers}-worker sweep diverges from independent schedules"
         );
     }
 }
