@@ -13,8 +13,10 @@
 //!
 //! A fourth pass runs the cache-disabled sweep on one worker and records
 //! the AuthBlock optimiser's work counts (optimiser runs, congruence
-//! calls, overhead-memo misses). On one worker they are deterministic,
-//! so `--diff-against` gates them exactly.
+//! calls, overhead-memo misses) and the mapper's valid and
+//! eval-error draws. On one worker they are deterministic, so
+//! `--diff-against` gates them exactly; the mapper pair pins the random
+//! draw stream itself, not just its length.
 
 use std::time::Instant;
 
@@ -35,16 +37,18 @@ const WORKERS: usize = 4;
 const MIN_SPEEDUP: f64 = 1.3;
 
 /// Work counters the single-worker pass records, by telemetry name.
-const WORK_COUNTS: [&str; 3] = [
+const WORK_COUNTS: [&str; 5] = [
     "authblock.optimize_runs",
     "authblock.congruence_calls",
     "scheduler.overhead_cache_misses",
+    "mapper.samples_valid",
+    "mapper.reject.eval_error",
 ];
 
 struct Phase {
     wall_ms: f64,
     mapper_samples: u64,
-    work: [u64; 3],
+    work: [u64; 5],
     run: SweepRun,
 }
 

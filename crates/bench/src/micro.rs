@@ -19,7 +19,7 @@ use secureloop_authblock::{
 use secureloop_crypto::sim::{EngineSim, Request};
 use secureloop_crypto::{Aes128, AesGcm, EngineClass};
 use secureloop_loopnest::evaluate;
-use secureloop_mapper::{search, MappingSampler, SearchConfig, SearchMode};
+use secureloop_mapper::{search, GuidedSampler, MappingSampler, SearchConfig, SearchMode};
 use secureloop_telemetry as telemetry;
 use secureloop_workload::zoo;
 
@@ -133,22 +133,26 @@ fn authblock(m: &mut Micro) {
     });
 }
 
-/// Mapper throughput: one loopnest evaluation, one sampler draw, and a
-/// whole single-layer search (the step-1 cost).
+/// Mapper throughput: one loopnest evaluation, one uniform and one
+/// guided sampler draw, and a whole single-layer search (the step-1
+/// cost).
 fn mapper(m: &mut Micro) {
     let layer = zoo::resnet18().layers()[5].clone();
     let arch = Architecture::eyeriss_base();
     let mut sampler = MappingSampler::new(&layer, &arch, 42);
-    let mapping = loop {
-        let candidate = sampler.sample();
-        if evaluate(&layer, &arch, &candidate).is_ok() {
-            break candidate;
-        }
-    };
+    // Four valid draws: the first is the evaluated mapping, all four
+    // guide the guided sampler.
+    let guides: Vec<_> = std::iter::repeat_with(|| sampler.sample())
+        .filter(|candidate| evaluate(&layer, &arch, candidate).is_ok())
+        .take(4)
+        .collect();
+    let mapping = &guides[0];
     m.case("loopnest_evaluate", || {
-        evaluate(black_box(&layer), black_box(&arch), black_box(&mapping))
+        evaluate(black_box(&layer), black_box(&arch), black_box(mapping))
     });
     m.case("sampler_draw", || sampler.sample());
+    let mut guided = GuidedSampler::new(&layer, &arch, 42, &guides);
+    m.case("guided_sampler_draw", || guided.sample());
     m.case("mapper_search_1k_samples", search_1k());
 }
 

@@ -24,11 +24,6 @@ pub fn divisors(n: u64) -> Vec<u64> {
     small
 }
 
-/// Divisors of `n` that are ≤ `cap`.
-pub fn divisors_up_to(n: u64, cap: u64) -> Vec<u64> {
-    divisors(n).into_iter().filter(|&d| d <= cap).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -51,12 +46,6 @@ mod tests {
             let brute = (1..=n).filter(|d| n % d == 0).count();
             assert_eq!(ds.len(), brute);
         }
-    }
-
-    #[test]
-    fn capped_divisors() {
-        assert_eq!(divisors_up_to(56, 10), vec![1, 2, 4, 7, 8]);
-        assert_eq!(divisors_up_to(7, 1), vec![1]);
     }
 
     #[test]

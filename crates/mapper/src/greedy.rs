@@ -22,7 +22,7 @@ use secureloop_loopnest::{evaluate, Evaluation, Mapping};
 use secureloop_workload::{ConvLayer, Dim, DimMap};
 
 use crate::error::MapperError;
-use crate::factors::divisors_up_to;
+use crate::factors::divisors;
 
 /// Deterministically construct a mapping for `layer` on `arch`.
 ///
@@ -48,9 +48,7 @@ pub fn greedy_mapping(
             if left <= 1 {
                 break;
             }
-            let f = *divisors_up_to(remaining[d], left)
-                .last()
-                .expect("1 always divides");
+            let f = largest_divisor_up_to(remaining[d], left);
             out[d] = f;
             remaining[d] /= f;
             left /= f;
@@ -76,7 +74,7 @@ pub fn greedy_mapping(
         remaining[d] = 1;
     }
     for d in [Dim::C, Dim::Q] {
-        let f = *divisors_up_to(remaining[d], 4).last().expect("nonempty");
+        let f = largest_divisor_up_to(remaining[d], 4);
         rf[d] = f;
         remaining[d] /= f;
     }
@@ -118,6 +116,14 @@ pub fn greedy_mapping(
             reason: e.to_string(),
         }),
     }
+}
+
+/// The largest divisor of `n` that is ≤ `cap` (1 always qualifies).
+fn largest_divisor_up_to(n: u64, cap: u64) -> u64 {
+    divisors(n)
+        .into_iter()
+        .rfind(|&f| f <= cap)
+        .expect("1 always divides")
 }
 
 fn assemble(

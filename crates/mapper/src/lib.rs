@@ -626,10 +626,13 @@ pub fn search(
     type ChunkResult = (Vec<(Mapping, Evaluation)>, usize, usize, bool);
     let was_cancelled = AtomicBool::new(false);
     let ctx = &ctx;
-    let run_chunk = |worker: usize, chunk: usize| -> ChunkResult {
+    // One divisor table per search: every worker's sampler clones this
+    // one and is reseeded per chunk.
+    let base = MappingSampler::new(layer, arch, 0);
+    let run_chunk = |worker: usize, chunk: usize, sampler: &mut MappingSampler| -> ChunkResult {
         let start = Instant::now();
         let samples = CHUNK_SAMPLES.min(cfg.samples - chunk * CHUNK_SAMPLES);
-        let mut sampler = MappingSampler::new(layer, arch, chunk_seed(cfg.seed, chunk));
+        sampler.reseed(chunk_seed(cfg.seed, chunk));
         let mut keep: Vec<(Mapping, Evaluation)> = Vec::new();
         let mut tally = ChunkTally::default();
         let mut cut = false;
@@ -689,12 +692,13 @@ pub fn search(
     let next_chunk = AtomicUsize::new(0);
     let worker_loop = |worker: usize| -> Vec<(usize, ChunkResult)> {
         let mut out = Vec::new();
+        let mut sampler = base.clone();
         loop {
             let chunk = next_chunk.fetch_add(1, Ordering::Relaxed);
             if chunk >= n_chunks {
                 break;
             }
-            let result = run_chunk(worker, chunk);
+            let result = run_chunk(worker, chunk, &mut sampler);
             let cut = result.3;
             out.push((chunk, result));
             if cut {
@@ -860,6 +864,8 @@ fn run_guided_rung(
     };
     let was_cancelled = AtomicBool::new(false);
     let mut explore_best: Vec<(Mapping, Evaluation)> = Vec::new();
+    // One divisor table per search, shared by every chunk's sampler.
+    let base = MappingSampler::new(layer, arch, 0);
     let mut stall = 0usize;
     let mut round_start = 0usize;
     let mut rounds = 0u64;
@@ -893,7 +899,8 @@ fn run_guided_rung(
         let run_chunk = |worker: usize, chunk: usize| -> GuidedChunkResult {
             let start = Instant::now();
             let samples = CHUNK_SAMPLES.min(cfg.samples - chunk * CHUNK_SAMPLES);
-            let mut sampler = GuidedSampler::new(layer, arch, chunk_seed(cfg.seed, chunk), guides);
+            let mut sampler =
+                GuidedSampler::with_base(base.clone(), chunk_seed(cfg.seed, chunk), guides);
             let mut keep: Vec<(Mapping, Evaluation)> = Vec::new();
             let mut explore: Vec<(Mapping, Evaluation)> = Vec::new();
             let mut local_front = pareto::ParetoFront::new();

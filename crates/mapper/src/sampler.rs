@@ -1,5 +1,7 @@
 //! Random mapping generation (Timeloop-style random pruning).
 
+use std::sync::Arc;
+
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -8,16 +10,90 @@ use secureloop_arch::{Architecture, DataflowConstraints};
 use secureloop_loopnest::Mapping;
 use secureloop_workload::{ConvLayer, Dim, DimMap};
 
-use crate::factors::{divisors, divisors_up_to};
+use crate::factors::divisors;
+
+/// The ascending divisor list of every divisor of one layer's bounds,
+/// per dim.
+///
+/// Every factor a draw splits divides its dim's layer bound: a uniform
+/// draw only ever divides the bound down, and a mutation moves factors
+/// between the levels of a mapping whose per-dim product is the bound.
+/// So this table answers every divisor lookup a sampler makes. Each
+/// slice holds exactly what [`divisors`] returns for that value, in the
+/// same order, so a draw that picks from a slice consumes the same
+/// random numbers as one that picks from a fresh trial-division list.
+#[derive(Debug)]
+pub struct DivisorTable(DimMap<Vec<(u64, Vec<u64>)>>);
+
+impl DivisorTable {
+    /// Tabulate the divisors of every divisor of `bounds`.
+    pub fn new(bounds: DimMap<u64>) -> Self {
+        DivisorTable(DimMap(Dim::ALL.map(|d| {
+            let ds = divisors(bounds[d]);
+            // A divisor of `n` divides the bound too, so `ds` already
+            // holds every divisor of `n`, ascending.
+            let divisors_of = |n: u64| -> Vec<u64> {
+                ds.iter()
+                    .copied()
+                    .filter(|&x| n.is_multiple_of(x))
+                    .collect()
+            };
+            ds.iter().map(|&n| (n, divisors_of(n))).collect()
+        })))
+    }
+
+    /// All divisors of `n`, ascending.
+    ///
+    /// # Panics
+    ///
+    /// If `n` does not divide the `d` bound.
+    pub fn divisors(&self, d: Dim, n: u64) -> &[u64] {
+        let rows = &self.0[d];
+        match rows.binary_search_by_key(&n, |&(k, _)| k) {
+            Ok(i) => &rows[i].1,
+            Err(_) => panic!("{n} does not divide the {d} bound"),
+        }
+    }
+
+    /// Divisors of `n` that are ≤ `cap`: a prefix of
+    /// [`DivisorTable::divisors`].
+    pub fn divisors_up_to(&self, d: Dim, n: u64, cap: u64) -> &[u64] {
+        let ds = self.divisors(d, n);
+        &ds[..ds.partition_point(|&x| x <= cap)]
+    }
+
+    /// Smallest prime factor of `n` (n ≥ 2): the gentlest unit by which
+    /// a tile factor can migrate between memory levels.
+    pub fn smallest_prime_factor(&self, d: Dim, n: u64) -> u64 {
+        debug_assert!(n >= 2);
+        self.divisors(d, n)[1]
+    }
+}
+
+/// Pick one dim uniformly among `dims` (at most seven), on the stack.
+/// Consumes the same random numbers as `choose` on a collected `Vec`.
+fn choose_dim(rng: &mut StdRng, dims: impl IntoIterator<Item = Dim>) -> Option<Dim> {
+    let mut buf = [Dim::N; 7];
+    let mut len = 0;
+    for d in dims {
+        buf[len] = d;
+        len += 1;
+    }
+    buf[..len].choose(rng).copied()
+}
 
 /// Draws random, structurally plausible mappings of one layer onto one
 /// architecture. Capacity feasibility is *not* guaranteed — the caller
 /// filters through [`evaluate`](secureloop_loopnest::evaluate) — but
 /// factor products always match the layer bounds and spatial factors
 /// always respect the dataflow constraints and PE-array extents.
-#[derive(Debug)]
+///
+/// Clones share the layer's [`DivisorTable`]; [`MappingSampler::reseed`]
+/// restarts the draw stream without rebuilding it.
+#[derive(Debug, Clone)]
 pub struct MappingSampler {
     bounds: DimMap<u64>,
+    table: Arc<DivisorTable>,
     constraints: DataflowConstraints,
     pe_x: u64,
     pe_y: u64,
@@ -27,8 +103,10 @@ pub struct MappingSampler {
 impl MappingSampler {
     /// Create a sampler with a deterministic seed.
     pub fn new(layer: &ConvLayer, arch: &Architecture, seed: u64) -> Self {
+        let bounds = layer.bounds();
         MappingSampler {
-            bounds: layer.bounds(),
+            bounds,
+            table: Arc::new(DivisorTable::new(bounds)),
             constraints: arch.dataflow().constraints(),
             pe_x: arch.pe_x() as u64,
             pe_y: arch.pe_y() as u64,
@@ -36,8 +114,16 @@ impl MappingSampler {
         }
     }
 
+    /// Restart the draw stream at `seed`: the draws that follow are
+    /// those of a fresh `new(.., seed)` sampler.
+    pub fn reseed(&mut self, seed: u64) {
+        self.rng = StdRng::seed_from_u64(seed);
+    }
+
     /// Draw one mapping.
     pub fn sample(&mut self) -> Mapping {
+        let table = &*self.table;
+        let rng = &mut self.rng;
         let mut remaining = self.bounds;
         let mut spatial_x = DimMap::splat(1u64);
         let mut spatial_y = DimMap::splat(1u64);
@@ -50,14 +136,16 @@ impl MappingSampler {
                            cap: u64,
                            out: &mut DimMap<u64>,
                            remaining: &mut DimMap<u64>| {
-            let mut dims: Vec<Dim> = allowed.to_vec();
+            let mut buf = [Dim::N; 7];
+            let dims = &mut buf[..allowed.len()];
+            dims.copy_from_slice(allowed);
             dims.shuffle(rng);
             let mut left = cap;
-            for d in dims {
+            for &d in dims.iter() {
                 if left <= 1 {
                     break;
                 }
-                let choices = divisors_up_to(remaining[d], left);
+                let choices = table.divisors_up_to(d, remaining[d], left);
                 let pick = if rng.gen_bool(0.5) {
                     *choices.last().expect("1 always divides")
                 } else {
@@ -68,48 +156,26 @@ impl MappingSampler {
                 left /= pick;
             }
         };
-        let y_allowed = self.constraints.spatial_y.clone();
-        let x_allowed = self.constraints.spatial_x.clone();
         assign_axis(
-            &mut self.rng,
-            &y_allowed,
+            rng,
+            &self.constraints.spatial_y,
             self.pe_y,
             &mut spatial_y,
             &mut remaining,
         );
         assign_axis(
-            &mut self.rng,
-            &x_allowed,
+            rng,
+            &self.constraints.spatial_x,
             self.pe_x,
             &mut spatial_x,
             &mut remaining,
         );
 
-        // Temporal split: RF gets a small factor (register files are
-        // tiny), GLB a random share, DRAM the rest.
         let mut rf = DimMap::splat(1u64);
         let mut glb = DimMap::splat(1u64);
         let mut dram = DimMap::splat(1u64);
         for d in Dim::ALL {
-            let b = remaining[d];
-            let rf_cap = match d {
-                Dim::R | Dim::S => b, // filter taps usually fit a PE
-                _ => 8,
-            };
-            let rf_f = *divisors_up_to(b, rf_cap)
-                .choose(&mut self.rng)
-                .expect("1 always divides");
-            let rest = b / rf_f;
-            // Bias toward large GLB tiles: maximal on-chip residency is
-            // where most good schedules live.
-            let glb_f = if self.rng.gen_bool(0.4) {
-                rest
-            } else {
-                *divisors(rest).choose(&mut self.rng).expect("nonempty")
-            };
-            rf[d] = rf_f;
-            glb[d] = glb_f;
-            dram[d] = rest / glb_f;
+            (rf[d], glb[d], dram[d]) = split_temporal(rng, table, d, remaining[d]);
         }
 
         // Loop orders: half the time start from the reduction-innermost
@@ -125,8 +191,8 @@ impl MappingSampler {
                 o
             }
         };
-        let dram_order = draw_order(&mut self.rng);
-        let glb_order = draw_order(&mut self.rng);
+        let dram_order = draw_order(rng);
+        let glb_order = draw_order(rng);
 
         Mapping {
             dram,
@@ -140,18 +206,26 @@ impl MappingSampler {
     }
 }
 
-/// Smallest prime factor of `n` (n ≥ 2): the gentlest unit by which a
-/// tile factor can migrate between memory levels.
-fn smallest_prime_factor(n: u64) -> u64 {
-    debug_assert!(n >= 2);
-    let mut f = 2;
-    while f * f <= n {
-        if n.is_multiple_of(f) {
-            return f;
-        }
-        f += 1;
-    }
-    n
+/// Split a dim's temporal factor `b` into `(rf, glb, dram)`: RF gets a
+/// small factor (register files are tiny), GLB a random share biased
+/// toward maximal on-chip residency — where most good schedules live —
+/// and DRAM the rest.
+fn split_temporal(rng: &mut StdRng, table: &DivisorTable, d: Dim, b: u64) -> (u64, u64, u64) {
+    let rf_cap = match d {
+        Dim::R | Dim::S => b, // filter taps usually fit a PE
+        _ => 8,
+    };
+    let rf_f = *table
+        .divisors_up_to(d, b, rf_cap)
+        .choose(rng)
+        .expect("1 always divides");
+    let rest = b / rf_f;
+    let glb_f = if rng.gen_bool(0.4) {
+        rest
+    } else {
+        *table.divisors(d, rest).choose(rng).expect("nonempty")
+    };
+    (rf_f, glb_f, rest / glb_f)
 }
 
 /// Neighbourhood-biased sampler for guided search: mixes uniform draws
@@ -163,7 +237,9 @@ fn smallest_prime_factor(n: u64) -> u64 {
 /// one prime factor along a constraint-allowed dim. Per-dim factor
 /// products, the dataflow constraints and the PE-array extents are all
 /// preserved by construction; capacity feasibility is filtered by
-/// `evaluate`, same as the base sampler's contract.
+/// `evaluate`, same as the base sampler's contract. Guides and anchors
+/// must be mappings of the sampler's layer: their factors are looked up
+/// in its [`DivisorTable`].
 ///
 /// Mutation decisions consume a *separate* RNG stream (derived from the
 /// same seed), so a guided draw sequence is a pure function of
@@ -179,9 +255,6 @@ pub struct GuidedSampler<'a> {
     /// chunk descend a cost gradient instead of orbiting the round's
     /// static guide snapshot.
     local: Vec<Mapping>,
-    constraints: DataflowConstraints,
-    pe_x: u64,
-    pe_y: u64,
 }
 
 /// How many of the caller's most recent front discoveries a sampler
@@ -198,16 +271,20 @@ impl<'a> GuidedSampler<'a> {
     /// Create a guided sampler with a deterministic seed and a fixed
     /// guide snapshot.
     pub fn new(layer: &ConvLayer, arch: &Architecture, seed: u64, guides: &'a [Mapping]) -> Self {
+        Self::with_base(MappingSampler::new(layer, arch, seed), seed, guides)
+    }
+
+    /// [`GuidedSampler::new`] on `base`'s layer and architecture,
+    /// reusing its divisor table: `base` is reseeded to `seed`.
+    pub fn with_base(mut base: MappingSampler, seed: u64, guides: &'a [Mapping]) -> Self {
+        base.reseed(seed);
         GuidedSampler {
-            base: MappingSampler::new(layer, arch, seed),
+            base,
             // Distinct stream from the base sampler so mutation
             // decisions never perturb the uniform draw sequence.
             rng: StdRng::seed_from_u64(seed ^ 0xa5a5_5a5a_c3c3_3c3c),
             guides,
             local: Vec::new(),
-            constraints: arch.dataflow().constraints(),
-            pe_x: arch.pe_x() as u64,
-            pe_y: arch.pe_y() as u64,
         }
     }
 
@@ -257,24 +334,24 @@ impl<'a> GuidedSampler<'a> {
             }
             2 => {
                 if self.rng.gen_bool(0.5) {
-                    move_factor(&mut self.rng, &mut m.dram, &mut m.glb);
+                    self.move_factor(&mut m.dram, &mut m.glb);
                 } else {
-                    move_factor(&mut self.rng, &mut m.glb, &mut m.dram);
+                    self.move_factor(&mut m.glb, &mut m.dram);
                 }
             }
             3 => {
                 if self.rng.gen_bool(0.5) {
-                    move_factor(&mut self.rng, &mut m.glb, &mut m.rf);
+                    self.move_factor(&mut m.glb, &mut m.rf);
                 } else {
-                    move_factor(&mut self.rng, &mut m.rf, &mut m.glb);
+                    self.move_factor(&mut m.rf, &mut m.glb);
                 }
             }
             4 => {
                 // Collapse one dim's DRAM factor entirely into the GLB
                 // tile: the big jump toward maximal on-chip residency,
                 // where most low-energy schedules live.
-                let eligible: Vec<Dim> = Dim::ALL.into_iter().filter(|&d| m.dram[d] > 1).collect();
-                if let Some(&d) = eligible.choose(&mut self.rng) {
+                let eligible = Dim::ALL.into_iter().filter(|&d| m.dram[d] > 1);
+                if let Some(d) = choose_dim(&mut self.rng, eligible) {
                     m.glb[d] *= m.dram[d];
                     m.dram[d] = 1;
                 }
@@ -299,9 +376,9 @@ impl<'a> GuidedSampler<'a> {
                 // the smallest prime), so distant factorisations are a
                 // couple of hops away instead of many.
                 if self.rng.gen_bool(0.5) {
-                    move_divisor(&mut self.rng, &mut m.dram, &mut m.glb);
+                    self.move_divisor(&mut m.dram, &mut m.glb);
                 } else {
-                    move_divisor(&mut self.rng, &mut m.glb, &mut m.dram);
+                    self.move_divisor(&mut m.glb, &mut m.dram);
                 }
             }
             7 => self.grow_spatial(m),
@@ -316,21 +393,19 @@ impl<'a> GuidedSampler<'a> {
     /// allows it — the move that reaches mappings whose parallelisation
     /// differs from every guide's.
     fn grow_spatial(&mut self, m: &mut Mapping) {
+        let base = &self.base;
+        let table = &*base.table;
         let axis_x = self.rng.gen_bool(0.5);
         let (allowed, cap, extent) = if axis_x {
-            (&self.constraints.spatial_x, self.pe_x, m.spatial_x_extent())
+            (&base.constraints.spatial_x, base.pe_x, m.spatial_x_extent())
         } else {
-            (&self.constraints.spatial_y, self.pe_y, m.spatial_y_extent())
+            (&base.constraints.spatial_y, base.pe_y, m.spatial_y_extent())
         };
-        let eligible: Vec<Dim> = allowed
-            .iter()
-            .copied()
-            .filter(|&d| {
-                let source = m.dram[d].max(m.glb[d]);
-                source > 1 && extent * smallest_prime_factor(source) <= cap
-            })
-            .collect();
-        let Some(&d) = eligible.choose(&mut self.rng) else {
+        let eligible = allowed.iter().copied().filter(|&d| {
+            let source = m.dram[d].max(m.glb[d]);
+            source > 1 && extent * table.smallest_prime_factor(d, source) <= cap
+        });
+        let Some(d) = choose_dim(&mut self.rng, eligible) else {
             return;
         };
         let from = if m.dram[d] > 1 {
@@ -338,7 +413,7 @@ impl<'a> GuidedSampler<'a> {
         } else {
             &mut m.glb
         };
-        let f = smallest_prime_factor(from[d]);
+        let f = table.smallest_prime_factor(d, from[d]);
         if extent * f > cap {
             return;
         }
@@ -360,11 +435,11 @@ impl<'a> GuidedSampler<'a> {
         } else {
             &mut m.spatial_y
         };
-        let eligible: Vec<Dim> = Dim::ALL.into_iter().filter(|&d| spatial[d] > 1).collect();
-        let Some(&d) = eligible.choose(&mut self.rng) else {
+        let eligible = Dim::ALL.into_iter().filter(|&d| spatial[d] > 1);
+        let Some(d) = choose_dim(&mut self.rng, eligible) else {
             return;
         };
-        let f = smallest_prime_factor(spatial[d]);
+        let f = self.base.table.smallest_prime_factor(d, spatial[d]);
         spatial[d] /= f;
         m.dram[d] *= f;
     }
@@ -377,8 +452,10 @@ impl<'a> GuidedSampler<'a> {
     /// intermediate extent is dominated and would never survive on the
     /// front to guide the next step.
     fn resample_spatial(&mut self, m: &mut Mapping) {
+        let base = &self.base;
+        let table = &*base.table;
         let axis_x = self.rng.gen_bool(0.5);
-        let cap = if axis_x { self.pe_x } else { self.pe_y };
+        let cap = if axis_x { base.pe_x } else { base.pe_y };
         for d in Dim::ALL {
             let s = if axis_x {
                 m.spatial_x[d]
@@ -396,19 +473,17 @@ impl<'a> GuidedSampler<'a> {
         }
         loop {
             let (allowed, extent) = if axis_x {
-                (&self.constraints.spatial_x, m.spatial_x_extent())
+                (&base.constraints.spatial_x, m.spatial_x_extent())
             } else {
-                (&self.constraints.spatial_y, m.spatial_y_extent())
+                (&base.constraints.spatial_y, m.spatial_y_extent())
             };
-            let eligible: Vec<Dim> = allowed
-                .iter()
-                .copied()
-                .filter(|&d| m.dram[d] > 1 && extent * smallest_prime_factor(m.dram[d]) <= cap)
-                .collect();
-            let Some(&d) = eligible.choose(&mut self.rng) else {
+            let eligible = allowed.iter().copied().filter(|&d| {
+                m.dram[d] > 1 && extent * table.smallest_prime_factor(d, m.dram[d]) <= cap
+            });
+            let Some(d) = choose_dim(&mut self.rng, eligible) else {
                 return;
             };
-            let f = smallest_prime_factor(m.dram[d]);
+            let f = table.smallest_prime_factor(d, m.dram[d]);
             m.dram[d] /= f;
             if axis_x {
                 m.spatial_x[d] *= f;
@@ -431,46 +506,31 @@ impl<'a> GuidedSampler<'a> {
     fn resample_temporal(&mut self, m: &mut Mapping) {
         for d in Dim::ALL {
             let b = m.dram[d] * m.glb[d] * m.rf[d];
-            let rf_cap = match d {
-                Dim::R | Dim::S => b,
-                _ => 8,
-            };
-            let rf_f = *divisors_up_to(b, rf_cap)
-                .choose(&mut self.rng)
-                .expect("1 always divides");
-            let rest = b / rf_f;
-            let glb_f = if self.rng.gen_bool(0.4) {
-                rest
-            } else {
-                *divisors(rest).choose(&mut self.rng).expect("nonempty")
-            };
-            m.rf[d] = rf_f;
-            m.glb[d] = glb_f;
-            m.dram[d] = rest / glb_f;
+            (m.rf[d], m.glb[d], m.dram[d]) = split_temporal(&mut self.rng, &self.base.table, d, b);
         }
     }
-}
 
-/// Migrate the smallest prime factor of one random dim from one
-/// temporal level to another (no-op when every factor is already 1).
-fn move_factor(rng: &mut StdRng, from: &mut DimMap<u64>, to: &mut DimMap<u64>) {
-    let eligible: Vec<Dim> = Dim::ALL.into_iter().filter(|&d| from[d] > 1).collect();
-    if let Some(&d) = eligible.choose(rng) {
-        let f = smallest_prime_factor(from[d]);
-        from[d] /= f;
-        to[d] *= f;
+    /// Migrate the smallest prime factor of one random dim from one
+    /// temporal level to another (no-op when every factor is already 1).
+    fn move_factor(&mut self, from: &mut DimMap<u64>, to: &mut DimMap<u64>) {
+        if let Some(d) = choose_dim(&mut self.rng, Dim::ALL.into_iter().filter(|&d| from[d] > 1)) {
+            let f = self.base.table.smallest_prime_factor(d, from[d]);
+            from[d] /= f;
+            to[d] *= f;
+        }
     }
-}
 
-/// Migrate a random non-trivial divisor of one random dim between
-/// temporal levels (no-op when every factor is already 1).
-fn move_divisor(rng: &mut StdRng, from: &mut DimMap<u64>, to: &mut DimMap<u64>) {
-    let eligible: Vec<Dim> = Dim::ALL.into_iter().filter(|&d| from[d] > 1).collect();
-    if let Some(&d) = eligible.choose(rng) {
-        let choices: Vec<u64> = divisors(from[d]).into_iter().filter(|&f| f > 1).collect();
-        let f = *choices.choose(rng).expect("from[d] > 1 has a divisor > 1");
-        from[d] /= f;
-        to[d] *= f;
+    /// Migrate a random non-trivial divisor of one random dim between
+    /// temporal levels (no-op when every factor is already 1).
+    fn move_divisor(&mut self, from: &mut DimMap<u64>, to: &mut DimMap<u64>) {
+        if let Some(d) = choose_dim(&mut self.rng, Dim::ALL.into_iter().filter(|&d| from[d] > 1)) {
+            let choices = &self.base.table.divisors(d, from[d])[1..];
+            let f = *choices
+                .choose(&mut self.rng)
+                .expect("from[d] > 1 has a divisor > 1");
+            from[d] /= f;
+            to[d] *= f;
+        }
     }
 }
 
