@@ -305,6 +305,9 @@ pub struct Output {
     pub files: Vec<(String, String)>,
     /// Prose printed after the table.
     pub notes: Vec<String>,
+    /// Whether the numbers time the machine that ran the entry: such an
+    /// entry writes its files only when `all` runs it.
+    pub machine_dependent: bool,
 }
 
 impl Output {
@@ -315,7 +318,16 @@ impl Output {
             csv: None,
             files: Vec::new(),
             notes: Vec::new(),
+            machine_dependent: false,
         }
+    }
+
+    /// Mark the output as timings of this machine (see
+    /// [`Output::machine_dependent`]).
+    #[must_use]
+    pub fn machine_dependent(mut self) -> Self {
+        self.machine_dependent = true;
+        self
     }
 
     /// Add a closing note.
@@ -334,9 +346,11 @@ impl Output {
 }
 
 /// Run `figure`, print its table and notes, and write its CSV and extra
-/// artifacts under `dir`. A file that cannot be written is a warning:
-/// the remaining entries still run.
-pub fn emit(figure: &Figure, dir: &Path) {
+/// artifacts under `dir`. A machine-dependent entry only prints unless
+/// `all` runs it, so timing it alone leaves the committed files as they
+/// are. A file that cannot be written is a warning: the remaining
+/// entries still run.
+pub fn emit(figure: &Figure, dir: &Path, all: bool) {
     println!("===== {} — {} =====\n", figure.name, figure.about);
     let out = (figure.run)();
     print!("{}", out.table.to_text());
@@ -350,6 +364,10 @@ pub fn emit(figure: &Figure, dir: &Path) {
         .csv
         .map_or_else(|| format!("{}.csv", figure.name), String::from);
     println!();
+    if out.machine_dependent && !all {
+        println!("[{csv_name} not written: only `all` refreshes machine-dependent results]\n");
+        return;
+    }
     write_result(dir, &csv_name, &out.table.to_csv());
     for (name, contents) in &out.files {
         write_result(dir, name, contents);

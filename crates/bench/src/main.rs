@@ -18,7 +18,7 @@ fn main() -> ExitCode {
         Ok(Command::Figures { figures, index }) => {
             let dir = Path::new("results");
             for figure in figures {
-                emit(figure, dir);
+                emit(figure, dir, index);
             }
             if index {
                 match html::build_report(dir) {

@@ -1,13 +1,15 @@
 //! Microbenchmarks of the hot kernels: AuthBlock counting and the
 //! per-tensor optimiser, the mapper, AES-GCM, annealing and the
-//! telemetry layer. Print-only: `results/micro.csv` records the last
-//! run on whatever machine made it, and nothing gates on it.
+//! telemetry layer. Run alone, the entry only prints; `all` refreshes
+//! `results/micro.csv`, which records the last such run on whatever
+//! machine made it. Nothing gates on it.
 
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
 use secureloop::annealing::anneal_segment;
 use secureloop::candidates::find_candidates;
+use secureloop::dse::fig16_design_space;
 use secureloop::segment::{evaluate_segment, OverheadCache, StrategyMode};
 use secureloop::AnnealingConfig;
 use secureloop_arch::Architecture;
@@ -19,7 +21,9 @@ use secureloop_authblock::{
 use secureloop_crypto::sim::{EngineSim, Request};
 use secureloop_crypto::{Aes128, AesGcm, EngineClass};
 use secureloop_loopnest::evaluate;
-use secureloop_mapper::{search, GuidedSampler, MappingSampler, SearchConfig, SearchMode};
+use secureloop_mapper::{
+    search, search_group, GuidedSampler, MappingSampler, SearchConfig, SearchMode,
+};
 use secureloop_telemetry as telemetry;
 use secureloop_workload::zoo;
 
@@ -78,9 +82,11 @@ pub(crate) fn micro() -> Output {
     aes_gcm(&mut m);
     annealing(&mut m);
     telemetry_overhead(&mut m);
-    Output::new(m.0).note(format!(
-        "mean of {ITERS} runs after {WARMUP} warm-up runs; machine-dependent, not gated"
-    ))
+    Output::new(m.0)
+        .note(format!(
+            "mean of {ITERS} runs after {WARMUP} warm-up runs; machine-dependent, not gated"
+        ))
+        .machine_dependent()
 }
 
 /// The §4.2 scalability claim: the closed-form congruence counter makes
@@ -154,6 +160,39 @@ fn mapper(m: &mut Micro) {
     let mut guided = GuidedSampler::new(&layer, &arch, 42, &guides);
     m.case("guided_sampler_draw", || guided.sample());
     m.case("mapper_search_1k_samples", search_1k());
+
+    // The six Fig. 16 designs on the 14x12 PE array draw one random
+    // stream: one group search against six single searches.
+    let layer = zoo::alexnet_conv().layers()[2].clone();
+    let designs = fig16_design_space();
+    let siblings: Vec<&Architecture> = designs
+        .iter()
+        .filter(|a| (a.pe_x(), a.pe_y()) == (14, 12))
+        .collect();
+    let cfg = SearchConfig {
+        samples: 1000,
+        top_k: 6,
+        seed: 9,
+        threads: 1,
+        deadline: None,
+        mode: SearchMode::Random,
+    };
+    let alone = mean_time(|| {
+        siblings
+            .iter()
+            .map(|arch| search(black_box(&layer), arch, black_box(&cfg)).is_ok())
+            .collect::<Vec<_>>()
+    });
+    let group = mean_time(|| search_group(black_box(&layer), &siblings, black_box(&cfg)));
+    let speedup = alone.as_secs_f64() / group.as_secs_f64();
+    m.row(
+        "mapper_group_search/6_siblings",
+        group,
+        format!(
+            "{speedup:.2}x vs 6 single searches ({:.3} us)",
+            alone.as_secs_f64() * 1e6
+        ),
+    );
 }
 
 /// Software AES-GCM of the functional substrate (a sanity scale for the

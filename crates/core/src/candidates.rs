@@ -94,10 +94,11 @@ fn shape_key(layer: &ConvLayer) -> (u64, u64, u64, u64, u64, u64, u64, u64, u64,
 fn search_layer(
     layer: &ConvLayer,
     arch: &Architecture,
+    siblings: &[Architecture],
     cfg: &SearchConfig,
     cache: Option<&CandidateCache>,
 ) -> LayerCandidates {
-    match search_cached(layer, arch, cfg, cache) {
+    match search_cached(layer, arch, siblings, cfg, cache) {
         Ok(r) => LayerCandidates {
             options: r.candidates,
             tier: r.tier,
@@ -117,17 +118,20 @@ fn search_layer(
 /// identical shapes. Never panics: failed layers come back with empty
 /// options and their [`MapperError`] attached.
 pub fn find_candidates(network: &Network, arch: &Architecture, cfg: &SearchConfig) -> CandidateSet {
-    find_candidates_cached(network, arch, cfg, None)
+    find_candidates_cached(network, arch, &[], cfg, None)
 }
 
 /// [`find_candidates`] backed by a cross-design [`CandidateCache`]:
 /// layer searches whose canonical key (see
 /// `secureloop_loopnest::SearchSpaceKey`) already sits in the cache are
 /// answered from it, and misses populate it for later design points —
-/// within one sweep and, once persisted, across `--resume` runs.
+/// within one sweep and, once persisted, across `--resume` runs. A miss
+/// searches `arch` together with the `siblings` that share its draw
+/// stream (see [`search_cached`]).
 pub fn find_candidates_cached(
     network: &Network,
     arch: &Architecture,
+    siblings: &[Architecture],
     cfg: &SearchConfig,
     cache: Option<&CandidateCache>,
 ) -> CandidateSet {
@@ -142,11 +146,11 @@ pub fn find_candidates_cached(
         .iter()
         .map(|layer| {
             if !use_shape_dedup {
-                return search_layer(layer, arch, cfg, cache);
+                return search_layer(layer, arch, siblings, cfg, cache);
             }
             by_shape
                 .entry(shape_key(layer))
-                .or_insert_with(|| search_layer(layer, arch, cfg, cache))
+                .or_insert_with(|| search_layer(layer, arch, siblings, cfg, cache))
                 .clone()
         })
         .collect();

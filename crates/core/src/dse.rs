@@ -29,7 +29,12 @@
 //! canonical key (see `secureloop_loopnest::SearchSpaceKey`) repeats
 //! across design points — or across `--resume` invocations, via the
 //! on-disk cache file next to the [`SweepCheckpoint`] — are computed
-//! once. The designs also share one AuthBlock overhead memo
+//! once. In random mode a search that misses also covers the other
+//! pending designs with the same PE array, register file and dataflow:
+//! they draw the same mapping stream, so one group search prices it for
+//! all of them and fills their cache entries (see
+//! `secureloop_mapper::search_cached`). The designs also share one
+//! AuthBlock overhead memo
 //! ([`crate::segment::OverheadCache`]), made fresh per call, so a
 //! per-tensor assignment problem that recurs across design points is
 //! optimised once per sweep. Determinism is preserved exactly as in
@@ -632,6 +637,10 @@ pub fn evaluate_designs_sweep(
         .map(|(i, _)| i)
         .collect();
 
+    // A random-mode search that misses the cache also serves the other
+    // pending designs that share its draw stream.
+    let siblings: Arc<[Architecture]> = pending.iter().map(|&i| designs[i].clone()).collect();
+
     let next = AtomicUsize::new(0);
     let ckpt_state: Mutex<(SweepCheckpoint, Option<SecureLoopError>)> = Mutex::new((ckpt, None));
     // `None` from `evaluate_one` means a shutdown request stopped the
@@ -655,6 +664,7 @@ pub fn evaluate_designs_sweep(
             let arch = arch.clone();
             let network = network.clone();
             let cache = cache.clone();
+            let siblings = Arc::clone(&siblings);
             let overheads = Arc::clone(&overheads);
             let search = *search;
             let annealing = *annealing;
@@ -664,7 +674,9 @@ pub fn evaluate_designs_sweep(
                     .with_annealing(annealing)
                     .with_overhead_cache(Arc::clone(&overheads));
                 if let Some(cache) = &cache {
-                    scheduler = scheduler.with_candidate_cache(Arc::clone(cache));
+                    scheduler = scheduler
+                        .with_candidate_cache(Arc::clone(cache))
+                        .with_siblings(Arc::clone(&siblings));
                 }
                 scheduler.schedule(&network, algorithm)
             }

@@ -284,6 +284,7 @@ pub fn telemetry_summary_json(snap: &Snapshot) -> Json {
 
     let mapper = Json::obj()
         .field("searches", snap.counter("mapper.searches"))
+        .field("draws", snap.counter("mapper.draws"))
         .field(
             "samples_evaluated",
             snap.counter("mapper.samples_evaluated"),

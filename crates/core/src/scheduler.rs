@@ -230,6 +230,15 @@ impl NetworkSchedule {
     }
 }
 
+/// The design `algorithm` schedules on: the unsecure baseline searches
+/// without the crypto throttle.
+fn for_algorithm(arch: &Architecture, algorithm: Algorithm) -> Architecture {
+    match algorithm {
+        Algorithm::Unsecure => arch.clone().without_crypto(),
+        _ => arch.clone(),
+    }
+}
+
 /// The SecureLoop scheduler: architecture + search budgets.
 #[derive(Debug, Clone)]
 pub struct Scheduler {
@@ -237,6 +246,7 @@ pub struct Scheduler {
     search: SearchConfig,
     annealing: AnnealingConfig,
     cache: Option<Arc<CandidateCache>>,
+    siblings: Arc<[Architecture]>,
     feedback: Arc<FeedbackStore>,
     overheads: Arc<OverheadCache>,
 }
@@ -250,6 +260,7 @@ impl Scheduler {
             search: SearchConfig::paper_default(),
             annealing: AnnealingConfig::paper_default(),
             cache: None,
+            siblings: Arc::new([]),
             feedback: Arc::new(FeedbackStore::new()),
             overheads: Arc::new(OverheadCache::new()),
         }
@@ -273,6 +284,16 @@ impl Scheduler {
     /// concurrently.
     pub fn with_candidate_cache(mut self, cache: Arc<CandidateCache>) -> Self {
         self.cache = Some(cache);
+        self
+    }
+
+    /// Name the other designs of the sweep this scheduler belongs to. A
+    /// step-1 search that misses the candidate cache in random mode also
+    /// covers the siblings that share its draw stream, so their later
+    /// searches hit (see `secureloop_mapper::search_cached`). Without a
+    /// candidate cache this changes nothing.
+    pub fn with_siblings(mut self, siblings: Arc<[Architecture]>) -> Self {
+        self.siblings = siblings;
         self
     }
 
@@ -311,7 +332,18 @@ impl Scheduler {
     /// (the unsecure baseline searches without the crypto throttle).
     pub fn candidates(&self, network: &Network, algorithm: Algorithm) -> CandidateSet {
         let arch = self.arch_for(algorithm);
-        let mut set = find_candidates_cached(network, &arch, &self.search, self.cache.as_deref());
+        let siblings: Vec<Architecture> = self
+            .siblings
+            .iter()
+            .map(|a| for_algorithm(a, algorithm))
+            .collect();
+        let mut set = find_candidates_cached(
+            network,
+            &arch,
+            &siblings,
+            &self.search,
+            self.cache.as_deref(),
+        );
         self.apply_feedback(network, &arch, &mut set);
         set
     }
@@ -333,10 +365,7 @@ impl Scheduler {
     }
 
     fn arch_for(&self, algorithm: Algorithm) -> Architecture {
-        match algorithm {
-            Algorithm::Unsecure => self.arch.clone().without_crypto(),
-            _ => self.arch.clone(),
-        }
+        for_algorithm(&self.arch, algorithm)
     }
 
     /// Schedule `network` with `algorithm`.

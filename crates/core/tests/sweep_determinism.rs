@@ -70,17 +70,16 @@ fn sweep_is_byte_identical_across_workers_and_cache_states() {
             assert_eq!(run.evaluated, designs.len());
             if use_cache {
                 // 4 designs x 5 distinct AlexNet layer shapes consult
-                // the cache. Hit counts are timing-dependent under
-                // concurrency (two workers may both miss the same key
-                // and redundantly compute identical entries), so only
-                // the sequential run pins them exactly.
-                assert_eq!(run.cache_hits + run.cache_misses, 20);
-                if workers == 1 {
-                    assert_eq!(
-                        run.cache_hits, 5,
-                        "the renamed clone must be served from the cache"
-                    );
-                }
+                // the cache. All four share the 14x12 PE array (the
+                // clone shares the first design's key), so each shape
+                // is one group search: 5 misses, and every other
+                // request hits, for any worker count — a request for a
+                // key a running group search has claimed waits for it.
+                assert_eq!(
+                    (run.cache_hits, run.cache_misses),
+                    (15, 5),
+                    "one group search per layer shape ({workers} workers)"
+                );
             } else {
                 assert_eq!(run.cache_hits + run.cache_misses, 0);
             }
@@ -144,5 +143,40 @@ fn shared_overhead_memo_matches_independent_schedules() {
             expected,
             "{workers}-worker sweep diverges from independent schedules"
         );
+    }
+}
+
+#[test]
+fn cold_random_sweep_counts_the_same_hits_for_any_worker_count() {
+    // Three designs on each of two PE arrays: per AlexNet shape, one
+    // group search per PE array misses and the other four requests hit,
+    // however the workers interleave.
+    let net = zoo::alexnet_conv();
+    let space = fig16_design_space();
+    let designs: Vec<Architecture> = space[..3].iter().chain(&space[6..9]).cloned().collect();
+    let search = SearchConfig::quick();
+    let annealing = AnnealingConfig::quick();
+    let mut seen: Vec<(usize, String, (u64, u64))> = Vec::new();
+    for workers in [1usize, 4] {
+        let opts = SweepOptions::new().with_workers(workers);
+        let run = evaluate_designs_sweep(
+            &net,
+            &designs,
+            Algorithm::CryptOptSingle,
+            &search,
+            &annealing,
+            &opts,
+        )
+        .expect("sweep succeeds");
+        assert_eq!(run.evaluated, designs.len());
+        seen.push((
+            workers,
+            transcript(&run.results),
+            (run.cache_hits, run.cache_misses),
+        ));
+    }
+    for (workers, t, counts) in &seen {
+        assert_eq!(*counts, (20, 10), "{workers} worker(s)");
+        assert_eq!(t, &seen[0].1, "{workers}-worker schedules diverge");
     }
 }

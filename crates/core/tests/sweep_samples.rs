@@ -40,9 +40,11 @@ fn warm_cache_evaluates_strictly_fewer_mapper_samples() {
     assert!(disabled_samples > 0);
     assert_eq!(disabled.cache_hits + disabled.cache_misses, 0);
 
-    // Populate the on-disk cache (all 18 Fig. 16 designs have distinct
-    // search-space keys, so this first cache-enabled pass is all
-    // misses)...
+    // Populate the on-disk cache. The 18 Fig. 16 designs have distinct
+    // search-space keys, but the 6 that share a PE array draw the same
+    // random stream, so each of the 5 AlexNet shapes costs one group
+    // search per PE array: 15 misses, and the other 75 requests hit...
+    telemetry::reset();
     let cold = evaluate_designs_sweep(
         &net,
         &designs,
@@ -52,8 +54,16 @@ fn warm_cache_evaluates_strictly_fewer_mapper_samples() {
         &SweepOptions::new().with_cache_path(&cache),
     )
     .expect("cold cache-enabled sweep succeeds");
-    assert_eq!(cold.cache_hits, 0, "Fig. 16 keys are pairwise distinct");
-    assert!(cold.cache_misses > 0);
+    assert_eq!(
+        (cold.cache_hits, cold.cache_misses),
+        (75, 15),
+        "one group search per (layer shape, PE array)"
+    );
+    // ...and evaluates exactly as many samples as the cache-disabled
+    // sweep: a group search still prices every draw for every design.
+    let snap = telemetry::snapshot();
+    assert_eq!(snap.counter("mapper.samples_evaluated"), disabled_samples);
+    assert_eq!(snap.counter("mapper.draws"), disabled_samples / 6);
 
     // ...then measure the warm cache-enabled sweep. Every search is a
     // hit: the mapper draws no samples at all.

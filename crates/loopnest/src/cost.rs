@@ -1,11 +1,11 @@
 //! Cost roll-up: access counts → latency and energy.
 
-use secureloop_arch::Architecture;
+use secureloop_arch::{Architecture, Dataflow};
 use secureloop_energy::EnergyModel;
 use secureloop_workload::{ConvLayer, Datatype};
 
 use crate::footprint::{footprint_words, inner_products, Boundary};
-use crate::mapping::{Mapping, MappingError};
+use crate::mapping::{check_glb, Mapping, MappingError};
 use crate::reuse::{collect_loops, fetch_multiplier, ofmap_traffic};
 
 /// Word-granularity access counts per hierarchy level, indexed like
@@ -162,20 +162,75 @@ fn dram_cycles_for_bits(arch: &Architecture, total_bits: u64, bits_by_dt: [u64; 
     cycles.ceil() as u64
 }
 
-/// Evaluate a mapping. Validates first.
+/// The fields of an [`Architecture`] that a mapper draw and [`traffic`]
+/// read: the PE array, the register file and the dataflow.
+///
+/// Designs that agree on it draw the same random mappings of a layer
+/// and see the same [`Traffic`] for each. They differ only in what
+/// [`Traffic::price`] reads: the GLB size and bandwidth, the NoC
+/// bandwidth, the DRAM interface, the crypto engine and the energy
+/// tables. The Fig. 14–16 space varies the PE array, the GLB and the
+/// engine class, so its designs fall into one identity per PE array.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DrawIdentity {
+    pe: (usize, usize),
+    rf_bytes_per_pe: u64,
+    rf_partition: Option<[u64; 3]>,
+    dataflow: Dataflow,
+}
+
+impl DrawIdentity {
+    /// The draw identity of `arch`.
+    pub fn of(arch: &Architecture) -> Self {
+        DrawIdentity {
+            pe: (arch.pe_x(), arch.pe_y()),
+            rf_bytes_per_pe: arch.rf_bytes_per_pe(),
+            rf_partition: arch.rf_partition(),
+            dataflow: arch.dataflow(),
+        }
+    }
+}
+
+/// What one mapping moves and computes on one [`DrawIdentity`], before
+/// any design prices it: the first stage of [`evaluate`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct Traffic {
+    /// Access counts at each level.
+    pub counts: AccessCounts,
+    /// Words crossing the GLB↔PE network (plus DRAM→PE bypass streams),
+    /// multicast counted once.
+    pub noc_words: u64,
+    /// Cycles the PE array needs (temporal iterations of the nest).
+    pub compute_cycles: u64,
+    /// PEs the spatial mapping occupies.
+    pub pes_used: u64,
+    /// Bytes the double-buffered GLB tiles need.
+    pub glb_needed: u64,
+    /// The layer's word size.
+    pub word_bits: u32,
+}
+
+/// The first stage of [`evaluate`]: validate `mapping` on `arch`, then
+/// work out its traffic.
+///
+/// Only the GLB capacity check reads more of `arch` than its
+/// [`DrawIdentity`]. So when `arch` has the largest GLB of a group of
+/// designs sharing one identity, an error here means the mapping is
+/// invalid on every design of the group, and an `Ok` serves them all:
+/// each checks its own GLB in [`Traffic::price`].
 ///
 /// # Errors
 ///
-/// Returns the underlying [`MappingError`] if the mapping is invalid for
-/// this layer/architecture.
-pub fn evaluate(
+/// The first [`MappingError`] of [`Mapping::validate`].
+pub fn traffic(
     layer: &ConvLayer,
     arch: &Architecture,
     mapping: &Mapping,
-) -> Result<Evaluation, MappingError> {
-    mapping.validate(layer, arch)?;
-
+) -> Result<Traffic, MappingError> {
     let constraints = arch.dataflow().constraints();
+    let glb_needed = mapping.check_draw(layer, arch, &constraints)?;
+    check_glb(glb_needed, arch)?;
+
     let dram_loops = collect_loops(&[(&mapping.dram_order, &mapping.dram)]);
     let all_temporal_loops = collect_loops(&[
         (&mapping.dram_order, &mapping.dram),
@@ -235,53 +290,114 @@ pub fn evaluate(
         noc_words += (pe_t.writes() + pe_t.reads()) * pe_fp;
     }
 
-    let energy_model = EnergyModel::of(arch);
-    let word_bits = layer.word_bits();
-    let dram_total_bits = counts.dram_total_words() * u64::from(word_bits);
-    let mut dram_bits_by_dt = [0u64; 3];
-    for (i, b) in dram_bits_by_dt.iter_mut().enumerate() {
-        *b = (counts.dram_read_words[i] + counts.dram_write_words[i]) * u64::from(word_bits);
-    }
-
-    let compute_cycles = mapping.temporal_iterations();
-    let dram_cycles = dram_cycles_for_bits(arch, dram_total_bits, dram_bits_by_dt);
-    let glb_bytes = counts.glb_total_words() as f64 * f64::from(word_bits) / 8.0;
-    let glb_cycles = (glb_bytes / arch.glb_bytes_per_cycle()).ceil() as u64;
-    let noc_bytes = noc_words as f64 * f64::from(word_bits) / 8.0;
-    let noc_cycles = (noc_bytes / arch.noc_bytes_per_cycle()).ceil() as u64;
-    let latency_cycles = compute_cycles
-        .max(dram_cycles)
-        .max(glb_cycles)
-        .max(noc_cycles);
-
-    // Energy roll-up. Each MAC reads weight/ifmap/psum and writes psum
-    // at the register file: 4 RF accesses per MAC.
-    let energy = EnergyBreakdown {
-        mac_pj: counts.macs as f64 * energy_model.mac_pj,
-        rf_pj: 4.0 * counts.macs as f64 * energy_model.rf_access_pj,
-        glb_pj: counts.glb_total_words() as f64 * energy_model.glb_access_pj,
-        noc_pj: noc_words as f64 * energy_model.noc_access_pj,
-        dram_pj: counts.dram_total_words() as f64 * energy_model.dram_access_pj,
-        crypto_pj: dram_total_bits as f64 * energy_model.crypto_pj_per_bit,
-    };
-    let energy_pj = energy.total_pj();
-
-    let utilization = mapping.pes_used() as f64 / arch.num_pes() as f64;
-
-    Ok(Evaluation {
+    Ok(Traffic {
         counts,
-        compute_cycles,
-        dram_cycles,
-        glb_cycles,
-        noc_cycles,
-        latency_cycles,
-        energy_pj,
-        energy,
-        utilization,
-        dram_total_bits,
-        dram_bits_by_dt,
-        word_bits,
+        noc_words,
+        compute_cycles: mapping.temporal_iterations(),
+        pes_used: mapping.pes_used(),
+        glb_needed,
+        word_bits: layer.word_bits(),
     })
+}
+
+/// One design's side of [`Traffic::price`]: the architecture and its
+/// [`EnergyModel`], built once per design rather than once per mapping.
+#[derive(Debug, Clone, Copy)]
+pub struct Pricing<'a> {
+    arch: &'a Architecture,
+    energy: EnergyModel,
+}
+
+impl<'a> Pricing<'a> {
+    /// The pricing of `arch`.
+    pub fn of(arch: &'a Architecture) -> Self {
+        Pricing {
+            arch,
+            energy: EnergyModel::of(arch),
+        }
+    }
+}
+
+impl Traffic {
+    /// The second stage of [`evaluate`]: check the GLB capacity of the
+    /// priced design, then turn the traffic into its cycles and energy.
+    ///
+    /// # Errors
+    ///
+    /// [`MappingError::CapacityExceeded`] when the GLB tiles do not fit
+    /// the design's GLB.
+    pub fn price(&self, pricing: &Pricing<'_>) -> Result<Evaluation, MappingError> {
+        let Pricing { arch, energy } = pricing;
+        check_glb(self.glb_needed, arch)?;
+        let counts = self.counts;
+        let word_bits = self.word_bits;
+        let dram_total_bits = counts.dram_total_words() * u64::from(word_bits);
+        let mut dram_bits_by_dt = [0u64; 3];
+        for (i, b) in dram_bits_by_dt.iter_mut().enumerate() {
+            *b = (counts.dram_read_words[i] + counts.dram_write_words[i]) * u64::from(word_bits);
+        }
+
+        let compute_cycles = self.compute_cycles;
+        let dram_cycles = dram_cycles_for_bits(arch, dram_total_bits, dram_bits_by_dt);
+        let glb_bytes = counts.glb_total_words() as f64 * f64::from(word_bits) / 8.0;
+        let glb_cycles = (glb_bytes / arch.glb_bytes_per_cycle()).ceil() as u64;
+        let noc_bytes = self.noc_words as f64 * f64::from(word_bits) / 8.0;
+        let noc_cycles = (noc_bytes / arch.noc_bytes_per_cycle()).ceil() as u64;
+        let latency_cycles = compute_cycles
+            .max(dram_cycles)
+            .max(glb_cycles)
+            .max(noc_cycles);
+
+        // Energy roll-up. Each MAC reads weight/ifmap/psum and writes
+        // psum at the register file: 4 RF accesses per MAC.
+        let energy = EnergyBreakdown {
+            mac_pj: counts.macs as f64 * energy.mac_pj,
+            rf_pj: 4.0 * counts.macs as f64 * energy.rf_access_pj,
+            glb_pj: counts.glb_total_words() as f64 * energy.glb_access_pj,
+            noc_pj: self.noc_words as f64 * energy.noc_access_pj,
+            dram_pj: counts.dram_total_words() as f64 * energy.dram_access_pj,
+            crypto_pj: dram_total_bits as f64 * energy.crypto_pj_per_bit,
+        };
+        let energy_pj = energy.total_pj();
+
+        let utilization = self.pes_used as f64 / arch.num_pes() as f64;
+
+        Ok(Evaluation {
+            counts,
+            compute_cycles,
+            dram_cycles,
+            glb_cycles,
+            noc_cycles,
+            latency_cycles,
+            energy_pj,
+            energy,
+            utilization,
+            dram_total_bits,
+            dram_bits_by_dt,
+            word_bits,
+        })
+    }
+}
+
+/// Evaluate a mapping. Validates first.
+///
+/// This is [`traffic`] followed by [`Traffic::price`]. The split is
+/// exact across designs that share a [`DrawIdentity`]: the checks other
+/// than the GLB capacity fail alike on all of them, and when they pass,
+/// a design accepts the mapping iff the GLB tiles fit its GLB. So a
+/// search can run `traffic` once per draw, on the largest-GLB design,
+/// and `price` once per design.
+///
+/// # Errors
+///
+/// Returns the underlying [`MappingError`] if the mapping is invalid for
+/// this layer/architecture.
+pub fn evaluate(
+    layer: &ConvLayer,
+    arch: &Architecture,
+    mapping: &Mapping,
+) -> Result<Evaluation, MappingError> {
+    traffic(layer, arch, mapping)?.price(&Pricing::of(arch))
 }
 
 #[cfg(test)]

@@ -54,7 +54,9 @@ pub mod reuse;
 pub mod stats;
 pub mod text;
 
-pub use cost::{evaluate, AccessCounts, EnergyBreakdown, Evaluation};
+pub use cost::{
+    evaluate, traffic, AccessCounts, DrawIdentity, EnergyBreakdown, Evaluation, Pricing, Traffic,
+};
 pub use footprint::{footprint_words, inner_products, Boundary};
 pub use key::SearchSpaceKey;
 pub use mapping::{Mapping, MappingError};

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use secureloop_arch::Architecture;
+use secureloop_arch::{Architecture, DataflowConstraints};
 use secureloop_workload::{ConvLayer, Datatype, Dim, DimMap};
 
 use crate::footprint::{footprint_words, inner_products, Boundary};
@@ -170,6 +170,21 @@ impl Mapping {
     /// the full list of checks (factorisation, permutations, spatial
     /// fit, dataflow legality, RF and GLB capacity).
     pub fn validate(&self, layer: &ConvLayer, arch: &Architecture) -> Result<(), MappingError> {
+        let glb_needed = self.check_draw(layer, arch, &arch.dataflow().constraints())?;
+        check_glb(glb_needed, arch)
+    }
+
+    /// Every check of [`Mapping::validate`] but the last one, the GLB
+    /// capacity. These read only the layer and the architecture's
+    /// [`DrawIdentity`](crate::DrawIdentity), so they pass or fail alike
+    /// on every design that shares it. Returns the bytes the
+    /// double-buffered GLB tiles need.
+    pub(crate) fn check_draw(
+        &self,
+        layer: &ConvLayer,
+        arch: &Architecture,
+        constraints: &DataflowConstraints,
+    ) -> Result<u64, MappingError> {
         for d in Dim::ALL {
             let product = self.total_factor(d);
             if product != layer.dim(d) {
@@ -203,7 +218,6 @@ impl Mapping {
                 available: arch.pe_y() as u64,
             });
         }
-        let constraints = arch.dataflow().constraints();
         for d in Dim::ALL {
             if self.spatial_x[d] > 1 && !constraints.allows_spatial_x(d) {
                 return Err(MappingError::DataflowViolation { dim: d, axis: 'x' });
@@ -247,22 +261,14 @@ impl Mapping {
             }
         }
 
-        // GLB capacity: tiles of all datatypes that do not bypass.
+        // GLB footprint: tiles of all datatypes that do not bypass.
         let glb_inner = inner_products(self, Boundary::BelowDram);
         let glb_words: u64 = Datatype::ALL
             .iter()
             .filter(|&&dt| !constraints.bypasses_glb(dt))
             .map(|&dt| footprint_words(layer, dt, &glb_inner))
             .sum();
-        let glb_needed = 2 * glb_words * word_bytes;
-        if glb_needed > arch.glb_bytes() {
-            return Err(MappingError::CapacityExceeded {
-                level: "GLB",
-                needed: glb_needed,
-                available: arch.glb_bytes(),
-            });
-        }
-        Ok(())
+        Ok(2 * glb_words * word_bytes)
     }
 
     /// Tensor-coordinate extents of the DRAM→GLB tile of each dimension
@@ -270,6 +276,19 @@ impl Mapping {
     pub fn dram_tile_dims(&self) -> DimMap<u64> {
         inner_products(self, Boundary::BelowDram)
     }
+}
+
+/// The GLB capacity check of [`Mapping::validate`], given the bytes
+/// [`Mapping::check_draw`] found the tiles need.
+pub(crate) fn check_glb(needed: u64, arch: &Architecture) -> Result<(), MappingError> {
+    if needed > arch.glb_bytes() {
+        return Err(MappingError::CapacityExceeded {
+            level: "GLB",
+            needed,
+            available: arch.glb_bytes(),
+        });
+    }
+    Ok(())
 }
 
 impl fmt::Display for Mapping {

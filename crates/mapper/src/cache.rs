@@ -6,7 +6,10 @@
 //! guarantees an identical sample stream and bit-identical evaluations
 //! (see `secureloop_loopnest::key`), so a hit returns exactly what a
 //! fresh search would have computed — design points of a sweep that
-//! agree on the key share one mapper run.
+//! agree on the key share one mapper run. In random mode, design points
+//! that only agree on their draw identity (PE array, register file,
+//! dataflow) share one draw stream: a miss runs one [`search_group`]
+//! for them all and fills each one's entry (see [`search_cached`]).
 //!
 //! The cache round-trips to disk (atomic temp-file + rename, like
 //! `SweepCheckpoint`) so `--resume` runs start warm. On-disk entries
@@ -21,19 +24,23 @@
 //! non-deterministic) or a fault plan is armed (fault injection keys on
 //! layer *names*, which the canonical key deliberately omits).
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Condvar, Mutex};
+use std::time::Duration;
 
 use secureloop_arch::Architecture;
 use secureloop_artifact::{self as artifact, ArtifactError, DurabilityPolicy, Recovered};
 use secureloop_json::Json;
-use secureloop_loopnest::{evaluate, CompactMapping, Mapping, SearchSpaceKey};
+use secureloop_loopnest::{evaluate, CompactMapping, DrawIdentity, Mapping, SearchSpaceKey};
 use secureloop_telemetry::Counter;
 use secureloop_workload::ConvLayer;
 
-use crate::{cancel, fault, search, MapperError, MapperResult, SearchConfig, SearchTier};
+use crate::{
+    cancel, fault, search, search_group, MapperError, MapperResult, SearchConfig, SearchMode,
+    SearchTier,
+};
 
 static CACHE_HIT: Counter = Counter::new("dse.cache_hit");
 static CACHE_MISS: Counter = Counter::new("dse.cache_miss");
@@ -112,6 +119,9 @@ struct Inner {
     clock: u64,
     /// Sum of every stored entry's `cost`.
     bytes: usize,
+    /// Keys a running group search will insert; a requester of one
+    /// waits for it instead of searching again.
+    in_flight: HashSet<String>,
 }
 
 impl Inner {
@@ -127,6 +137,56 @@ impl Inner {
         let removed = self.map.remove(key)?;
         self.bytes -= removed.cost;
         Some(removed)
+    }
+
+    /// Look up a search outcome, thawing a frozen entry against the
+    /// hitting (layer, arch) — key equality makes the re-evaluation
+    /// exact. Returns `None` (a miss) when absent or when a frozen
+    /// entry fails to thaw. A hit refreshes the entry's LRU position.
+    fn lookup(
+        &mut self,
+        key: &str,
+        layer: &ConvLayer,
+        arch: &Architecture,
+    ) -> Option<MapperResult> {
+        let frozen = match &self.map.get(key)?.entry {
+            Entry::Ready(r) => {
+                let hit = r.clone();
+                self.touch(key);
+                return Some(hit);
+            }
+            Entry::Frozen(f) => f.clone(),
+        };
+        let mut candidates: Vec<(Mapping, _)> = Vec::with_capacity(frozen.mappings.len());
+        for text in &frozen.mappings {
+            let mapping: Mapping = match text.parse() {
+                Ok(m) => m,
+                Err(_) => {
+                    self.remove(key);
+                    return None;
+                }
+            };
+            match evaluate(layer, arch, &mapping) {
+                Ok(eval) => candidates.push((mapping, eval)),
+                Err(_) => {
+                    self.remove(key);
+                    return None;
+                }
+            }
+        }
+        if candidates.is_empty() {
+            self.remove(key);
+            return None;
+        }
+        let result = MapperResult {
+            candidates,
+            valid_samples: frozen.valid_samples,
+            total_samples: frozen.total_samples,
+            tier: frozen.tier,
+            truncated: false,
+        };
+        self.insert(key.to_string(), Entry::Ready(result.clone()));
+        Some(result)
     }
 
     fn insert(&mut self, key: String, entry: Entry) {
@@ -177,6 +237,8 @@ impl Inner {
 #[derive(Debug, Default)]
 pub struct CandidateCache {
     inner: Mutex<Inner>,
+    /// Notified whenever a group search releases its claimed keys.
+    settled: Condvar,
     /// Approximate byte budget; `None` = unbounded (the one-shot CLI
     /// default, where a sweep's working set is naturally bounded).
     budget: Option<usize>,
@@ -268,50 +330,55 @@ impl CandidateCache {
         self.len() == 0
     }
 
-    /// Look up a search outcome, thawing a frozen entry against the
-    /// hitting (layer, arch) — key equality makes the re-evaluation
-    /// exact. Returns `None` (a miss) when absent or when a frozen
-    /// entry fails to thaw. A hit refreshes the entry's LRU position.
-    fn lookup(&self, key: &str, layer: &ConvLayer, arch: &Architecture) -> Option<MapperResult> {
+    /// Resolve `key` for a [`search_cached`] request: a hit, or a miss
+    /// that claims `key` and the keys of `siblings` (each with its
+    /// design) that are neither cached nor claimed. A key claimed by a
+    /// running group search is waited for and then resolved again, so
+    /// that search's result counts as a hit here. The claim is released
+    /// when the returned [`Claim`] drops.
+    ///
+    /// # Errors
+    ///
+    /// [`MapperError::Cancelled`] when the requesting task is cancelled
+    /// while it waits.
+    fn claim<'a>(
+        &'a self,
+        key: &str,
+        layer: &ConvLayer,
+        arch: &Architecture,
+        siblings: impl FnOnce() -> Vec<(String, &'a Architecture)>,
+    ) -> Result<Lookup<'a>, MapperError> {
+        let ctx = cancel::current_context();
         let mut inner = self.inner.lock().expect("cache lock");
-        let frozen = match &inner.map.get(key)?.entry {
-            Entry::Ready(r) => {
-                let hit = r.clone();
-                inner.touch(key);
-                return Some(hit);
+        while inner.in_flight.contains(key) {
+            if cancel::cancelled(&ctx) {
+                return Err(MapperError::Cancelled {
+                    layer: layer.name().to_string(),
+                });
             }
-            Entry::Frozen(f) => f.clone(),
-        };
-        let mut candidates: Vec<(Mapping, _)> = Vec::with_capacity(frozen.mappings.len());
-        for text in &frozen.mappings {
-            let mapping: Mapping = match text.parse() {
-                Ok(m) => m,
-                Err(_) => {
-                    inner.remove(key);
-                    return None;
-                }
-            };
-            match evaluate(layer, arch, &mapping) {
-                Ok(eval) => candidates.push((mapping, eval)),
-                Err(_) => {
-                    inner.remove(key);
-                    return None;
-                }
+            inner = self
+                .settled
+                .wait_timeout(inner, Duration::from_millis(50))
+                .expect("cache lock")
+                .0;
+        }
+        if let Some(hit) = inner.lookup(key, layer, arch) {
+            return Ok(Lookup::Hit(hit));
+        }
+        let mut keys = vec![key.to_string()];
+        let mut designs = Vec::new();
+        for (k, a) in siblings() {
+            if !keys.contains(&k) && !inner.in_flight.contains(&k) && !inner.map.contains_key(&k) {
+                keys.push(k);
+                designs.push(a);
             }
         }
-        if candidates.is_empty() {
-            inner.remove(key);
-            return None;
-        }
-        let result = MapperResult {
-            candidates,
-            valid_samples: frozen.valid_samples,
-            total_samples: frozen.total_samples,
-            tier: frozen.tier,
-            truncated: false,
-        };
-        inner.insert(key.to_string(), Entry::Ready(result.clone()));
-        Some(result)
+        inner.in_flight.extend(keys.iter().cloned());
+        Ok(Lookup::Miss(Claim {
+            cache: self,
+            keys,
+            designs,
+        }))
     }
 
     fn insert(&self, key: String, result: &MapperResult) {
@@ -399,10 +466,7 @@ impl CandidateCache {
         }
         Ok(CandidateCache {
             inner: Mutex::new(inner),
-            budget: None,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
+            ..CandidateCache::default()
         })
     }
 
@@ -491,10 +555,7 @@ impl CandidateCache {
         Some((
             CandidateCache {
                 inner: Mutex::new(inner),
-                budget: None,
-                hits: AtomicU64::new(0),
-                misses: AtomicU64::new(0),
-                evictions: AtomicU64::new(0),
+                ..CandidateCache::default()
             },
             format!("kept {kept} intact entr(ies), dropped {dropped} damaged"),
         ))
@@ -538,11 +599,52 @@ fn entry_from_json(e: &Json) -> Result<(String, FrozenEntry), String> {
     ))
 }
 
+/// How [`CandidateCache::claim`] resolved a request.
+enum Lookup<'a> {
+    Hit(MapperResult),
+    Miss(Claim<'a>),
+}
+
+/// Keys a [`search_cached`] miss claimed in a [`CandidateCache`], and the
+/// sibling designs whose keys they are (the requesting design's own key
+/// comes first and has no entry in `designs`). Dropping it releases the
+/// keys and wakes the requesters waiting on them, also when the search
+/// panics.
+struct Claim<'a> {
+    cache: &'a CandidateCache,
+    keys: Vec<String>,
+    designs: Vec<&'a Architecture>,
+}
+
+impl Drop for Claim<'_> {
+    fn drop(&mut self) {
+        let mut inner = self
+            .cache
+            .inner
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner());
+        for key in &self.keys {
+            inner.in_flight.remove(key);
+        }
+        drop(inner);
+        self.cache.settled.notify_all();
+    }
+}
+
 /// [`search`] with a shared memo: consult `cache` first, populate it on
 /// a miss. Falls back to a plain search (no lookup, no insert) when
 /// `cache` is `None`, when the config carries a deadline, or when a
 /// fault plan is armed — all three would break the "key determines the
 /// outcome" contract.
+///
+/// On a miss in [`SearchMode::Random`], the search also covers every
+/// design of `siblings` that shares `arch`'s [`DrawIdentity`] and whose
+/// own key misses: one [`search_group`] draws the stream once and
+/// prices it for all of them, and every result enters the cache. While
+/// it runs, its keys are claimed, so a concurrent request for one of
+/// them waits and then counts a hit. Hits and misses therefore do not
+/// depend on how many workers share the cache. A cancelled group
+/// search inserts nothing.
 ///
 /// # Errors
 ///
@@ -550,6 +652,7 @@ fn entry_from_json(e: &Json) -> Result<(String, FrozenEntry), String> {
 pub fn search_cached(
     layer: &ConvLayer,
     arch: &Architecture,
+    siblings: &[Architecture],
     cfg: &SearchConfig,
     cache: Option<&CandidateCache>,
 ) -> Result<MapperResult, MapperError> {
@@ -562,16 +665,43 @@ pub fn search_cached(
         _ => return search(layer, arch, cfg),
     };
     let key = full_key(&SearchSpaceKey::of(layer, arch), cfg);
-    if let Some(hit) = cache.lookup(&key, layer, arch) {
-        cache.hits.fetch_add(1, Ordering::Relaxed);
-        CACHE_HIT.incr();
-        return Ok(hit);
-    }
+    let siblings = || {
+        if cfg.mode != SearchMode::Random {
+            return Vec::new();
+        }
+        let identity = DrawIdentity::of(arch);
+        siblings
+            .iter()
+            .filter(|a| DrawIdentity::of(a) == identity)
+            .map(|a| (full_key(&SearchSpaceKey::of(layer, a), cfg), a))
+            .collect()
+    };
+    let claim = match cache.claim(&key, layer, arch, siblings)? {
+        Lookup::Hit(hit) => {
+            cache.hits.fetch_add(1, Ordering::Relaxed);
+            CACHE_HIT.incr();
+            return Ok(hit);
+        }
+        Lookup::Miss(claim) => claim,
+    };
     cache.misses.fetch_add(1, Ordering::Relaxed);
     CACHE_MISS.incr();
-    let result = search(layer, arch, cfg)?;
-    cache.insert(key, &result);
-    Ok(result)
+    let designs: Vec<&Architecture> = std::iter::once(arch)
+        .chain(claim.designs.iter().copied())
+        .collect();
+    let mut results = search_group(layer, &designs, cfg);
+    if !results
+        .iter()
+        .any(|r| matches!(r, Err(MapperError::Cancelled { .. })))
+    {
+        for (key, result) in claim.keys.iter().zip(&results) {
+            if let Ok(result) = result {
+                cache.insert(key.clone(), result);
+            }
+        }
+    }
+    drop(claim);
+    results.swap_remove(0)
 }
 
 #[cfg(test)]
@@ -592,8 +722,8 @@ mod tests {
         let cache = CandidateCache::new();
         let arch = Architecture::eyeriss_base();
         let cfg = SearchConfig::quick();
-        let a = search_cached(&layer(), &arch, &cfg, Some(&cache)).unwrap();
-        let b = search_cached(&layer(), &arch, &cfg, Some(&cache)).unwrap();
+        let a = search_cached(&layer(), &arch, &[], &cfg, Some(&cache)).unwrap();
+        let b = search_cached(&layer(), &arch, &[], &cfg, Some(&cache)).unwrap();
         assert_eq!(cache.hits(), 1);
         assert_eq!(cache.misses(), 1);
         assert_eq!(a.candidates.len(), b.candidates.len());
@@ -611,8 +741,8 @@ mod tests {
         let cfg = SearchConfig::quick();
         let a = Architecture::eyeriss_base();
         let b = a.clone().with_name("same-hardware-other-label");
-        search_cached(&layer(), &a, &cfg, Some(&cache)).unwrap();
-        search_cached(&layer(), &b, &cfg, Some(&cache)).unwrap();
+        search_cached(&layer(), &a, &[], &cfg, Some(&cache)).unwrap();
+        search_cached(&layer(), &b, &[], &cfg, Some(&cache)).unwrap();
         assert_eq!(cache.hits(), 1, "identical hardware must share");
         assert_eq!(cache.len(), 1);
     }
@@ -622,10 +752,11 @@ mod tests {
         let _quiet = fault::exclusive();
         let cache = CandidateCache::new();
         let arch = Architecture::eyeriss_base();
-        search_cached(&layer(), &arch, &SearchConfig::quick(), Some(&cache)).unwrap();
+        search_cached(&layer(), &arch, &[], &SearchConfig::quick(), Some(&cache)).unwrap();
         search_cached(
             &layer(),
             &arch,
+            &[],
             &SearchConfig::quick().with_seed(99),
             Some(&cache),
         )
@@ -649,13 +780,79 @@ mod tests {
         assert!(gk.ends_with(",mg]"), "guided key component: {gk}");
         // And the runtime behaviour must follow: two distinct entries,
         // no cross-mode hit in either direction.
-        search_cached(&layer(), &arch, &random, Some(&cache)).unwrap();
-        search_cached(&layer(), &arch, &guided, Some(&cache)).unwrap();
+        search_cached(&layer(), &arch, &[], &random, Some(&cache)).unwrap();
+        search_cached(&layer(), &arch, &[], &guided, Some(&cache)).unwrap();
         assert_eq!(cache.hits(), 0, "modes must not alias");
         assert_eq!(cache.len(), 2);
-        search_cached(&layer(), &arch, &random, Some(&cache)).unwrap();
-        search_cached(&layer(), &arch, &guided, Some(&cache)).unwrap();
+        search_cached(&layer(), &arch, &[], &random, Some(&cache)).unwrap();
+        search_cached(&layer(), &arch, &[], &guided, Some(&cache)).unwrap();
         assert_eq!(cache.hits(), 2, "same-mode lookups still hit");
+    }
+
+    #[test]
+    fn a_random_miss_fills_the_entries_of_siblings_sharing_its_draws() {
+        let _quiet = fault::exclusive();
+        let arch = Architecture::eyeriss_base();
+        let siblings = [
+            arch.clone().with_glb_kb(16),
+            arch.clone().with_pe_array(14, 24),
+        ];
+        let random = SearchConfig::quick();
+        let cache = CandidateCache::new();
+        let own = search_cached(&layer(), &arch, &siblings, &random, Some(&cache)).unwrap();
+        // The 16 kB sibling shares the 14x12 array; the 14x24 one does not.
+        assert_eq!((cache.misses(), cache.len()), (1, 2));
+        let sibling = search_cached(&layer(), &siblings[0], &[], &random, Some(&cache)).unwrap();
+        assert_eq!(
+            cache.hits(),
+            1,
+            "the group search filled the sibling's entry"
+        );
+        assert_eq!(
+            format!("{sibling:?}"),
+            format!("{:?}", search(&layer(), &siblings[0], &random).unwrap())
+        );
+        assert_eq!(
+            format!("{own:?}"),
+            format!("{:?}", search(&layer(), &arch, &random).unwrap())
+        );
+        // Guided search anchors on per-design discoveries: no group.
+        let guided = SearchConfig::quick().with_mode(crate::SearchMode::Guided);
+        let cache = CandidateCache::new();
+        search_cached(&layer(), &arch, &siblings, &guided, Some(&cache)).unwrap();
+        assert_eq!(cache.len(), 1);
+    }
+
+    #[test]
+    fn a_request_for_a_claimed_key_waits_for_the_claim() {
+        let _quiet = fault::exclusive();
+        let cache = CandidateCache::new();
+        let arch = Architecture::eyeriss_base();
+        let cfg = SearchConfig::quick();
+        let key = cache_key(&layer(), &arch, &cfg);
+        let Ok(Lookup::Miss(claim)) = cache.claim(&key, &layer(), &arch, Vec::new) else {
+            panic!("an empty cache misses");
+        };
+        // A cancelled requester gives up while it waits: it returns
+        // without searching and without counting a miss.
+        let token = crate::CancelToken::new();
+        token.cancel();
+        {
+            let _task = crate::TaskScope::enter(crate::TaskContext {
+                token: Some(token),
+                ..crate::TaskContext::default()
+            });
+            let err = search_cached(&layer(), &arch, &[], &cfg, Some(&cache)).unwrap_err();
+            assert!(matches!(err, MapperError::Cancelled { .. }), "{err}");
+        }
+        assert_eq!((cache.hits(), cache.misses()), (0, 0));
+        // Once the claim settles with a result, the request hits it.
+        let result = search(&layer(), &arch, &cfg).unwrap();
+        cache.insert(key, &result);
+        drop(claim);
+        let hit = search_cached(&layer(), &arch, &[], &cfg, Some(&cache)).unwrap();
+        assert_eq!(format!("{hit:?}"), format!("{result:?}"));
+        assert_eq!((cache.hits(), cache.misses()), (1, 0));
     }
 
     #[test]
@@ -663,12 +860,12 @@ mod tests {
         let cache = CandidateCache::new();
         let arch = Architecture::eyeriss_base();
         let with_deadline = SearchConfig::quick().with_deadline(Duration::from_secs(60));
-        search_cached(&layer(), &arch, &with_deadline, Some(&cache)).unwrap();
+        search_cached(&layer(), &arch, &[], &with_deadline, Some(&cache)).unwrap();
         assert_eq!(cache.len(), 0, "deadline searches must not populate");
         assert_eq!(cache.hits() + cache.misses(), 0);
 
         let _scope = FaultScope::inject(FaultPlan::fail(["not-this-layer"]));
-        search_cached(&layer(), &arch, &SearchConfig::quick(), Some(&cache)).unwrap();
+        search_cached(&layer(), &arch, &[], &SearchConfig::quick(), Some(&cache)).unwrap();
         assert_eq!(cache.len(), 0, "armed fault plans must bypass");
     }
 
@@ -682,13 +879,13 @@ mod tests {
         let cfg = SearchConfig::quick();
 
         let cold = CandidateCache::new();
-        let fresh = search_cached(&layer(), &arch, &cfg, Some(&cold)).unwrap();
+        let fresh = search_cached(&layer(), &arch, &[], &cfg, Some(&cold)).unwrap();
         cold.save(&path).unwrap();
         assert!(!path.with_extension("tmp").exists());
 
         let warm = CandidateCache::load(&path).unwrap();
         assert_eq!(warm.len(), 1);
-        let thawed = search_cached(&layer(), &arch, &cfg, Some(&warm)).unwrap();
+        let thawed = search_cached(&layer(), &arch, &[], &cfg, Some(&warm)).unwrap();
         assert_eq!(warm.hits(), 1, "frozen entry must count as a hit");
         assert_eq!(thawed.candidates.len(), fresh.candidates.len());
         assert_eq!(thawed.tier, fresh.tier);
@@ -746,8 +943,8 @@ mod tests {
         let arch = Architecture::eyeriss_base();
         let cfg = SearchConfig::quick();
         let cache = CandidateCache::new();
-        search_cached(&layers[0], &arch, &cfg, Some(&cache)).unwrap();
-        search_cached(&layers[1], &arch, &cfg, Some(&cache)).unwrap();
+        search_cached(&layers[0], &arch, &[], &cfg, Some(&cache)).unwrap();
+        search_cached(&layers[1], &arch, &[], &cfg, Some(&cache)).unwrap();
         let text = cache.to_json().pretty();
         // Tear inside the second entry (mid-way through its "mappings"
         // key, the last field of the last entry); the footer is lost.
@@ -818,12 +1015,12 @@ mod tests {
         );
         // ...and the runtime behaviour must follow: two entries, no
         // cross-scheme hit, same-scheme lookups still hit.
-        search_cached(&layer(), &aes, &cfg, Some(&cache)).unwrap();
-        search_cached(&layer(), &secu, &cfg, Some(&cache)).unwrap();
+        search_cached(&layer(), &aes, &[], &cfg, Some(&cache)).unwrap();
+        search_cached(&layer(), &secu, &[], &cfg, Some(&cache)).unwrap();
         assert_eq!(cache.hits(), 0, "schemes must not alias");
         assert_eq!(cache.len(), 2);
-        search_cached(&layer(), &aes, &cfg, Some(&cache)).unwrap();
-        search_cached(&layer(), &secu, &cfg, Some(&cache)).unwrap();
+        search_cached(&layer(), &aes, &[], &cfg, Some(&cache)).unwrap();
+        search_cached(&layer(), &secu, &[], &cfg, Some(&cache)).unwrap();
         assert_eq!(cache.hits(), 2, "same-scheme lookups still hit");
     }
 
@@ -835,14 +1032,14 @@ mod tests {
         let cfg = SearchConfig::quick();
         // Room for roughly two entries: each costs ~256 + key + k*512.
         let cache = CandidateCache::new().with_budget_bytes(6 * 1024);
-        search_cached(&layers[0], &arch, &cfg, Some(&cache)).unwrap();
-        search_cached(&layers[1], &arch, &cfg, Some(&cache)).unwrap();
+        search_cached(&layers[0], &arch, &[], &cfg, Some(&cache)).unwrap();
+        search_cached(&layers[1], &arch, &[], &cfg, Some(&cache)).unwrap();
         // Touch layer 0 so layer 1 is the LRU entry.
-        search_cached(&layers[0], &arch, &cfg, Some(&cache)).unwrap();
+        search_cached(&layers[0], &arch, &[], &cfg, Some(&cache)).unwrap();
         assert_eq!(cache.hits(), 1);
         // Keep inserting until something is evicted.
         for layer in &layers[2..] {
-            search_cached(layer, &arch, &cfg, Some(&cache)).unwrap();
+            search_cached(layer, &arch, &[], &cfg, Some(&cache)).unwrap();
         }
         assert!(cache.evictions() > 0, "budget must force evictions");
         assert!(
@@ -853,7 +1050,7 @@ mod tests {
         // Re-searching an evicted key is a miss that recomputes the
         // identical result (checked in depth by the eviction proptest).
         let before = cache.misses();
-        search_cached(&layers[1], &arch, &cfg, Some(&cache)).unwrap();
+        search_cached(&layers[1], &arch, &[], &cfg, Some(&cache)).unwrap();
         assert!(cache.misses() > before || cache.hits() > 1);
     }
 
@@ -863,9 +1060,9 @@ mod tests {
         let cache = CandidateCache::new().with_budget_bytes(1);
         let arch = Architecture::eyeriss_base();
         let cfg = SearchConfig::quick();
-        search_cached(&layer(), &arch, &cfg, Some(&cache)).unwrap();
+        search_cached(&layer(), &arch, &[], &cfg, Some(&cache)).unwrap();
         assert_eq!(cache.len(), 1, "most recent entry always survives");
-        search_cached(&layer(), &arch, &cfg, Some(&cache)).unwrap();
+        search_cached(&layer(), &arch, &[], &cfg, Some(&cache)).unwrap();
         assert_eq!(cache.hits(), 1);
     }
 
@@ -876,7 +1073,7 @@ mod tests {
         let arch = Architecture::eyeriss_base();
         let cfg = SearchConfig::quick();
         for layer in zoo::alexnet_conv().layers() {
-            search_cached(layer, &arch, &cfg, Some(&cache)).unwrap();
+            search_cached(layer, &arch, &[], &cfg, Some(&cache)).unwrap();
         }
         assert_eq!(cache.evictions(), 0);
         assert_eq!(cache.len(), zoo::alexnet_conv().layers().len());
@@ -896,6 +1093,9 @@ mod tests {
         let cache = CandidateCache::from_json(&v).unwrap();
         assert_eq!(cache.len(), 1);
         assert!(cache
+            .inner
+            .lock()
+            .unwrap()
             .lookup("k", &layer(), &Architecture::eyeriss_base())
             .is_none());
         assert_eq!(cache.len(), 0, "bad entry must be evicted");

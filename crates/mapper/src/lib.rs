@@ -42,10 +42,24 @@
 //! without a deadline, [`search`] returns byte-identical results for
 //! any `threads` value — pinned by `tests/determinism.rs`.
 //!
+//! # Design groups
+//!
+//! In random mode the draw stream depends only on the layer, the PE
+//! array and the dataflow, and the first cost stage
+//! ([`traffic`](secureloop_loopnest::traffic)) only on those plus the
+//! register file: the architecture's
+//! [`DrawIdentity`](secureloop_loopnest::DrawIdentity). [`search_group`]
+//! searches several designs that share one: it draws and runs `traffic`
+//! once per sample, then prices the sample for each design. Each
+//! design's result equals its own [`search`] byte for byte. A sweep's
+//! candidate cache forms such groups on a miss ([`search_cached`]).
+//!
 //! # Telemetry
 //!
 //! Every search emits into [`secureloop_telemetry`]: a `mapper` span
-//! per layer, `mapper.samples_evaluated` / `mapper.samples_valid`,
+//! per layer (its `designs` field counts the designs it searched),
+//! `mapper.draws` per sampled mapping, `mapper.samples_evaluated` /
+//! `mapper.samples_valid` per sampled mapping and design,
 //! reject causes bucketed under `mapper.reject.*`, ladder-tier
 //! transitions under `mapper.tier.*`, and per-chunk timing
 //! (`mapper.chunk` timer, `mapper.chunk_us` histogram, per-chunk sink
@@ -86,7 +100,7 @@ use std::time::{Duration, Instant};
 
 use secureloop_arch::Architecture;
 use secureloop_json::Json;
-use secureloop_loopnest::{evaluate, Evaluation, Mapping};
+use secureloop_loopnest::{evaluate, traffic, DrawIdentity, Evaluation, Mapping, Pricing};
 use secureloop_telemetry::{self as telemetry, Counter, Histogram, Timer};
 use secureloop_workload::ConvLayer;
 
@@ -427,6 +441,7 @@ const GUIDED_BURNIN_MAX_CHUNKS: usize = 4;
 // --- telemetry wiring (names documented in DESIGN.md) ---------------------
 
 static SEARCHES: Counter = Counter::new("mapper.searches");
+static DRAWS: Counter = Counter::new("mapper.draws");
 static SAMPLES_EVALUATED: Counter = Counter::new("mapper.samples_evaluated");
 static SAMPLES_VALID: Counter = Counter::new("mapper.samples_valid");
 static REJECT_EVAL_ERROR: Counter = Counter::new("mapper.reject.eval_error");
@@ -471,17 +486,37 @@ impl ChunkTally {
     }
 }
 
-fn record_outcome(span: &mut telemetry::Span, r: &MapperResult) {
-    span.add_field("tier", r.tier.name());
-    span.add_field("samples", r.total_samples as u64);
-    span.add_field("valid", r.valid_samples as u64);
-    match r.tier {
-        SearchTier::Exhaustive => TIER_EXHAUSTIVE.incr(),
-        SearchTier::Sampled => TIER_SAMPLED.incr(),
-        SearchTier::Greedy => TIER_GREEDY.incr(),
-    }
-    if r.truncated {
-        TRUNCATED.incr();
+/// Record a group search's outcome: tier counters per design, and on
+/// the span the tier (or `mixed`) plus samples and valid samples summed
+/// over designs, like `mapper.samples_evaluated`.
+fn record_outcome(span: &mut telemetry::Span, results: &[Result<MapperResult, MapperError>]) {
+    let ok: Vec<&MapperResult> = results.iter().filter_map(|r| r.as_ref().ok()).collect();
+    let Some(first) = ok.first() else {
+        return;
+    };
+    let tier = if ok.iter().all(|r| r.tier == first.tier) {
+        first.tier.name()
+    } else {
+        "mixed"
+    };
+    span.add_field("tier", tier);
+    span.add_field(
+        "samples",
+        ok.iter().map(|r| r.total_samples as u64).sum::<u64>(),
+    );
+    span.add_field(
+        "valid",
+        ok.iter().map(|r| r.valid_samples as u64).sum::<u64>(),
+    );
+    for r in ok {
+        match r.tier {
+            SearchTier::Exhaustive => TIER_EXHAUSTIVE.incr(),
+            SearchTier::Sampled => TIER_SAMPLED.incr(),
+            SearchTier::Greedy => TIER_GREEDY.incr(),
+        }
+        if r.truncated {
+            TRUNCATED.incr();
+        }
     }
 }
 
@@ -495,6 +530,8 @@ fn record_outcome(span: &mut telemetry::Span, r: &MapperResult) {
 /// from the chunk index, and chunk results merge in index order, so the
 /// outcome is byte-identical for any `threads` value.
 ///
+/// This is [`search_group`] over a group of one design.
+///
 /// # Errors
 ///
 /// [`MapperError::NoValidMapping`] when nothing evaluable was found and
@@ -504,63 +541,108 @@ pub fn search(
     arch: &Architecture,
     cfg: &SearchConfig,
 ) -> Result<MapperResult, MapperError> {
+    search_group(layer, &[arch], cfg)
+        .pop()
+        .expect("one result per design")
+}
+
+/// [`search`] for several designs that share one [`DrawIdentity`]: one
+/// result per design, in order, each equal to that design's own
+/// `search` byte for byte.
+///
+/// In [`SearchMode::Random`] the sampled rung draws each mapping once,
+/// runs [`traffic`] once on the largest-GLB design, and prices it for
+/// every design (see [`secureloop_loopnest::evaluate`] for why that is
+/// exact). The exhaustive rung, the greedy floor and the errors stay per
+/// design. [`SearchMode::Guided`] anchors on per-design discoveries, so
+/// it searches the designs one after another.
+///
+/// # Panics
+///
+/// If `designs` is empty or its designs differ in draw identity.
+pub fn search_group(
+    layer: &ConvLayer,
+    designs: &[&Architecture],
+    cfg: &SearchConfig,
+) -> Vec<Result<MapperResult, MapperError>> {
+    assert!(!designs.is_empty(), "a search group needs a design");
+    let identity = DrawIdentity::of(designs[0]);
+    assert!(
+        designs.iter().all(|a| DrawIdentity::of(a) == identity),
+        "the designs of a search group must share one draw identity"
+    );
+    if cfg.mode == SearchMode::Guided && designs.len() > 1 {
+        return designs.iter().map(|a| search(layer, a, cfg)).collect();
+    }
+
     let mut search_span = telemetry::span("mapper", layer.name()).with_timer(&SEARCH_TIMER);
-    SEARCHES.incr();
+    search_span.add_field("designs", designs.len() as u64);
+    SEARCHES.add(designs.len() as u64);
 
     // Per-task cancellation context, installed by the supervisor on
     // this thread; the chunk workers spawned below capture a clone.
     let ctx = cancel::current_context();
-    let cancelled_err = || MapperError::Cancelled {
-        layer: layer.name().to_string(),
+    let cancelled = |span: &mut telemetry::Span| {
+        span.add_field("error", "cancelled");
+        designs
+            .iter()
+            .map(|_| {
+                Err(MapperError::Cancelled {
+                    layer: layer.name().to_string(),
+                })
+            })
+            .collect()
     };
     if cancel::cancelled(&ctx) {
-        search_span.add_field("error", "cancelled");
-        return Err(cancelled_err());
+        return cancelled(&mut search_span);
     }
 
-    let verdict = fault::verdict_for(layer.name(), arch.name());
-    match verdict {
-        fault::Verdict::Fail => {
-            search_span.add_field("error", "injected_failure");
-            return Err(MapperError::InjectedFailure {
-                layer: layer.name().to_string(),
-            });
-        }
-        fault::Verdict::Panic => {
-            search_span.add_field("error", "injected_panic");
-            panic!(
-                "injected panic in mapper search for layer '{}'",
-                layer.name()
-            );
-        }
-        fault::Verdict::IoError => {
-            search_span.add_field("error", "injected_io");
-            return Err(MapperError::InjectedIo {
-                layer: layer.name().to_string(),
-            });
-        }
-        fault::Verdict::Stall(d) => {
-            // Sleep in short slices so a watchdog cancellation (or a
-            // process shutdown) wakes the stalled search promptly.
-            search_span.add_field("fault", "stall");
-            let end = Instant::now() + d;
-            loop {
-                let now = Instant::now();
-                if now >= end {
-                    break;
-                }
-                if cancel::cancelled(&ctx) {
-                    search_span.add_field("error", "cancelled");
-                    return Err(cancelled_err());
-                }
-                std::thread::sleep((end - now).min(Duration::from_millis(5)));
+    // One slot per design; `None` while the design is still searching.
+    let mut out: Vec<Option<Result<MapperResult, MapperError>>> = vec![None; designs.len()];
+    let mut nan = vec![false; designs.len()];
+    for (i, arch) in designs.iter().enumerate() {
+        match fault::verdict_for(layer.name(), arch.name()) {
+            fault::Verdict::Fail => {
+                search_span.add_field("error", "injected_failure");
+                out[i] = Some(Err(MapperError::InjectedFailure {
+                    layer: layer.name().to_string(),
+                }));
             }
+            fault::Verdict::Panic => {
+                search_span.add_field("error", "injected_panic");
+                panic!(
+                    "injected panic in mapper search for layer '{}'",
+                    layer.name()
+                );
+            }
+            fault::Verdict::IoError => {
+                search_span.add_field("error", "injected_io");
+                out[i] = Some(Err(MapperError::InjectedIo {
+                    layer: layer.name().to_string(),
+                }));
+            }
+            fault::Verdict::Stall(d) => {
+                // Sleep in short slices so a watchdog cancellation (or a
+                // process shutdown) wakes the stalled search promptly.
+                search_span.add_field("fault", "stall");
+                let end = Instant::now() + d;
+                loop {
+                    let now = Instant::now();
+                    if now >= end {
+                        break;
+                    }
+                    if cancel::cancelled(&ctx) {
+                        return cancelled(&mut search_span);
+                    }
+                    std::thread::sleep((end - now).min(Duration::from_millis(5)));
+                }
+            }
+            fault::Verdict::NanCost => nan[i] = true,
+            fault::Verdict::Clean => {}
         }
-        fault::Verdict::NanCost | fault::Verdict::Clean => {}
     }
-    let nan = verdict == fault::Verdict::NanCost;
-    let poison = move |mut e: Evaluation| {
-        if nan {
+    let poison = |i: usize, mut e: Evaluation| {
+        if nan[i] {
             e.energy_pj = f64::NAN;
         }
         e
@@ -570,28 +652,30 @@ pub fn search(
 
     // Ladder rung 1: certified enumeration when the whole space fits a
     // small budget (skipped under NaN injection — the poisoning applies
-    // to the rungs below, which is where the tests aim it).
-    if !nan && space_upper_bound(layer) <= exhaustive::EXHAUSTIVE_SPACE_CAP {
-        let run = exhaustive::run_exhaustive(
-            layer,
-            arch,
-            exhaustive::EXHAUSTIVE_SPACE_CAP as u64,
-            deadline,
-            cfg.top_k.max(1),
-        );
-        if !run.truncated && !run.keep.is_empty() {
-            let result = MapperResult {
-                candidates: run.keep,
-                valid_samples: run.valid,
-                total_samples: run.evaluated as usize,
-                tier: SearchTier::Exhaustive,
-                truncated: false,
-            };
-            record_outcome(&mut search_span, &result);
-            return Ok(result);
+    // to the rungs below, which is where the tests aim it). Deadline
+    // expiry or nothing valid falls through to the cheaper rungs.
+    if space_upper_bound(layer) <= exhaustive::EXHAUSTIVE_SPACE_CAP {
+        for (i, arch) in designs.iter().enumerate() {
+            if out[i].is_some() || nan[i] {
+                continue;
+            }
+            let run = exhaustive::run_exhaustive(
+                layer,
+                arch,
+                exhaustive::EXHAUSTIVE_SPACE_CAP as u64,
+                deadline,
+                cfg.top_k.max(1),
+            );
+            if !run.truncated && !run.keep.is_empty() {
+                out[i] = Some(Ok(MapperResult {
+                    candidates: run.keep,
+                    valid_samples: run.valid,
+                    total_samples: run.evaluated as usize,
+                    tier: SearchTier::Exhaustive,
+                    truncated: false,
+                }));
+            }
         }
-        // Deadline expired mid-enumeration or nothing was valid: fall
-        // through to the cheaper rungs.
     }
 
     // Ladder rung 2: sampling over fixed-size logical chunks. Seeds
@@ -600,41 +684,89 @@ pub fn search(
     // thread count reproduces the same result. Guided mode adds
     // sequential round barriers on top of the same contract (see
     // `run_guided_rung`).
-    if cfg.mode == SearchMode::Guided {
-        let rung = run_guided_rung(layer, arch, cfg, deadline, &ctx, nan);
-        if rung.cancelled {
-            search_span.add_field("error", "cancelled");
-            return Err(cancelled_err());
-        }
-        let mut merged = rung.merged;
-        finish_sampled(&mut merged, rung.sampled_any, layer, arch, cfg, &poison);
-        if merged.candidates.is_empty() {
-            search_span.add_field("error", "no_valid_mapping");
-            return Err(MapperError::NoValidMapping {
-                layer: layer.name().to_string(),
-                samples: merged.total_samples,
+    let open: Vec<usize> = (0..designs.len()).filter(|&i| out[i].is_none()).collect();
+    if !open.is_empty() {
+        let rungs = if cfg.mode == SearchMode::Guided {
+            let i = open[0];
+            let rung = run_guided_rung(layer, designs[i], cfg, deadline, &ctx, nan[i]);
+            (!rung.cancelled).then(|| vec![(rung.merged, rung.sampled_any)])
+        } else {
+            let group: Vec<(&Architecture, bool)> =
+                open.iter().map(|&i| (designs[i], nan[i])).collect();
+            run_random_rung(layer, &group, cfg, deadline, &ctx)
+        };
+        // A cancelled search returns the typed error instead of partial
+        // results: the caller (supervisor or shutdown path) asked it to
+        // stop, so whatever it gathered must not masquerade as a
+        // schedule.
+        let Some(rungs) = rungs else {
+            return cancelled(&mut search_span);
+        };
+        for (&i, (mut merged, sampled_any)) in open.iter().zip(rungs) {
+            finish_sampled(&mut merged, sampled_any, layer, designs[i], cfg, &|e| {
+                poison(i, e)
+            });
+            out[i] = Some(if merged.candidates.is_empty() {
+                search_span.add_field("error", "no_valid_mapping");
+                Err(MapperError::NoValidMapping {
+                    layer: layer.name().to_string(),
+                    samples: merged.total_samples,
+                })
+            } else {
+                Ok(merged)
             });
         }
-        record_outcome(&mut search_span, &merged);
-        return Ok(merged);
     }
 
+    let results: Vec<_> = out
+        .into_iter()
+        .map(|r| r.expect("every design settled"))
+        .collect();
+    record_outcome(&mut search_span, &results);
+    results
+}
+
+/// Ladder rung 2 in random mode, for designs that share one draw
+/// identity (each with its NaN-injection flag): one sampled result per
+/// design, and whether its sampling kept anything, or `None` when
+/// cancelled.
+///
+/// Each chunk draws its mappings once and runs [`traffic`] once per
+/// draw on the largest-GLB design; every design then prices the draw
+/// and keeps its own top-k. Per design, the chunk keep lists merge in
+/// chunk order exactly as a one-design search merges them, so each
+/// result is the one that design's own search would return.
+fn run_random_rung(
+    layer: &ConvLayer,
+    designs: &[(&Architecture, bool)],
+    cfg: &SearchConfig,
+    deadline: Option<Instant>,
+    ctx: &TaskContext,
+) -> Option<Vec<(MapperResult, bool)>> {
     let threads = cfg.threads.max(1);
     let n_chunks = cfg.samples.div_ceil(CHUNK_SAMPLES);
+    let widest = designs
+        .iter()
+        .map(|&(a, _)| a)
+        .max_by_key(|a| a.glb_bytes())
+        .expect("a search group needs a design");
+    let pricing: Vec<Pricing> = designs.iter().map(|&(a, _)| Pricing::of(a)).collect();
 
-    // keep, valid, drawn, cut-by-deadline
-    type ChunkResult = (Vec<(Mapping, Evaluation)>, usize, usize, bool);
+    // Per design: keep, valid, drawn. Per chunk: those and whether a
+    // deadline or cancellation cut it.
+    type DesignChunk = (Vec<(Mapping, Evaluation)>, usize, usize);
+    type ChunkResult = (Vec<DesignChunk>, bool);
     let was_cancelled = AtomicBool::new(false);
-    let ctx = &ctx;
     // One divisor table per search: every worker's sampler clones this
     // one and is reseeded per chunk.
-    let base = MappingSampler::new(layer, arch, 0);
+    let base = MappingSampler::new(layer, widest, 0);
     let run_chunk = |worker: usize, chunk: usize, sampler: &mut MappingSampler| -> ChunkResult {
         let start = Instant::now();
         let samples = CHUNK_SAMPLES.min(cfg.samples - chunk * CHUNK_SAMPLES);
         sampler.reseed(chunk_seed(cfg.seed, chunk));
-        let mut keep: Vec<(Mapping, Evaluation)> = Vec::new();
-        let mut tally = ChunkTally::default();
+        let mut keeps: Vec<Vec<(Mapping, Evaluation)>> = vec![Vec::new(); designs.len()];
+        let mut tallies = vec![ChunkTally::default(); designs.len()];
+        let mut draws = 0u64;
         let mut cut = false;
         for i in 0..samples {
             if i % DEADLINE_STRIDE == 0 {
@@ -650,26 +782,41 @@ pub fn search(
                     }
                 }
             }
-            tally.drawn += 1;
+            draws += 1;
             let mapping = sampler.sample();
-            match evaluate(layer, arch, &mapping) {
-                Ok(eval) => {
-                    let eval = poison(eval);
-                    if eval.energy_pj.is_finite() {
-                        tally.valid += 1;
+            let traffic = traffic(layer, widest, &mapping);
+            for ((pricing, (_, nan)), (keep, tally)) in pricing
+                .iter()
+                .zip(designs)
+                .zip(keeps.iter_mut().zip(tallies.iter_mut()))
+            {
+                tally.drawn += 1;
+                let priced = match &traffic {
+                    Ok(t) => t.price(pricing),
+                    Err(e) => Err(e.clone()),
+                };
+                match priced {
+                    Ok(mut eval) => {
+                        if *nan {
+                            eval.energy_pj = f64::NAN;
+                        }
+                        if eval.energy_pj.is_finite() {
+                            tally.valid += 1;
+                        }
+                        match insert_candidate(keep, cfg.top_k, mapping.clone(), eval) {
+                            InsertOutcome::Inserted => {}
+                            InsertOutcome::RejectedNonFinite => tally.nonfinite += 1,
+                            InsertOutcome::RejectedSaturated => tally.saturated += 1,
+                            InsertOutcome::RejectedDuplicate => tally.duplicate += 1,
+                            InsertOutcome::RejectedBelowCutoff => tally.below_cutoff += 1,
+                        }
                     }
-                    match insert_candidate(&mut keep, cfg.top_k, mapping, eval) {
-                        InsertOutcome::Inserted => {}
-                        InsertOutcome::RejectedNonFinite => tally.nonfinite += 1,
-                        InsertOutcome::RejectedSaturated => tally.saturated += 1,
-                        InsertOutcome::RejectedDuplicate => tally.duplicate += 1,
-                        InsertOutcome::RejectedBelowCutoff => tally.below_cutoff += 1,
-                    }
+                    Err(_) => tally.eval_error += 1,
                 }
-                Err(_) => tally.eval_error += 1,
             }
         }
-        tally.flush();
+        DRAWS.add(draws);
+        tallies.iter().for_each(ChunkTally::flush);
         let elapsed = start.elapsed();
         CHUNK_TIMER.record(elapsed);
         CHUNK_US.record(elapsed.as_micros() as u64);
@@ -680,11 +827,17 @@ pub fn search(
                 .field("name", layer.name())
                 .field("chunk", chunk as u64)
                 .field("worker", worker as u64)
-                .field("samples", tally.drawn)
-                .field("valid", tally.valid)
+                .field("designs", designs.len() as u64)
+                .field("samples", tallies.iter().map(|t| t.drawn).sum::<u64>())
+                .field("valid", tallies.iter().map(|t| t.valid).sum::<u64>())
                 .field("us", elapsed.as_micros() as u64)
         });
-        (keep, tally.valid as usize, tally.drawn as usize, cut)
+        let per_design = keeps
+            .into_iter()
+            .zip(&tallies)
+            .map(|(keep, t)| (keep, t.valid as usize, t.drawn as usize))
+            .collect();
+        (per_design, cut)
     };
 
     // Workers pull chunk indices from a shared queue; a worker that
@@ -699,7 +852,7 @@ pub fn search(
                 break;
             }
             let result = run_chunk(worker, chunk, &mut sampler);
-            let cut = result.3;
+            let cut = result.1;
             out.push((chunk, result));
             if cut {
                 break;
@@ -722,38 +875,24 @@ pub fn search(
         })
     };
     chunk_results.sort_by_key(|&(chunk, _)| chunk);
-
-    // A cancelled search returns the typed error instead of partial
-    // results: the caller (supervisor or shutdown path) asked it to
-    // stop, so whatever it gathered must not masquerade as a schedule.
     if was_cancelled.load(Ordering::Relaxed) {
-        search_span.add_field("error", "cancelled");
-        return Err(cancelled_err());
+        return None;
     }
 
-    let mut merged = MapperResult::default();
-    let mut sampled_any = false;
-    for (_, (keep, valid, drawn, cut)) in chunk_results {
-        merged.valid_samples += valid;
-        merged.total_samples += drawn;
-        merged.truncated |= cut;
-        sampled_any |= !keep.is_empty();
-        for (m, e) in keep {
-            insert_candidate(&mut merged.candidates, cfg.top_k, m, e);
+    let mut merged: Vec<(MapperResult, bool)> =
+        vec![(MapperResult::default(), false); designs.len()];
+    for (_, (per_design, cut)) in chunk_results {
+        for ((result, sampled_any), (keep, valid, drawn)) in merged.iter_mut().zip(per_design) {
+            result.valid_samples += valid;
+            result.total_samples += drawn;
+            result.truncated |= cut;
+            *sampled_any |= !keep.is_empty();
+            for (m, e) in keep {
+                insert_candidate(&mut result.candidates, cfg.top_k, m, e);
+            }
         }
     }
-
-    finish_sampled(&mut merged, sampled_any, layer, arch, cfg, &poison);
-
-    if merged.candidates.is_empty() {
-        search_span.add_field("error", "no_valid_mapping");
-        return Err(MapperError::NoValidMapping {
-            layer: layer.name().to_string(),
-            samples: merged.total_samples,
-        });
-    }
-    record_outcome(&mut search_span, &merged);
-    Ok(merged)
+    Some(merged)
 }
 
 /// Ladder rung 3, shared by both sampling modes: merge the
@@ -767,7 +906,7 @@ fn finish_sampled(
     layer: &ConvLayer,
     arch: &Architecture,
     cfg: &SearchConfig,
-    poison: &impl Fn(Evaluation) -> Evaluation,
+    poison: &dyn Fn(Evaluation) -> Evaluation,
 ) {
     if let Ok((m, e)) = greedy::greedy_mapping(layer, arch) {
         let e = poison(e);
@@ -989,6 +1128,7 @@ fn run_guided_rung(
                     }
                 }
             }
+            DRAWS.add(tally.drawn);
             tally.flush();
             let elapsed = start.elapsed();
             CHUNK_TIMER.record(elapsed);

@@ -81,7 +81,7 @@ proptest! {
                     let mut observed = Vec::new();
                     for _ in 0..16 {
                         observed.push(
-                            search_cached(&target, &arch, &cfg, Some(&cache)).unwrap(),
+                            search_cached(&target, &arch, &[], &cfg, Some(&cache)).unwrap(),
                         );
                     }
                     observed
@@ -93,7 +93,7 @@ proptest! {
                 scope.spawn(move || {
                     for _ in 0..churn_rounds {
                         for layer in &churn_layers {
-                            search_cached(layer, &arch, &cfg, Some(&cache)).unwrap();
+                            search_cached(layer, &arch, &[], &cfg, Some(&cache)).unwrap();
                         }
                     }
                 })
@@ -120,14 +120,14 @@ fn eviction_then_reread_recomputes_identically() {
     let cfg = SearchConfig::quick();
     let cache = CandidateCache::new().with_budget_bytes(4 * 1024);
 
-    let first = search_cached(&layers[0], &arch, &cfg, Some(&cache)).unwrap();
+    let first = search_cached(&layers[0], &arch, &[], &cfg, Some(&cache)).unwrap();
     // Push enough other keys through to guarantee layers[0] is evicted.
     for layer in &layers[1..] {
-        search_cached(layer, &arch, &cfg, Some(&cache)).unwrap();
+        search_cached(layer, &arch, &[], &cfg, Some(&cache)).unwrap();
     }
     assert!(cache.evictions() > 0);
     let misses_before = cache.misses();
-    let again = search_cached(&layers[0], &arch, &cfg, Some(&cache)).unwrap();
+    let again = search_cached(&layers[0], &arch, &[], &cfg, Some(&cache)).unwrap();
     assert!(
         cache.misses() > misses_before,
         "evicted key must re-enter as a miss"

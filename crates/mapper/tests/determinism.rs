@@ -145,11 +145,11 @@ fn guided_cold_and_warm_cache_agree() {
     let cache = CandidateCache::new();
     let uncached = fingerprint(&search(layer, &arch, &guided_cfg(2)).expect("search succeeds"));
     let cold = fingerprint(
-        &search_cached(layer, &arch, &guided_cfg(2), Some(&cache)).expect("search succeeds"),
+        &search_cached(layer, &arch, &[], &guided_cfg(2), Some(&cache)).expect("search succeeds"),
     );
     assert_eq!(cache.misses(), 1);
     let warm = fingerprint(
-        &search_cached(layer, &arch, &guided_cfg(2), Some(&cache)).expect("search succeeds"),
+        &search_cached(layer, &arch, &[], &guided_cfg(2), Some(&cache)).expect("search succeeds"),
     );
     assert_eq!(cache.hits(), 1, "second lookup must hit");
     assert_eq!(cold, warm, "warm hit must replay the cold result");
@@ -175,18 +175,22 @@ fn guided_and_random_never_poison_each_others_cache() {
     );
 
     let cache = CandidateCache::new();
-    let g_cold =
-        fingerprint(&search_cached(layer, &arch, &guided, Some(&cache)).expect("search succeeds"));
-    let r_cold =
-        fingerprint(&search_cached(layer, &arch, &random, Some(&cache)).expect("search succeeds"));
+    let g_cold = fingerprint(
+        &search_cached(layer, &arch, &[], &guided, Some(&cache)).expect("search succeeds"),
+    );
+    let r_cold = fingerprint(
+        &search_cached(layer, &arch, &[], &random, Some(&cache)).expect("search succeeds"),
+    );
     assert_eq!(cache.misses(), 2, "each mode computes its own entry");
     assert_eq!(cache.hits(), 0);
     // Replaying either mode hits its own entry and reproduces its own
     // cold result — not the other mode's.
-    let g_warm =
-        fingerprint(&search_cached(layer, &arch, &guided, Some(&cache)).expect("search succeeds"));
-    let r_warm =
-        fingerprint(&search_cached(layer, &arch, &random, Some(&cache)).expect("search succeeds"));
+    let g_warm = fingerprint(
+        &search_cached(layer, &arch, &[], &guided, Some(&cache)).expect("search succeeds"),
+    );
+    let r_warm = fingerprint(
+        &search_cached(layer, &arch, &[], &random, Some(&cache)).expect("search succeeds"),
+    );
     assert_eq!(cache.hits(), 2);
     assert_eq!(g_cold, g_warm);
     assert_eq!(r_cold, r_warm);
