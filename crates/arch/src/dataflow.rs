@@ -28,23 +28,23 @@ impl Dataflow {
     pub fn constraints(self) -> DataflowConstraints {
         match self {
             Dataflow::RowStationary => DataflowConstraints {
-                spatial_y: vec![Dim::R, Dim::C],
-                spatial_x: vec![Dim::P, Dim::Q, Dim::M],
+                spatial_y: &[Dim::R, Dim::C],
+                spatial_x: &[Dim::P, Dim::Q, Dim::M],
                 glb_bypass: [true, false, false],
             },
             Dataflow::WeightStationary => DataflowConstraints {
-                spatial_y: vec![Dim::C, Dim::R, Dim::S],
-                spatial_x: vec![Dim::M],
+                spatial_y: &[Dim::C, Dim::R, Dim::S],
+                spatial_x: &[Dim::M],
                 glb_bypass: [false, false, false],
             },
             Dataflow::OutputStationary => DataflowConstraints {
-                spatial_y: vec![Dim::P],
-                spatial_x: vec![Dim::Q, Dim::M],
+                spatial_y: &[Dim::P],
+                spatial_x: &[Dim::Q, Dim::M],
                 glb_bypass: [false, false, false],
             },
             Dataflow::Unconstrained => DataflowConstraints {
-                spatial_y: Dim::ALL.to_vec(),
-                spatial_x: Dim::ALL.to_vec(),
+                spatial_y: &Dim::ALL,
+                spatial_x: &Dim::ALL,
                 glb_bypass: [false, false, false],
             },
         }
@@ -52,14 +52,17 @@ impl Dataflow {
 }
 
 /// Constraints the mapper must respect for a given dataflow.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// Built from static tables, so it is `Copy` and building it allocates
+/// nothing: the mapper's hot loop reads it once per draw.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DataflowConstraints {
     /// Dimensions that may take a spatial factor along the PE-array Y
     /// axis.
-    pub spatial_y: Vec<Dim>,
+    pub spatial_y: &'static [Dim],
     /// Dimensions that may take a spatial factor along the PE-array X
     /// axis.
-    pub spatial_x: Vec<Dim>,
+    pub spatial_x: &'static [Dim],
     /// Per-datatype GLB bypass, indexed like [`Datatype::ALL`]:
     /// `true` means the datatype streams directly between DRAM and the
     /// PE level without occupying GLB capacity.
@@ -69,11 +72,7 @@ pub struct DataflowConstraints {
 impl DataflowConstraints {
     /// Whether `dt` bypasses the global buffer.
     pub fn bypasses_glb(&self, dt: Datatype) -> bool {
-        let idx = Datatype::ALL
-            .iter()
-            .position(|&d| d == dt)
-            .expect("all datatypes listed");
-        self.glb_bypass[idx]
+        self.glb_bypass[dt.index()]
     }
 
     /// Whether `dim` may be mapped spatially on the Y axis.

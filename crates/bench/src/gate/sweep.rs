@@ -15,6 +15,13 @@
 //! shows up in the *warm* pass, which `--check` compares against the
 //! cache-disabled pass.
 //!
+//! The warm pass must not search at all: `--check` requires it to
+//! draw no mapping (`mapper_draws`, the `mapper.draws` counter, and
+//! `mapper_samples` both 0) and to answer all 90 (layer, design)
+//! requests from the cache (90 hits, 0 misses). Those counts are exact
+//! on any host, unlike the speedup floor, which depends on how much of
+//! the cold pass the mapper is.
+//!
 //! A fourth pass runs the cache-disabled sweep on one worker and records
 //! the AuthBlock optimiser's work counts (optimiser runs, congruence
 //! calls, overhead-memo misses) and the mapper's valid and
@@ -39,6 +46,9 @@ const SAMPLES: usize = 4096;
 const WORKERS: usize = 4;
 /// `--check` floor on the warm-cache speedup over the cache-disabled pass.
 const MIN_SPEEDUP: f64 = 1.3;
+/// (layer, design) requests per sweep: AlexNet's five layers on the 18
+/// Fig. 16 designs. The warm pass answers every one from the cache.
+const REQUESTS: u64 = 5 * 18;
 
 /// Work counters the single-worker pass records, by telemetry name.
 const WORK_COUNTS: [&str; 5] = [
@@ -51,6 +61,7 @@ const WORK_COUNTS: [&str; 5] = [
 
 struct Phase {
     wall_ms: f64,
+    mapper_draws: u64,
     mapper_samples: u64,
     work: [u64; 5],
     run: SweepRun,
@@ -83,6 +94,7 @@ fn run_phase(label: &str, opts: SweepOptions) -> Phase {
     let snap = telemetry::snapshot();
     let phase = Phase {
         wall_ms,
+        mapper_draws: snap.counter("mapper.draws"),
         mapper_samples: snap.counter("mapper.samples_evaluated"),
         work: WORK_COUNTS.map(|name| snap.counter(name)),
         run,
@@ -102,6 +114,7 @@ fn phase_json(p: &Phase) -> Json {
     Json::obj()
         .field("wall_ms", p.wall_ms)
         .field("mapper_samples", p.mapper_samples)
+        .field("mapper_draws", p.mapper_draws)
         .field("cache_hits", p.run.cache_hits)
         .field("cache_misses", p.run.cache_misses)
         .field("hit_rate", p.run.cache_hit_rate())
@@ -170,14 +183,30 @@ pub(super) fn run() -> GateRun {
         .field("warm_wall_ms", warm.wall_ms)
         .field("cache_hit_rate", warm.run.cache_hit_rate())
         .field("warm_speedup", speedup);
-    let verdict = if speedup >= MIN_SPEEDUP {
+    let mut failures = Vec::new();
+    if speedup < MIN_SPEEDUP {
+        failures.push(format!(
+            "warm cache speedup {speedup:.2}x below the {MIN_SPEEDUP:.2}x threshold"
+        ));
+    }
+    let warm_counts = [
+        ("mapper draws", warm.mapper_draws, 0),
+        ("mapper samples", warm.mapper_samples, 0),
+        ("cache hits", warm.run.cache_hits, REQUESTS),
+        ("cache misses", warm.run.cache_misses, 0),
+    ];
+    for (what, got, want) in warm_counts {
+        if got != want {
+            failures.push(format!("warm pass: {got} {what}, expected exactly {want}"));
+        }
+    }
+    let verdict = if failures.is_empty() {
         Ok(format!(
-            "warm cache speedup {speedup:.2}x >= {MIN_SPEEDUP:.2}x"
+            "warm cache speedup {speedup:.2}x >= {MIN_SPEEDUP:.2}x; warm pass drew 0 mappings \
+             and hit the cache on all {REQUESTS} requests"
         ))
     } else {
-        Err(vec![format!(
-            "warm cache speedup {speedup:.2}x below the {MIN_SPEEDUP:.2}x threshold"
-        )])
+        Err(failures)
     };
     GateRun { json, verdict }
 }

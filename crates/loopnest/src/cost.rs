@@ -37,16 +37,9 @@ impl AccessCounts {
 
     /// DRAM words moved for one datatype (reads + writes).
     pub fn dram_words(&self, dt: Datatype) -> u64 {
-        let i = dt_index(dt);
+        let i = dt.index();
         self.dram_read_words[i] + self.dram_write_words[i]
     }
-}
-
-fn dt_index(dt: Datatype) -> usize {
-    Datatype::ALL
-        .iter()
-        .position(|&d| d == dt)
-        .expect("datatype in ALL")
 }
 
 /// Component-wise energy of one layer execution, in pJ.
@@ -228,8 +221,8 @@ pub fn traffic(
     mapping: &Mapping,
 ) -> Result<Traffic, MappingError> {
     let constraints = arch.dataflow().constraints();
-    let glb_needed = mapping.check_draw(layer, arch, &constraints)?;
-    check_glb(glb_needed, arch)?;
+    let glb = mapping.check_draw(layer, arch, &constraints)?;
+    check_glb(glb.bytes_needed, arch)?;
 
     let dram_loops = collect_loops(&[(&mapping.dram_order, &mapping.dram)]);
     let all_temporal_loops = collect_loops(&[
@@ -237,7 +230,6 @@ pub fn traffic(
         (&mapping.glb_order, &mapping.glb),
     ]);
 
-    let glb_tile = inner_products(mapping, Boundary::BelowDram);
     let pe_tile = inner_products(mapping, Boundary::BelowGlb);
 
     let mut counts = AccessCounts {
@@ -250,7 +242,7 @@ pub fn traffic(
     let mut noc_words: u64 = 0;
 
     for dt in [Datatype::Weight, Datatype::Ifmap] {
-        let i = dt_index(dt);
+        let i = dt.index();
         if constraints.bypasses_glb(dt) {
             // Streams DRAM -> PE array: refetch rate governed by all
             // temporal loops, volume is the PE-array tile.
@@ -260,7 +252,7 @@ pub fn traffic(
         } else {
             // DRAM -> GLB fills.
             let mult = fetch_multiplier(layer, dt, &dram_loops);
-            let fill = mult * footprint_words(layer, dt, &glb_tile);
+            let fill = mult * glb.words[i];
             counts.dram_read_words[i] = fill;
             counts.glb_write_words[i] = fill;
             // GLB -> PE-array supply.
@@ -272,8 +264,8 @@ pub fn traffic(
 
     // Ofmap: read-modify-write at both boundaries.
     {
-        let i = dt_index(Datatype::Ofmap);
-        let glb_fp = footprint_words(layer, Datatype::Ofmap, &glb_tile);
+        let i = Datatype::Ofmap.index();
+        let glb_fp = glb.words[i];
         let dram_t = ofmap_traffic(layer, &dram_loops);
         counts.dram_read_words[i] = dram_t.reads() * glb_fp;
         counts.dram_write_words[i] = dram_t.writes() * glb_fp;
@@ -295,7 +287,7 @@ pub fn traffic(
         noc_words,
         compute_cycles: mapping.temporal_iterations(),
         pes_used: mapping.pes_used(),
-        glb_needed,
+        glb_needed: glb.bytes_needed,
         word_bits: layer.word_bits(),
     })
 }

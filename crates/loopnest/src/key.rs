@@ -89,8 +89,8 @@ impl SearchSpaceKey {
         let c = arch.dataflow().constraints();
         let df_part = format!(
             "DF[y:{};x:{};byp:{}{}{}]",
-            dims(&c.spatial_y),
-            dims(&c.spatial_x),
+            dims(c.spatial_y),
+            dims(c.spatial_x),
             c.glb_bypass[0] as u8,
             c.glb_bypass[1] as u8,
             c.glb_bypass[2] as u8,

@@ -170,21 +170,21 @@ impl Mapping {
     /// the full list of checks (factorisation, permutations, spatial
     /// fit, dataflow legality, RF and GLB capacity).
     pub fn validate(&self, layer: &ConvLayer, arch: &Architecture) -> Result<(), MappingError> {
-        let glb_needed = self.check_draw(layer, arch, &arch.dataflow().constraints())?;
-        check_glb(glb_needed, arch)
+        let glb = self.check_draw(layer, arch, &arch.dataflow().constraints())?;
+        check_glb(glb.bytes_needed, arch)
     }
 
     /// Every check of [`Mapping::validate`] but the last one, the GLB
     /// capacity. These read only the layer and the architecture's
     /// [`DrawIdentity`](crate::DrawIdentity), so they pass or fail alike
-    /// on every design that shares it. Returns the bytes the
-    /// double-buffered GLB tiles need.
+    /// on every design that shares it. Returns the GLB tile it sized on
+    /// the way, for [`traffic`](crate::traffic) to reuse.
     pub(crate) fn check_draw(
         &self,
         layer: &ConvLayer,
         arch: &Architecture,
         constraints: &DataflowConstraints,
-    ) -> Result<u64, MappingError> {
+    ) -> Result<GlbTile, MappingError> {
         for d in Dim::ALL {
             let product = self.total_factor(d);
             if product != layer.dim(d) {
@@ -195,12 +195,10 @@ impl Mapping {
                 });
             }
         }
+        // Seven entries cover all seven dims iff none repeats.
         for order in [&self.dram_order, &self.glb_order] {
-            let mut seen = [false; 7];
-            for d in order {
-                if std::mem::replace(&mut seen[d.index()], true) {
-                    return Err(MappingError::BadPermutation);
-                }
+            if order.iter().fold(0u8, |seen, d| seen | 1 << d.index()) != 0x7f {
+                return Err(MappingError::BadPermutation);
             }
         }
         let (x_used, y_used) = (self.spatial_x_extent(), self.spatial_y_extent());
@@ -263,12 +261,16 @@ impl Mapping {
 
         // GLB footprint: tiles of all datatypes that do not bypass.
         let glb_inner = inner_products(self, Boundary::BelowDram);
+        let words = Datatype::ALL.map(|dt| footprint_words(layer, dt, &glb_inner));
         let glb_words: u64 = Datatype::ALL
             .iter()
             .filter(|&&dt| !constraints.bypasses_glb(dt))
-            .map(|&dt| footprint_words(layer, dt, &glb_inner))
+            .map(|&dt| words[dt.index()])
             .sum();
-        Ok(2 * glb_words * word_bytes)
+        Ok(GlbTile {
+            words,
+            bytes_needed: 2 * glb_words * word_bytes,
+        })
     }
 
     /// Tensor-coordinate extents of the DRAM→GLB tile of each dimension
@@ -276,6 +278,18 @@ impl Mapping {
     pub fn dram_tile_dims(&self) -> DimMap<u64> {
         inner_products(self, Boundary::BelowDram)
     }
+}
+
+/// The footprints of a mapping's GLB-resident tile, as
+/// [`Mapping::check_draw`] sizes it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct GlbTile {
+    /// Footprint in words per datatype, indexed like [`Datatype::ALL`],
+    /// bypassing datatypes included.
+    pub(crate) words: [u64; 3],
+    /// Bytes the double-buffered tiles of the non-bypassing datatypes
+    /// need.
+    pub(crate) bytes_needed: u64,
 }
 
 /// The GLB capacity check of [`Mapping::validate`], given the bytes

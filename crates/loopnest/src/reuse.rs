@@ -21,16 +21,53 @@ pub struct OuterLoop {
     pub bound: u64,
 }
 
+/// The most temporal levels [`collect_loops`] concatenates: DRAM and
+/// GLB, the two levels with a loop order.
+const MAX_LEVELS: usize = 2;
+
+/// The non-unit temporal loops of up to two levels, outermost first,
+/// held on the stack: at most seven loops per level. Dereferences to
+/// `[OuterLoop]`.
+#[derive(Debug, Clone, Copy)]
+pub struct Loops {
+    buf: [OuterLoop; 7 * MAX_LEVELS],
+    len: usize,
+}
+
+impl std::ops::Deref for Loops {
+    type Target = [OuterLoop];
+
+    fn deref(&self) -> &[OuterLoop] {
+        &self.buf[..self.len]
+    }
+}
+
 /// Collect the non-unit loops of `order`/`factors` pairs, outermost
 /// first, concatenating multiple levels outer-to-inner.
-pub fn collect_loops(levels: &[(&[Dim; 7], &secureloop_workload::DimMap<u64>)]) -> Vec<OuterLoop> {
-    let mut out = Vec::new();
+///
+/// # Panics
+///
+/// If `levels` has more than two entries.
+pub fn collect_loops(levels: &[(&[Dim; 7], &secureloop_workload::DimMap<u64>)]) -> Loops {
+    assert!(
+        levels.len() <= MAX_LEVELS,
+        "at most {MAX_LEVELS} temporal levels"
+    );
+    let mut out = Loops {
+        buf: [OuterLoop {
+            dim: Dim::N,
+            bound: 1,
+        }; 7 * MAX_LEVELS],
+        len: 0,
+    };
     for (order, factors) in levels {
         for &dim in order.iter() {
+            // Write every loop, keep the non-unit ones: no branch on a
+            // factor. The slot written is at most the count of loops
+            // seen before, so it stays inside the buffer.
             let bound = factors[dim];
-            if bound > 1 {
-                out.push(OuterLoop { dim, bound });
-            }
+            out.buf[out.len] = OuterLoop { dim, bound };
+            out.len += usize::from(bound > 1);
         }
     }
     out
@@ -40,11 +77,28 @@ pub fn collect_loops(levels: &[(&[Dim; 7], &secureloop_workload::DimMap<u64>)]) 
 /// the parent: the product of all loop bounds at or outside the
 /// innermost loop relevant to `dt` (1 if no relevant loop exists).
 pub fn fetch_multiplier(layer: &ConvLayer, dt: Datatype, loops: &[OuterLoop]) -> u64 {
-    let innermost_relevant = loops.iter().rposition(|l| layer.is_relevant(dt, l.dim));
-    match innermost_relevant {
-        None => 1,
-        Some(j) => loops[..=j].iter().map(|l| l.bound).product(),
+    reuse_counts(layer, dt, loops).epochs
+}
+
+/// One pass over `loops`: the [`fetch_multiplier`] of `dt` (`epochs`)
+/// and the product of the loops relevant to `dt` (`distinct`, the
+/// number of distinct tiles). The running product of the loops seen so
+/// far is the product up to each relevant loop. Both products wrap on
+/// overflow, as release-mode products do.
+pub(crate) fn reuse_counts(layer: &ConvLayer, dt: Datatype, loops: &[OuterLoop]) -> OfmapTraffic {
+    let mut outer = 1u64;
+    let mut out = OfmapTraffic {
+        distinct: 1,
+        epochs: 1,
+    };
+    for l in loops {
+        outer = outer.wrapping_mul(l.bound);
+        if layer.is_relevant(dt, l.dim) {
+            out.epochs = outer;
+            out.distinct = out.distinct.wrapping_mul(l.bound);
+        }
     }
+    out
 }
 
 /// Output-tile accumulation statistics above a boundary.
@@ -77,13 +131,7 @@ impl OfmapTraffic {
 /// tile to be written out and revisited; a reduction loop *inside* it
 /// accumulates while the tile stays resident.
 pub fn ofmap_traffic(layer: &ConvLayer, loops: &[OuterLoop]) -> OfmapTraffic {
-    let epochs = fetch_multiplier(layer, Datatype::Ofmap, loops);
-    let distinct: u64 = loops
-        .iter()
-        .filter(|l| layer.is_relevant(Datatype::Ofmap, l.dim))
-        .map(|l| l.bound)
-        .product();
-    OfmapTraffic { distinct, epochs }
+    reuse_counts(layer, Datatype::Ofmap, loops)
 }
 
 #[cfg(test)]

@@ -17,7 +17,7 @@ use secureloop_workload::{ConvLayer, Datatype, Dim, DimMap};
 
 use crate::footprint::{inner_products, Boundary};
 use crate::mapping::Mapping;
-use crate::reuse::{collect_loops, fetch_multiplier, ofmap_traffic};
+use crate::reuse::{collect_loops, reuse_counts};
 
 /// Per-datatype DRAM tiling statistics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -79,23 +79,15 @@ pub fn dram_stats(layer: &ConvLayer, arch: &Architecture, mapping: &Mapping) -> 
             (inner, t)
         };
         let loops = if bypass { &all_loops } else { &dram_loops };
-        let (fetch_events, distinct) = if dt == Datatype::Ofmap {
-            let t = ofmap_traffic(layer, loops);
-            (t.epochs, t.distinct)
-        } else {
-            let events = fetch_multiplier(layer, dt, loops);
-            let distinct: u64 = loops
-                .iter()
-                .filter(|l| layer.is_relevant(dt, l.dim))
-                .map(|l| l.bound)
-                .product();
-            (events, distinct)
-        };
+        // For the ofmap these are the accumulation epochs and distinct
+        // tiles of `ofmap_traffic`; for the others, the fetch count of
+        // `fetch_multiplier` and the distinct tiles.
+        let counts = reuse_counts(layer, dt, loops);
         out[i] = DramTileStats {
             tile_dims,
             tiles,
-            fetch_events,
-            distinct,
+            fetch_events: counts.epochs,
+            distinct: counts.distinct,
         };
     }
     out
@@ -103,10 +95,7 @@ pub fn dram_stats(layer: &ConvLayer, arch: &Architecture, mapping: &Mapping) -> 
 
 /// Index of a datatype within the `[weight, ifmap, ofmap]` arrays.
 pub fn dt_index(dt: Datatype) -> usize {
-    Datatype::ALL
-        .iter()
-        .position(|&d| d == dt)
-        .expect("datatype in ALL")
+    dt.index()
 }
 
 #[cfg(test)]

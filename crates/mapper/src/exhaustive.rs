@@ -197,7 +197,7 @@ pub(crate) fn run_exhaustive(
                     evaluated += 1;
                     if let Ok(e) = evaluate(layer, arch, &m) {
                         valid += 1;
-                        crate::insert_candidate(&mut keep, top_k, m, e);
+                        crate::insert_candidate(&mut keep, top_k, &m, e);
                     }
                     if evaluated >= budget {
                         truncated = true;

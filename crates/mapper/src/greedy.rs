@@ -55,13 +55,13 @@ pub fn greedy_mapping(
         }
     };
     fill(
-        &constraints.spatial_y,
+        constraints.spatial_y,
         arch.pe_y() as u64,
         &mut spatial_y,
         &mut remaining,
     );
     fill(
-        &constraints.spatial_x,
+        constraints.spatial_x,
         arch.pe_x() as u64,
         &mut spatial_x,
         &mut remaining,

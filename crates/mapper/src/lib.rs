@@ -336,10 +336,26 @@ pub(crate) enum InsertOutcome {
     RejectedBelowCutoff,
 }
 
+/// Offer a priced mapping to `keep`, a list of at most `top_k`
+/// schedules sorted best first by `(latency, energy)`, ties in arrival
+/// order. The mapping is cloned only when it enters the list.
+///
+/// Every call on one list must price a given mapping the same way (one
+/// design, one cost model), as every caller does: so a retained
+/// duplicate of the candidate has the candidate's cost.
+///
+/// When the list is full and the candidate is not better than its last
+/// entry, the candidate's place is past the end: it is a duplicate or
+/// below the cutoff. A retained duplicate would sit at or before the
+/// last entry, and the list is sorted, so its cost, which is the
+/// candidate's, is no worse than the last entry's; as the candidate is
+/// not better than the last entry either, the two costs tie. So a
+/// candidate that neither beats nor ties the last entry is below the
+/// cutoff, and the fast path returns that before the duplicate scan.
 pub(crate) fn insert_candidate(
     keep: &mut Vec<(Mapping, Evaluation)>,
     top_k: usize,
-    mapping: Mapping,
+    mapping: &Mapping,
     eval: Evaluation,
 ) -> InsertOutcome {
     // Non-finite or saturated costs never enter the list: NaN makes the
@@ -351,8 +367,16 @@ pub(crate) fn insert_candidate(
     if eval.latency_cycles >= SATURATED_LATENCY {
         return InsertOutcome::RejectedSaturated;
     }
+    if keep.len() >= top_k
+        && !keep.last().is_some_and(|(_, last)| {
+            better(&eval, last)
+                || (eval.latency_cycles, eval.energy_pj) == (last.latency_cycles, last.energy_pj)
+        })
+    {
+        return InsertOutcome::RejectedBelowCutoff;
+    }
     // Skip exact duplicates of an already-retained schedule.
-    if keep.iter().any(|(m, _)| *m == mapping) {
+    if keep.iter().any(|(m, _)| m == mapping) {
         return InsertOutcome::RejectedDuplicate;
     }
     let pos = keep
@@ -360,7 +384,7 @@ pub(crate) fn insert_candidate(
         .position(|(_, e)| better(&eval, e))
         .unwrap_or(keep.len());
     if pos < top_k {
-        keep.insert(pos, (mapping, eval));
+        keep.insert(pos, (mapping.clone(), eval));
         keep.truncate(top_k);
         InsertOutcome::Inserted
     } else {
@@ -378,7 +402,7 @@ pub(crate) fn insert_candidate(
 pub(crate) fn insert_candidate_distinct(
     keep: &mut Vec<(Mapping, Evaluation)>,
     top_k: usize,
-    mapping: Mapping,
+    mapping: &Mapping,
     eval: Evaluation,
 ) -> InsertOutcome {
     let same_cost = |e: &Evaluation| {
@@ -784,34 +808,36 @@ fn run_random_rung(
             }
             draws += 1;
             let mapping = sampler.sample();
-            let traffic = traffic(layer, widest, &mapping);
+            let Ok(traffic) = traffic(layer, widest, &mapping) else {
+                // Invalid on the widest design, so on every design.
+                for tally in &mut tallies {
+                    tally.drawn += 1;
+                    tally.eval_error += 1;
+                }
+                continue;
+            };
             for ((pricing, (_, nan)), (keep, tally)) in pricing
                 .iter()
                 .zip(designs)
                 .zip(keeps.iter_mut().zip(tallies.iter_mut()))
             {
                 tally.drawn += 1;
-                let priced = match &traffic {
-                    Ok(t) => t.price(pricing),
-                    Err(e) => Err(e.clone()),
+                let Ok(mut eval) = traffic.price(pricing) else {
+                    tally.eval_error += 1;
+                    continue;
                 };
-                match priced {
-                    Ok(mut eval) => {
-                        if *nan {
-                            eval.energy_pj = f64::NAN;
-                        }
-                        if eval.energy_pj.is_finite() {
-                            tally.valid += 1;
-                        }
-                        match insert_candidate(keep, cfg.top_k, mapping.clone(), eval) {
-                            InsertOutcome::Inserted => {}
-                            InsertOutcome::RejectedNonFinite => tally.nonfinite += 1,
-                            InsertOutcome::RejectedSaturated => tally.saturated += 1,
-                            InsertOutcome::RejectedDuplicate => tally.duplicate += 1,
-                            InsertOutcome::RejectedBelowCutoff => tally.below_cutoff += 1,
-                        }
-                    }
-                    Err(_) => tally.eval_error += 1,
+                if *nan {
+                    eval.energy_pj = f64::NAN;
+                }
+                if eval.energy_pj.is_finite() {
+                    tally.valid += 1;
+                }
+                match insert_candidate(keep, cfg.top_k, &mapping, eval) {
+                    InsertOutcome::Inserted => {}
+                    InsertOutcome::RejectedNonFinite => tally.nonfinite += 1,
+                    InsertOutcome::RejectedSaturated => tally.saturated += 1,
+                    InsertOutcome::RejectedDuplicate => tally.duplicate += 1,
+                    InsertOutcome::RejectedBelowCutoff => tally.below_cutoff += 1,
                 }
             }
         }
@@ -888,7 +914,7 @@ fn run_random_rung(
             result.truncated |= cut;
             *sampled_any |= !keep.is_empty();
             for (m, e) in keep {
-                insert_candidate(&mut result.candidates, cfg.top_k, m, e);
+                insert_candidate(&mut result.candidates, cfg.top_k, &m, e);
             }
         }
     }
@@ -913,7 +939,7 @@ fn finish_sampled(
         if e.energy_pj.is_finite() {
             merged.valid_samples += 1;
         }
-        insert_candidate(&mut merged.candidates, cfg.top_k, m, e);
+        insert_candidate(&mut merged.candidates, cfg.top_k, &m, e);
     }
 
     merged.tier = if sampled_any {
@@ -1090,11 +1116,11 @@ fn run_guided_rung(
                             insert_candidate_distinct(
                                 &mut explore,
                                 GUIDED_EXPLORE_SLOTS,
-                                mapping.clone(),
+                                &mapping,
                                 eval.clone(),
                             );
                         }
-                        match insert_candidate_distinct(&mut keep, cfg.top_k, mapping, eval) {
+                        match insert_candidate_distinct(&mut keep, cfg.top_k, &mapping, eval) {
                             InsertOutcome::Inserted => {
                                 patience = 0;
                                 if from_neighbourhood {
@@ -1204,7 +1230,7 @@ fn run_guided_rung(
             rung.sampled_any |= !chunk_result.keep.is_empty();
             neigh_hits += chunk_result.hits;
             for (m, e) in chunk_result.keep {
-                if insert_candidate_distinct(&mut rung.merged.candidates, cfg.top_k, m, e)
+                if insert_candidate_distinct(&mut rung.merged.candidates, cfg.top_k, &m, e)
                     == InsertOutcome::Inserted
                 {
                     round_inserted = true;
@@ -1219,7 +1245,7 @@ fn run_guided_rung(
                 }
             }
             for (m, e) in chunk_result.explore {
-                insert_candidate_distinct(&mut explore_best, GUIDED_EXPLORE_SLOTS, m, e);
+                insert_candidate_distinct(&mut explore_best, GUIDED_EXPLORE_SLOTS, &m, e);
             }
         }
         rounds += 1;
@@ -1548,6 +1574,102 @@ mod tests {
             matches!(err, MapperError::NoValidMapping { .. }),
             "got {err}"
         );
+    }
+
+    /// [`insert_candidate`] as it was before the below-cutoff fast
+    /// path, verbatim but for taking the mapping by reference.
+    fn insert_candidate_full_scan(
+        keep: &mut Vec<(Mapping, Evaluation)>,
+        top_k: usize,
+        mapping: &Mapping,
+        eval: Evaluation,
+    ) -> InsertOutcome {
+        if !eval.energy_pj.is_finite() {
+            return InsertOutcome::RejectedNonFinite;
+        }
+        if eval.latency_cycles >= SATURATED_LATENCY {
+            return InsertOutcome::RejectedSaturated;
+        }
+        if keep.iter().any(|(m, _)| m == mapping) {
+            return InsertOutcome::RejectedDuplicate;
+        }
+        let pos = keep
+            .iter()
+            .position(|(_, e)| better(&eval, e))
+            .unwrap_or(keep.len());
+        if pos < top_k {
+            keep.insert(pos, (mapping.clone(), eval));
+            keep.truncate(top_k);
+            InsertOutcome::Inserted
+        } else {
+            InsertOutcome::RejectedBelowCutoff
+        }
+    }
+
+    #[test]
+    fn insert_fast_path_matches_the_full_scan() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        use secureloop_loopnest::{AccessCounts, EnergyBreakdown};
+        use secureloop_workload::Dim;
+
+        let base = Mapping::untiled(&test_layer());
+        let eval = |latency_cycles: u64, energy_pj: f64| Evaluation {
+            counts: AccessCounts::default(),
+            compute_cycles: latency_cycles,
+            dram_cycles: 0,
+            glb_cycles: 0,
+            noc_cycles: 0,
+            latency_cycles,
+            energy_pj,
+            energy: EnergyBreakdown::default(),
+            utilization: 1.0,
+            dram_total_bits: 0,
+            dram_bits_by_dt: [0; 3],
+            word_bits: 8,
+        };
+        let mut rng = StdRng::seed_from_u64(0x1_75e7);
+        let (mut inserted, mut duplicates, mut cutoffs) = (0, 0, 0);
+        for _ in 0..300 {
+            // A pool of mappings, each priced once, on a coarse cost
+            // grid: many ties, equal costs on distinct mappings, signed
+            // zeros, NaN and saturated latencies.
+            let pool: Vec<(Mapping, Evaluation)> = (0..10)
+                .map(|i| {
+                    let mut m = base.clone();
+                    m.dram[Dim::N] = i + 1;
+                    let latency = match rng.gen_range(0..20u32) {
+                        0 => SATURATED_LATENCY + rng.gen_range(0..2u64),
+                        _ => rng.gen_range(1..4u64),
+                    };
+                    let energy = match rng.gen_range(0..20u32) {
+                        0 => f64::NAN,
+                        1 => 0.0,
+                        2 => -0.0,
+                        _ => f64::from(rng.gen_range(1..4u32)),
+                    };
+                    (m, eval(latency, energy))
+                })
+                .collect();
+            for top_k in 0..=5 {
+                let (mut got_keep, mut want_keep) = (Vec::new(), Vec::new());
+                for _ in 0..40 {
+                    let (m, e) = &pool[rng.gen_range(0..pool.len())];
+                    let got = insert_candidate(&mut got_keep, top_k, m, e.clone());
+                    let want = insert_candidate_full_scan(&mut want_keep, top_k, m, e.clone());
+                    assert_eq!(got, want, "top_k {top_k}");
+                    assert_eq!(got_keep, want_keep, "top_k {top_k}");
+                    match got {
+                        InsertOutcome::Inserted => inserted += 1,
+                        InsertOutcome::RejectedDuplicate => duplicates += 1,
+                        InsertOutcome::RejectedBelowCutoff => cutoffs += 1,
+                        _ => {}
+                    }
+                }
+            }
+        }
+        // The streams reach every branch the fast path sits between.
+        assert!(inserted > 0 && duplicates > 0 && cutoffs > 0);
     }
 
     #[test]

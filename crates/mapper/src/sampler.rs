@@ -12,34 +12,129 @@ use secureloop_workload::{ConvLayer, Dim, DimMap};
 
 use crate::factors::divisors;
 
-/// The ascending divisor list of every divisor of one layer's bounds,
-/// per dim.
+/// The largest RF factor a uniform draw gives a dim other than the
+/// filter taps `R`/`S` (register files are tiny).
+const RF_CAP: u64 = 8;
+
+/// The divisors of every divisor of one layer's bounds, per dim.
 ///
 /// Every factor a draw splits divides its dim's layer bound: a uniform
 /// draw only ever divides the bound down, and a mutation moves factors
 /// between the levels of a mapping whose per-dim product is the bound.
 /// So this table answers every divisor lookup a sampler makes. Each
-/// slice holds exactly what [`divisors`] returns for that value, in the
-/// same order, so a draw that picks from a slice consumes the same
-/// random numbers as one that picks from a fresh trial-division list.
+/// list holds exactly what [`divisors`] returns for that value, in the
+/// same order, so a draw that picks from it consumes the same random
+/// numbers as one that picks from a fresh trial-division list.
+///
+/// The table has one *row* per divisor of the bound, ascending, and
+/// each row lists its value's divisors together with the row of the
+/// quotient. A uniform draw keeps each dim's remaining factor as a row
+/// and steps to the quotient's row after each pick, so it never
+/// searches for a value. Memory is `Σ` over the bound's divisors of
+/// their divisor counts per dim, bounded by the square of the bound's
+/// divisor count and never by the bound's value.
 #[derive(Debug)]
-pub struct DivisorTable(DimMap<Vec<(u64, Vec<u64>)>>);
+pub struct DivisorTable(DimMap<DimRows>);
+
+/// One dim of a [`DivisorTable`].
+#[derive(Debug)]
+struct DimRows {
+    /// Each row's divisors, ascending, the rows concatenated in
+    /// ascending order of their values.
+    values: Vec<u64>,
+    /// For each entry of `values`, the row of its row's value divided
+    /// by it.
+    quotients: Vec<u32>,
+    /// Each row's value, where its divisors sit in `values`, and how
+    /// many of them are at most [`RF_CAP`].
+    rows: Vec<RowSpan>,
+}
+
+#[derive(Debug, Clone, Copy)]
+struct RowSpan {
+    value: u64,
+    start: u32,
+    len: u32,
+    rf_len: u32,
+}
+
+/// One row of a [`DivisorTable`]: a value's divisors, ascending, and
+/// the row of the value divided by each.
+#[derive(Debug, Clone, Copy)]
+struct Row<'a> {
+    values: &'a [u64],
+    quotients: &'a [u32],
+    rf_len: usize,
+}
+
+impl DimRows {
+    fn new(bound: u64) -> Self {
+        // The bound's divisors are every row's value, ascending, and a
+        // divisor of a row's value divides the bound too: `ds` already
+        // holds every divisor of every row, ascending.
+        let ds = divisors(bound);
+        let row_of = |n: u64| ds.binary_search(&n).expect("a divisor of the bound");
+        let mut out = DimRows {
+            values: Vec::new(),
+            quotients: Vec::new(),
+            rows: Vec::with_capacity(ds.len()),
+        };
+        for &n in &ds {
+            let start = out.values.len();
+            for &x in ds.iter().filter(|&&x| n.is_multiple_of(x)) {
+                out.values.push(x);
+                out.quotients.push(index_u32(row_of(n / x)));
+            }
+            let row = &out.values[start..];
+            out.rows.push(RowSpan {
+                value: n,
+                start: index_u32(start),
+                len: index_u32(row.len()),
+                rf_len: index_u32(row.partition_point(|&x| x <= RF_CAP)),
+            });
+        }
+        out
+    }
+
+    fn row(&self, r: usize) -> Row<'_> {
+        let RowSpan {
+            start, len, rf_len, ..
+        } = self.rows[r];
+        let range = start as usize..(start + len) as usize;
+        Row {
+            values: &self.values[range.clone()],
+            quotients: &self.quotients[range],
+            rf_len: rf_len as usize,
+        }
+    }
+
+    /// The row of the bound itself: the last one.
+    fn top(&self) -> usize {
+        self.rows.len() - 1
+    }
+
+    /// The value row `r` describes.
+    fn value(&self, r: usize) -> u64 {
+        self.rows[r].value
+    }
+
+    /// The row describing `n`, by binary search.
+    fn row_of(&self, d: Dim, n: u64) -> usize {
+        match self.row(self.top()).values.binary_search(&n) {
+            Ok(r) => r,
+            Err(_) => panic!("{n} does not divide the {d} bound"),
+        }
+    }
+}
+
+fn index_u32(i: usize) -> u32 {
+    u32::try_from(i).expect("divisor counts fit in u32")
+}
 
 impl DivisorTable {
     /// Tabulate the divisors of every divisor of `bounds`.
     pub fn new(bounds: DimMap<u64>) -> Self {
-        DivisorTable(DimMap(Dim::ALL.map(|d| {
-            let ds = divisors(bounds[d]);
-            // A divisor of `n` divides the bound too, so `ds` already
-            // holds every divisor of `n`, ascending.
-            let divisors_of = |n: u64| -> Vec<u64> {
-                ds.iter()
-                    .copied()
-                    .filter(|&x| n.is_multiple_of(x))
-                    .collect()
-            };
-            ds.iter().map(|&n| (n, divisors_of(n))).collect()
-        })))
+        DivisorTable(DimMap(Dim::ALL.map(|d| DimRows::new(bounds[d]))))
     }
 
     /// All divisors of `n`, ascending.
@@ -49,10 +144,7 @@ impl DivisorTable {
     /// If `n` does not divide the `d` bound.
     pub fn divisors(&self, d: Dim, n: u64) -> &[u64] {
         let rows = &self.0[d];
-        match rows.binary_search_by_key(&n, |&(k, _)| k) {
-            Ok(i) => &rows[i].1,
-            Err(_) => panic!("{n} does not divide the {d} bound"),
-        }
+        rows.row(rows.row_of(d, n)).values
     }
 
     /// Divisors of `n` that are ≤ `cap`: a prefix of
@@ -68,6 +160,13 @@ impl DivisorTable {
         debug_assert!(n >= 2);
         self.divisors(d, n)[1]
     }
+}
+
+/// A uniform index below `len`. Consumes the same random numbers as
+/// `choose` on a slice of `len` elements: both are one uniform draw
+/// over `0..len`.
+fn choose_index(rng: &mut StdRng, len: usize) -> usize {
+    rng.gen_range(0..len)
 }
 
 /// Pick one dim uniformly among `dims` (at most seven), on the stack.
@@ -92,7 +191,6 @@ fn choose_dim(rng: &mut StdRng, dims: impl IntoIterator<Item = Dim>) -> Option<D
 /// restarts the draw stream without rebuilding it.
 #[derive(Debug, Clone)]
 pub struct MappingSampler {
-    bounds: DimMap<u64>,
     table: Arc<DivisorTable>,
     constraints: DataflowConstraints,
     pe_x: u64,
@@ -103,10 +201,8 @@ pub struct MappingSampler {
 impl MappingSampler {
     /// Create a sampler with a deterministic seed.
     pub fn new(layer: &ConvLayer, arch: &Architecture, seed: u64) -> Self {
-        let bounds = layer.bounds();
         MappingSampler {
-            bounds,
-            table: Arc::new(DivisorTable::new(bounds)),
+            table: Arc::new(DivisorTable::new(layer.bounds())),
             constraints: arch.dataflow().constraints(),
             pe_x: arch.pe_x() as u64,
             pe_y: arch.pe_y() as u64,
@@ -122,9 +218,10 @@ impl MappingSampler {
 
     /// Draw one mapping.
     pub fn sample(&mut self) -> Mapping {
-        let table = &*self.table;
+        let table = &self.table.0;
         let rng = &mut self.rng;
-        let mut remaining = self.bounds;
+        // Each dim's factor still to place, as its row in the table.
+        let mut remaining = DimMap(Dim::ALL.map(|d| table[d].top()));
         let mut spatial_x = DimMap::splat(1u64);
         let mut spatial_y = DimMap::splat(1u64);
 
@@ -135,37 +232,48 @@ impl MappingSampler {
                            allowed: &[Dim],
                            cap: u64,
                            out: &mut DimMap<u64>,
-                           remaining: &mut DimMap<u64>| {
+                           remaining: &mut DimMap<usize>| {
             let mut buf = [Dim::N; 7];
             let dims = &mut buf[..allowed.len()];
             dims.copy_from_slice(allowed);
             dims.shuffle(rng);
-            let mut left = cap;
+            // The axis has `⌊cap / used⌋` PEs left. For positive
+            // integers `x ≤ ⌊c/u⌋ ⇔ x·u ≤ c`, so the loop compares
+            // products with `cap` instead of dividing; it stops once
+            // `⌊cap / used⌋ ≤ 1`, that is once `used > ⌊cap / 2⌋`.
+            let mut used = 1u64;
             for &d in dims.iter() {
-                if left <= 1 {
+                if used > cap / 2 {
                     break;
                 }
-                let choices = table.divisors_up_to(d, remaining[d], left);
-                let pick = if rng.gen_bool(0.5) {
-                    *choices.last().expect("1 always divides")
+                let row = table[d].row(remaining[d]);
+                // The divisors that fit what is left: a prefix, never
+                // empty (1 divides).
+                let choices = row
+                    .values
+                    .iter()
+                    .take_while(|&&x| x.checked_mul(used).is_some_and(|p| p <= cap))
+                    .count();
+                let k = if rng.gen_bool(0.5) {
+                    choices - 1
                 } else {
-                    *choices.choose(rng).expect("nonempty")
+                    choose_index(rng, choices)
                 };
-                out[d] = pick;
-                remaining[d] /= pick;
-                left /= pick;
+                out[d] = row.values[k];
+                remaining[d] = row.quotients[k] as usize;
+                used *= row.values[k];
             }
         };
         assign_axis(
             rng,
-            &self.constraints.spatial_y,
+            self.constraints.spatial_y,
             self.pe_y,
             &mut spatial_y,
             &mut remaining,
         );
         assign_axis(
             rng,
-            &self.constraints.spatial_x,
+            self.constraints.spatial_x,
             self.pe_x,
             &mut spatial_x,
             &mut remaining,
@@ -175,7 +283,7 @@ impl MappingSampler {
         let mut glb = DimMap::splat(1u64);
         let mut dram = DimMap::splat(1u64);
         for d in Dim::ALL {
-            (rf[d], glb[d], dram[d]) = split_temporal(rng, table, d, remaining[d]);
+            (rf[d], glb[d], dram[d]) = split_temporal(rng, &table[d], d, remaining[d]);
         }
 
         // Loop orders: half the time start from the reduction-innermost
@@ -206,26 +314,25 @@ impl MappingSampler {
     }
 }
 
-/// Split a dim's temporal factor `b` into `(rf, glb, dram)`: RF gets a
-/// small factor (register files are tiny), GLB a random share biased
-/// toward maximal on-chip residency — where most good schedules live —
-/// and DRAM the rest.
-fn split_temporal(rng: &mut StdRng, table: &DivisorTable, d: Dim, b: u64) -> (u64, u64, u64) {
-    let rf_cap = match d {
-        Dim::R | Dim::S => b, // filter taps usually fit a PE
-        _ => 8,
+/// Split a dim's temporal factor, the value of `row`, into
+/// `(rf, glb, dram)`: RF gets a small factor (register files are tiny),
+/// GLB a random share biased toward maximal on-chip residency — where
+/// most good schedules live — and DRAM the rest.
+fn split_temporal(rng: &mut StdRng, rows: &DimRows, d: Dim, row: usize) -> (u64, u64, u64) {
+    let b = rows.row(row);
+    let rf_choices = match d {
+        Dim::R | Dim::S => b.values.len(), // filter taps usually fit a PE
+        _ => b.rf_len,
     };
-    let rf_f = *table
-        .divisors_up_to(d, b, rf_cap)
-        .choose(rng)
-        .expect("1 always divides");
-    let rest = b / rf_f;
-    let glb_f = if rng.gen_bool(0.4) {
-        rest
+    let k = choose_index(rng, rf_choices);
+    let rest = rows.row(b.quotients[k] as usize);
+    let (glb_f, dram_row) = if rng.gen_bool(0.4) {
+        (rows.value(b.quotients[k] as usize), 0)
     } else {
-        *table.divisors(d, rest).choose(rng).expect("nonempty")
+        let j = choose_index(rng, rest.values.len());
+        (rest.values[j], rest.quotients[j] as usize)
     };
-    (rf_f, glb_f, rest / glb_f)
+    (b.values[k], glb_f, rows.value(dram_row))
 }
 
 /// Neighbourhood-biased sampler for guided search: mixes uniform draws
@@ -505,8 +612,9 @@ impl<'a> GuidedSampler<'a> {
     /// intermediate dominated — but one hop away for this move.
     fn resample_temporal(&mut self, m: &mut Mapping) {
         for d in Dim::ALL {
-            let b = m.dram[d] * m.glb[d] * m.rf[d];
-            (m.rf[d], m.glb[d], m.dram[d]) = split_temporal(&mut self.rng, &self.base.table, d, b);
+            let rows = &self.base.table.0[d];
+            let row = rows.row_of(d, m.dram[d] * m.glb[d] * m.rf[d]);
+            (m.rf[d], m.glb[d], m.dram[d]) = split_temporal(&mut self.rng, rows, d, row);
         }
     }
 

@@ -105,6 +105,17 @@ impl Datatype {
     /// All three datatypes in canonical order.
     pub const ALL: [Datatype; 3] = [Datatype::Weight, Datatype::Ifmap, Datatype::Ofmap];
 
+    /// Index of this datatype within [`Datatype::ALL`] (and the
+    /// `[weight, ifmap, ofmap]` arrays indexed like it).
+    #[inline]
+    pub fn index(self) -> usize {
+        match self {
+            Datatype::Weight => 0,
+            Datatype::Ifmap => 1,
+            Datatype::Ofmap => 2,
+        }
+    }
+
     /// Dimensions that select a *different* element of this datatype.
     ///
     /// For the ifmap, `P`/`Q` combined with `R`/`S` address the sliding
@@ -124,7 +135,11 @@ impl Datatype {
     /// Whether `dim` is relevant to this datatype (non-depthwise case).
     #[inline]
     pub fn is_relevant(self, dim: Dim) -> bool {
-        self.relevant_dims().contains(&dim)
+        match self {
+            Datatype::Weight => !matches!(dim, Dim::N | Dim::P | Dim::Q),
+            Datatype::Ifmap => dim != Dim::M,
+            Datatype::Ofmap => !dim.is_reduction(),
+        }
     }
 
     /// Short lowercase name (`"weight"`, `"ifmap"`, `"ofmap"`).
@@ -205,6 +220,9 @@ mod tests {
             assert_eq!(d.index(), i);
             assert_eq!(Dim::from_index(i), d);
         }
+        for (i, &dt) in Datatype::ALL.iter().enumerate() {
+            assert_eq!(dt.index(), i);
+        }
     }
 
     #[test]
@@ -230,6 +248,11 @@ mod tests {
             assert!(Datatype::Ifmap.is_relevant(d));
         }
         assert!(!Datatype::Ifmap.is_relevant(Dim::M));
+        for dt in Datatype::ALL {
+            for d in Dim::ALL {
+                assert_eq!(dt.is_relevant(d), dt.relevant_dims().contains(&d));
+            }
+        }
     }
 
     #[test]

@@ -95,18 +95,18 @@ impl MappingSampler {
                 left /= pick;
             }
         };
-        let y_allowed = self.constraints.spatial_y.clone();
-        let x_allowed = self.constraints.spatial_x.clone();
+        let y_allowed = self.constraints.spatial_y;
+        let x_allowed = self.constraints.spatial_x;
         assign_axis(
             &mut self.rng,
-            &y_allowed,
+            y_allowed,
             self.pe_y,
             &mut spatial_y,
             &mut remaining,
         );
         assign_axis(
             &mut self.rng,
-            &x_allowed,
+            x_allowed,
             self.pe_x,
             &mut spatial_x,
             &mut remaining,
