@@ -44,7 +44,6 @@
 //! and any cache state.
 
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use secureloop_arch::{Architecture, DramSpec};
@@ -484,11 +483,12 @@ pub enum DesignOutcome {
 /// cross-design candidate cache and a worker pool.
 ///
 /// Design points are assigned fixed result slots up front; workers pull
-/// indices from an atomic queue and the finished slots merge in design
-/// order, so for a deadline-free [`SearchConfig`] the returned
-/// [`SweepRun`] is byte-identical for any [`SweepOptions::workers`]
-/// value and for any cache state (a cache hit returns exactly what the
-/// search it memoised computed — see `secureloop_mapper::cache`).
+/// indices from one queue ([`cancel::run_ordered`]) and the finished
+/// slots merge in design order, so for a deadline-free [`SearchConfig`]
+/// the returned [`SweepRun`] is byte-identical for any
+/// [`SweepOptions::workers`] value and for any cache state (a cache hit
+/// returns exactly what the search it memoised computed — see
+/// `secureloop_mapper::cache`).
 ///
 /// A corrupted or mismatched on-disk cache is ignored with an entry in
 /// [`SweepRun::warnings`], never an error: it only costs recomputation.
@@ -641,7 +641,6 @@ pub fn evaluate_designs_sweep(
     // pending designs that share its draw stream.
     let siblings: Arc<[Architecture]> = pending.iter().map(|&i| designs[i].clone()).collect();
 
-    let next = AtomicUsize::new(0);
     let ckpt_state: Mutex<(SweepCheckpoint, Option<SecureLoopError>)> = Mutex::new((ckpt, None));
     // `None` from `evaluate_one` means a shutdown request stopped the
     // design point before it resolved: the slot stays unfilled and the
@@ -734,37 +733,14 @@ pub fn evaluate_designs_sweep(
         }
     };
     let sweep_cancelled = || opts.cancel.as_ref().is_some_and(CancelToken::is_cancelled);
-    // Worker threads re-enter the caller's telemetry job scope so a
-    // service job's design-point events stay attributed to it.
-    let job_scope = telemetry::current_scope();
-    let worker_loop = || -> Vec<(usize, Option<DesignOutcome>)> {
-        let _scope = job_scope.clone().map(telemetry::enter_scope);
-        let mut out = Vec::new();
-        loop {
-            if cancel::shutdown_requested() || sweep_cancelled() {
-                break;
-            }
-            let k = next.fetch_add(1, Ordering::Relaxed);
-            if k >= pending.len() {
-                break;
-            }
-            out.push(evaluate_one(pending[k]));
+    // A shutdown or sweep cancellation stops each worker before its next
+    // design point.
+    let finished = cancel::run_ordered(pending.len(), opts.workers, |_, k| {
+        if cancel::shutdown_requested() || sweep_cancelled() {
+            return ((pending[k], None), true);
         }
-        out
-    };
-
-    let workers = opts.workers.max(1).min(pending.len().max(1));
-    let finished: Vec<(usize, Option<DesignOutcome>)> = if workers <= 1 {
-        worker_loop()
-    } else {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers).map(|_| scope.spawn(worker_loop)).collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("sweep worker panicked"))
-                .collect()
-        })
-    };
+        (evaluate_one(pending[k]), false)
+    });
     for (idx, outcome) in finished {
         if matches!(outcome, Some(DesignOutcome::Evaluated(_))) {
             run.evaluated += 1;

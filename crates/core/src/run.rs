@@ -173,7 +173,8 @@ impl RunSpec {
     /// The mapper and annealer configuration of this run at `entry`:
     /// the one place a run's budgets become engine configs (the budget
     /// table in DESIGN.md "Run specification"). Every entry point
-    /// searches on 4 threads and bounds both searches by the deadline.
+    /// sets `threads: 4` (random-mode chunks only; guided searches run
+    /// on the calling thread) and bounds both searches by the deadline.
     /// A sweep keeps the paper's annealing seed, so `dse` and service
     /// results stay byte-identical to earlier ones.
     pub fn configs(&self, entry: Entry, mode: SearchMode) -> (SearchConfig, AnnealingConfig) {

@@ -21,10 +21,15 @@
 //! serialised into cache keys): the supervisor enters a scope on the
 //! thread that runs the task, [`crate::search`] reads it once at entry,
 //! and the worker closures it spawns capture the cloned context.
+//!
+//! [`run_ordered`] is the work pool that stops on these checks: the
+//! random rung's chunks and a sweep's design points run on it.
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
+
+use secureloop_telemetry as telemetry;
 
 static SHUTDOWN: AtomicBool = AtomicBool::new(false);
 
@@ -129,9 +134,67 @@ pub fn cancelled(ctx: &TaskContext) -> bool {
             .is_some_and(CancelToken::is_cancelled)
 }
 
+/// Run `task(worker, index)` for every index in `0..count` on
+/// `min(workers, count)` threads and return the results in index order.
+///
+/// Workers pull indices from a shared queue. A task returns its result
+/// and whether its worker stops: that worker pulls no further index,
+/// the others run on, and an index no worker pulled has no result. With
+/// at most one worker every task runs on the calling thread and nothing
+/// is spawned. Spawned workers re-enter the caller's telemetry scope
+/// ([`telemetry::current_scope`]), so the events they emit carry the
+/// caller's job. A panicking task's panic resumes on the caller.
+pub fn run_ordered<T: Send>(
+    count: usize,
+    workers: usize,
+    task: impl Fn(usize, usize) -> (T, bool) + Sync,
+) -> Vec<T> {
+    let next = AtomicUsize::new(0);
+    let worker_loop = |worker: usize| {
+        let mut out = Vec::new();
+        loop {
+            let index = next.fetch_add(1, Ordering::Relaxed);
+            if index >= count {
+                break;
+            }
+            let (result, stop) = task(worker, index);
+            out.push((index, result));
+            if stop {
+                break;
+            }
+        }
+        out
+    };
+    let workers = workers.min(count);
+    let mut done = if workers <= 1 {
+        worker_loop(0)
+    } else {
+        let scope = telemetry::current_scope();
+        std::thread::scope(|s| {
+            let handles: Vec<_> = (0..workers)
+                .map(|worker| {
+                    let scope = scope.clone();
+                    s.spawn(move || {
+                        let _scope = scope.map(telemetry::enter_scope);
+                        worker_loop(worker)
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+                .collect()
+        })
+    };
+    done.sort_by_key(|&(index, _)| index);
+    done.into_iter().map(|(_, result)| result).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Barrier;
+    use std::thread::{self, ThreadId};
 
     #[test]
     fn token_cancels_exactly_its_task() {
@@ -179,6 +242,49 @@ mod tests {
             !ctx.token.as_ref().unwrap().is_cancelled(),
             "per-task token is left alone"
         );
+    }
+
+    #[test]
+    fn pool_returns_results_in_index_order_for_any_worker_count() {
+        let squares: Vec<usize> = (0..50).map(|i| i * i).collect();
+        for workers in [1, 2, 4, 16] {
+            let got = run_ordered(50, workers, |_, i| (i * i, false));
+            assert_eq!(got, squares, "workers={workers}");
+        }
+    }
+
+    #[test]
+    fn pool_stop_ends_only_the_reporting_worker() {
+        // Indices 0 and 1 meet at the barrier, so two workers hold them
+        // at once; the one holding index 0 stops, the other runs the
+        // rest of the queue.
+        let barrier = Barrier::new(2);
+        let ran = run_ordered(20, 2, |worker, i| {
+            if i < 2 {
+                barrier.wait();
+            }
+            ((worker, i), i == 0)
+        });
+        let indices: Vec<usize> = ran.iter().map(|&(_, i)| i).collect();
+        assert_eq!(indices, (0..20).collect::<Vec<_>>());
+        let stopped = ran[0].0;
+        assert_eq!(
+            ran.iter().filter(|&&(w, _)| w == stopped).count(),
+            1,
+            "the stopped worker pulled nothing after index 0"
+        );
+    }
+
+    #[test]
+    fn pool_with_one_worker_runs_inline() {
+        let caller = thread::current().id();
+        for workers in [0, 1] {
+            let ids: Vec<(usize, ThreadId)> = run_ordered(8, workers, |worker, _| {
+                ((worker, thread::current().id()), false)
+            });
+            assert_eq!(ids.len(), 8);
+            assert!(ids.iter().all(|&(w, id)| w == 0 && id == caller));
+        }
     }
 
     // The process-wide shutdown flag is exercised in the serialised

@@ -37,10 +37,12 @@
 //! The sample budget is split into fixed-size logical chunks of
 //! [`CHUNK_SAMPLES`] draws. Each chunk's RNG seed derives from the
 //! **chunk index** (never from the worker thread that happens to run
-//! it), workers pull chunks from a shared atomic queue, and results
-//! merge in chunk order. Consequence: for a given [`SearchConfig`]
-//! without a deadline, [`search`] returns byte-identical results for
-//! any `threads` value — pinned by `tests/determinism.rs`.
+//! it). In random mode `threads` workers pull chunks from one queue
+//! ([`cancel::run_ordered`]) and results merge in chunk order; guided
+//! mode runs its chunks in order on the calling thread. Consequence:
+//! for a given [`SearchConfig`] without a deadline, [`search`] returns
+//! byte-identical results for any `threads` value — pinned by
+//! `tests/determinism.rs`.
 //!
 //! # Design groups
 //!
@@ -95,7 +97,6 @@ pub mod greedy;
 pub mod pareto;
 pub mod sampler;
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use secureloop_arch::Architecture;
@@ -122,7 +123,7 @@ pub enum SearchMode {
     /// were measured under.
     #[default]
     Random,
-    /// Pareto-guided exploration: rounds of chunks biased toward the
+    /// Pareto-guided exploration: chunks, run in order, biased toward the
     /// neighbourhood of the current per-space Pareto front, with
     /// patience-based early stopping. Reaches comparable fronts with
     /// far fewer samples (gated ≥5× by `secureloop-bench guided --check`).
@@ -173,7 +174,9 @@ pub struct SearchConfig {
     pub top_k: usize,
     /// RNG seed: searches are reproducible.
     pub seed: u64,
-    /// Worker threads (1 = sequential).
+    /// Worker threads for the random rung's chunks (0 and 1 =
+    /// sequential). Guided mode runs its chunks in order on the calling
+    /// thread whatever this is.
     pub threads: usize,
     /// Optional wall-clock budget for one [`search`] call. When it
     /// expires the search returns whatever it has (flagged
@@ -432,19 +435,15 @@ fn chunk_seed(base: u64, chunk: usize) -> u64 {
 
 // --- guided-mode knobs ----------------------------------------------------
 //
-// Guided search runs in *rounds* of a few chunks each. Between rounds the
-// Pareto front is re-snapshotted (a sequential barrier, so the guides any
-// chunk sees are a pure function of the chunk indices that came before it
-// — never of thread interleaving), and the whole search stops once the
-// merged top-k goes stale for a couple of rounds.
+// Guided search runs its chunks one after another on the calling thread
+// (`SearchConfig::threads` parallelises only the random rung). After each
+// chunk the Pareto front absorbs the chunk's finds, so the guides a chunk
+// sees are a pure function of the chunks before it, and the search stops
+// once the merged top-k and front go stale for a couple of chunks. Each
+// chunk is one guided round: `mapper.guided_rounds` counts the chunks run.
 
-/// Chunks per guided round. Small enough that early rounds converge on a
-/// useful front quickly; the per-round barrier costs at most this many
-/// chunks of parallelism.
-const GUIDED_ROUND_CHUNKS: usize = 1;
-
-/// Consecutive rounds without a top-k insertion before guided search
-/// stops drawing (the budget's `samples` is only a cap).
+/// Consecutive chunks without a top-k or front insertion before guided
+/// search stops drawing (the budget's `samples` is only a cap).
 const GUIDED_STALL_ROUNDS: usize = 2;
 
 /// Consecutive draws without a chunk-local top-k insertion before a
@@ -507,6 +506,85 @@ impl ChunkTally {
         REJECT_SATURATED.add(self.saturated);
         REJECT_DUPLICATE.add(self.duplicate);
         REJECT_BELOW_CUTOFF.add(self.below_cutoff);
+    }
+}
+
+/// Why a sampling chunk ended.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum ChunkEnd {
+    /// It drew its share of the budget, or its draw ended it early.
+    Done,
+    /// The search deadline passed.
+    Deadline,
+    /// The task was cancelled or a shutdown requested.
+    Cancelled,
+}
+
+/// What every sampling chunk of one search shares.
+struct ChunkRunner<'a> {
+    layer: &'a ConvLayer,
+    cfg: &'a SearchConfig,
+    ctx: &'a TaskContext,
+    deadline: Option<Instant>,
+}
+
+impl ChunkRunner<'_> {
+    /// Run chunk `chunk` on `worker`: call `draw` once per sample of the
+    /// chunk's share of the budget, polling cancellation and the
+    /// deadline every [`DEADLINE_STRIDE`] samples. `draw` records into
+    /// `tallies` and ends the chunk early by returning `false` before it
+    /// draws. Then flush the draws and `tallies` to the counters and
+    /// record the chunk's time and `chunk` event (which in random mode
+    /// names the number of designs, one tally each).
+    fn run(
+        &self,
+        worker: usize,
+        chunk: usize,
+        tallies: &mut [ChunkTally],
+        mut draw: impl FnMut(&mut [ChunkTally]) -> bool,
+    ) -> ChunkEnd {
+        let start = Instant::now();
+        let samples = CHUNK_SAMPLES.min(self.cfg.samples - chunk * CHUNK_SAMPLES);
+        let mut draws = 0u64;
+        let mut end = ChunkEnd::Done;
+        for i in 0..samples {
+            if i % DEADLINE_STRIDE == 0 {
+                if cancel::cancelled(self.ctx) {
+                    end = ChunkEnd::Cancelled;
+                    break;
+                }
+                if self.deadline.is_some_and(|dl| Instant::now() >= dl) {
+                    end = ChunkEnd::Deadline;
+                    break;
+                }
+            }
+            if !draw(tallies) {
+                break;
+            }
+            draws += 1;
+        }
+        DRAWS.add(draws);
+        tallies.iter().for_each(ChunkTally::flush);
+        let elapsed = start.elapsed();
+        CHUNK_TIMER.record(elapsed);
+        CHUNK_US.record(elapsed.as_micros() as u64);
+        telemetry::emit(|| {
+            let event = Json::obj()
+                .field("event", "chunk")
+                .field("phase", "mapper")
+                .field("name", self.layer.name())
+                .field("chunk", chunk as u64)
+                .field("worker", worker as u64);
+            let event = match self.cfg.mode {
+                SearchMode::Random => event.field("designs", tallies.len() as u64),
+                SearchMode::Guided => event,
+            };
+            event
+                .field("samples", tallies.iter().map(|t| t.drawn).sum::<u64>())
+                .field("valid", tallies.iter().map(|t| t.valid).sum::<u64>())
+                .field("us", elapsed.as_micros() as u64)
+        });
+        end
     }
 }
 
@@ -604,7 +682,7 @@ pub fn search_group(
     SEARCHES.add(designs.len() as u64);
 
     // Per-task cancellation context, installed by the supervisor on
-    // this thread; the chunk workers spawned below capture a clone.
+    // this thread; the chunk workers spawned below borrow it.
     let ctx = cancel::current_context();
     let cancelled = |span: &mut telemetry::Span| {
         span.add_field("error", "cancelled");
@@ -705,19 +783,23 @@ pub fn search_group(
     // Ladder rung 2: sampling over fixed-size logical chunks. Seeds
     // derive from the chunk index — never from the worker that happens
     // to run the chunk — and results merge in chunk order, so any
-    // thread count reproduces the same result. Guided mode adds
-    // sequential round barriers on top of the same contract (see
-    // `run_guided_rung`).
+    // thread count reproduces the same result. Guided mode runs its
+    // chunks in order on this thread (see `run_guided_rung`).
     let open: Vec<usize> = (0..designs.len()).filter(|&i| out[i].is_none()).collect();
     if !open.is_empty() {
+        let chunks = ChunkRunner {
+            layer,
+            cfg,
+            ctx: &ctx,
+            deadline,
+        };
         let rungs = if cfg.mode == SearchMode::Guided {
             let i = open[0];
-            let rung = run_guided_rung(layer, designs[i], cfg, deadline, &ctx, nan[i]);
-            (!rung.cancelled).then(|| vec![(rung.merged, rung.sampled_any)])
+            run_guided_rung(&chunks, designs[i], nan[i]).map(|rung| vec![rung])
         } else {
             let group: Vec<(&Architecture, bool)> =
                 open.iter().map(|&i| (designs[i], nan[i])).collect();
-            run_random_rung(layer, &group, cfg, deadline, &ctx)
+            run_random_rung(&chunks, &group)
         };
         // A cancelled search returns the typed error instead of partial
         // results: the caller (supervisor or shutdown path) asked it to
@@ -761,14 +843,10 @@ pub fn search_group(
 /// chunk order exactly as a one-design search merges them, so each
 /// result is the one that design's own search would return.
 fn run_random_rung(
-    layer: &ConvLayer,
+    chunks: &ChunkRunner,
     designs: &[(&Architecture, bool)],
-    cfg: &SearchConfig,
-    deadline: Option<Instant>,
-    ctx: &TaskContext,
 ) -> Option<Vec<(MapperResult, bool)>> {
-    let threads = cfg.threads.max(1);
-    let n_chunks = cfg.samples.div_ceil(CHUNK_SAMPLES);
+    let (layer, cfg) = (chunks.layer, chunks.cfg);
     let widest = designs
         .iter()
         .map(|&(a, _)| a)
@@ -776,45 +854,25 @@ fn run_random_rung(
         .expect("a search group needs a design");
     let pricing: Vec<Pricing> = designs.iter().map(|&(a, _)| Pricing::of(a)).collect();
 
-    // Per design: keep, valid, drawn. Per chunk: those and whether a
-    // deadline or cancellation cut it.
-    type DesignChunk = (Vec<(Mapping, Evaluation)>, usize, usize);
-    type ChunkResult = (Vec<DesignChunk>, bool);
-    let was_cancelled = AtomicBool::new(false);
-    // One divisor table per search: every worker's sampler clones this
-    // one and is reseeded per chunk.
+    // One divisor table per search: every chunk's sampler clones this
+    // one and is reseeded.
     let base = MappingSampler::new(layer, widest, 0);
-    let run_chunk = |worker: usize, chunk: usize, sampler: &mut MappingSampler| -> ChunkResult {
-        let start = Instant::now();
-        let samples = CHUNK_SAMPLES.min(cfg.samples - chunk * CHUNK_SAMPLES);
+    // Per chunk: per design its keep list and tally, and how it ended.
+    let n_chunks = cfg.samples.div_ceil(CHUNK_SAMPLES);
+    let chunk_results = cancel::run_ordered(n_chunks, cfg.threads, |worker, chunk| {
+        let mut sampler = base.clone();
         sampler.reseed(chunk_seed(cfg.seed, chunk));
         let mut keeps: Vec<Vec<(Mapping, Evaluation)>> = vec![Vec::new(); designs.len()];
         let mut tallies = vec![ChunkTally::default(); designs.len()];
-        let mut draws = 0u64;
-        let mut cut = false;
-        for i in 0..samples {
-            if i % DEADLINE_STRIDE == 0 {
-                if cancel::cancelled(ctx) {
-                    was_cancelled.store(true, Ordering::Relaxed);
-                    cut = true;
-                    break;
-                }
-                if let Some(dl) = deadline {
-                    if Instant::now() >= dl {
-                        cut = true;
-                        break;
-                    }
-                }
-            }
-            draws += 1;
+        let end = chunks.run(worker, chunk, &mut tallies, |tallies| {
             let mapping = sampler.sample();
             let Ok(traffic) = traffic(layer, widest, &mapping) else {
                 // Invalid on the widest design, so on every design.
-                for tally in &mut tallies {
+                for tally in tallies {
                     tally.drawn += 1;
                     tally.eval_error += 1;
                 }
-                continue;
+                return true;
             };
             for ((pricing, (_, nan)), (keep, tally)) in pricing
                 .iter()
@@ -840,78 +898,26 @@ fn run_random_rung(
                     InsertOutcome::RejectedBelowCutoff => tally.below_cutoff += 1,
                 }
             }
-        }
-        DRAWS.add(draws);
-        tallies.iter().for_each(ChunkTally::flush);
-        let elapsed = start.elapsed();
-        CHUNK_TIMER.record(elapsed);
-        CHUNK_US.record(elapsed.as_micros() as u64);
-        telemetry::emit(|| {
-            Json::obj()
-                .field("event", "chunk")
-                .field("phase", "mapper")
-                .field("name", layer.name())
-                .field("chunk", chunk as u64)
-                .field("worker", worker as u64)
-                .field("designs", designs.len() as u64)
-                .field("samples", tallies.iter().map(|t| t.drawn).sum::<u64>())
-                .field("valid", tallies.iter().map(|t| t.valid).sum::<u64>())
-                .field("us", elapsed.as_micros() as u64)
+            true
         });
-        let per_design = keeps
-            .into_iter()
-            .zip(&tallies)
-            .map(|(keep, t)| (keep, t.valid as usize, t.drawn as usize))
-            .collect();
-        (per_design, cut)
-    };
-
-    // Workers pull chunk indices from a shared queue; a worker that
-    // hits the deadline stops pulling.
-    let next_chunk = AtomicUsize::new(0);
-    let worker_loop = |worker: usize| -> Vec<(usize, ChunkResult)> {
-        let mut out = Vec::new();
-        let mut sampler = base.clone();
-        loop {
-            let chunk = next_chunk.fetch_add(1, Ordering::Relaxed);
-            if chunk >= n_chunks {
-                break;
-            }
-            let result = run_chunk(worker, chunk, &mut sampler);
-            let cut = result.1;
-            out.push((chunk, result));
-            if cut {
-                break;
-            }
-        }
-        out
-    };
-
-    let mut chunk_results: Vec<(usize, ChunkResult)> = if threads == 1 || n_chunks <= 1 {
-        worker_loop(0)
-    } else {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads.min(n_chunks))
-                .map(|worker| scope.spawn(move || worker_loop(worker)))
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("worker panicked"))
-                .collect()
-        })
-    };
-    chunk_results.sort_by_key(|&(chunk, _)| chunk);
-    if was_cancelled.load(Ordering::Relaxed) {
+        ((keeps, tallies, end), end != ChunkEnd::Done)
+    });
+    if chunk_results
+        .iter()
+        .any(|(_, _, end)| *end == ChunkEnd::Cancelled)
+    {
         return None;
     }
 
     let mut merged: Vec<(MapperResult, bool)> =
         vec![(MapperResult::default(), false); designs.len()];
-    for (_, (per_design, cut)) in chunk_results {
-        for ((result, sampled_any), (keep, valid, drawn)) in merged.iter_mut().zip(per_design) {
-            result.valid_samples += valid;
-            result.total_samples += drawn;
-            result.truncated |= cut;
+    for (keeps, tallies, end) in chunk_results {
+        for ((result, sampled_any), (keep, tally)) in
+            merged.iter_mut().zip(keeps.into_iter().zip(tallies))
+        {
+            result.valid_samples += tally.valid as usize;
+            result.total_samples += tally.drawn as usize;
+            result.truncated |= end != ChunkEnd::Done;
             *sampled_any |= !keep.is_empty();
             for (m, e) in keep {
                 insert_candidate(&mut result.candidates, cfg.top_k, &m, e);
@@ -949,61 +955,28 @@ fn finish_sampled(
     };
 }
 
-/// What the guided sampling rung produced (before the shared greedy
-/// floor and tier settlement).
-struct GuidedRung {
-    merged: MapperResult,
-    sampled_any: bool,
-    cancelled: bool,
-}
-
-/// One guided chunk's harvest, merged at the round barrier in
-/// chunk-index order.
-struct GuidedChunkResult {
-    /// Chunk-local top-k by (latency, energy).
-    keep: Vec<(Mapping, Evaluation)>,
-    /// Chunk-local Pareto front — multi-objective progress the top-k
-    /// ranking would discard (e.g. low-energy points off the latency
-    /// floor), fed into the global front so guides stay diverse.
-    front: Vec<(pareto::ParetoPoint, Mapping)>,
-    valid: usize,
-    drawn: usize,
-    /// Cut short by deadline or cancellation.
-    cut: bool,
-    /// Top-k insertions that came from a neighbourhood draw.
-    hits: u64,
-    /// Chunk-local best among *uniform* draws only. Neighbourhood
-    /// exploitation converges onto one structural family; downstream
-    /// consumers (cross-layer AuthBlock optimisation) need at least one
-    /// candidate whose loop structure was drawn unbiased.
-    explore: Vec<(Mapping, Evaluation)>,
-}
-
 /// How many uniform-draw candidates the final selection guarantees a
 /// slot (when `top_k` has room beyond the latency-best survivor).
 const GUIDED_EXPLORE_SLOTS: usize = 1;
 
-/// The guided replacement for the random rung: rounds of
-/// [`GUIDED_ROUND_CHUNKS`] chunks, each biased toward the neighbourhood
-/// of the current Pareto front.
+/// The guided replacement for the random rung: chunks biased toward
+/// the neighbourhood of the current Pareto front, run one after another
+/// on the calling thread. Returns the sampled result and whether its
+/// sampling kept anything (before the shared greedy floor and tier
+/// settlement), or `None` when cancelled.
 ///
-/// Determinism argument: the front is only mutated at the sequential
-/// per-round barrier, and chunk results merge into it in chunk-index
-/// order, so the guides any chunk sees are a pure function of the chunk
-/// indices that came before its round — never of thread interleaving.
-/// Within a round, chunk seeds derive from the chunk index via
+/// Determinism argument: the front is only mutated between chunks, with
+/// the chunk's finds, so the guides any chunk sees are a pure function
+/// of the chunks before it. Chunk seeds derive from the chunk index via
 /// [`chunk_seed`], exactly like random mode. Early stopping decisions
-/// (per-chunk patience, round-level stall) depend only on those same
-/// deterministic streams. Pinned by `tests/determinism.rs`.
+/// (per-chunk patience, the stall across chunks) depend only on those
+/// same deterministic streams. Pinned by `tests/determinism.rs`.
 fn run_guided_rung(
-    layer: &ConvLayer,
+    chunks: &ChunkRunner,
     arch: &Architecture,
-    cfg: &SearchConfig,
-    deadline: Option<Instant>,
-    ctx: &TaskContext,
     nan: bool,
-) -> GuidedRung {
-    let threads = cfg.threads.max(1);
+) -> Option<(MapperResult, bool)> {
+    let (layer, cfg) = (chunks.layer, chunks.cfg);
     let max_chunks = cfg.samples.div_ceil(CHUNK_SAMPLES);
     let poison = |mut e: Evaluation| {
         if nan {
@@ -1013,7 +986,7 @@ fn run_guided_rung(
     };
 
     // Seed the front with the greedy construction: a zero-sample-cost
-    // anchor so even round 0 has a neighbourhood to explore.
+    // anchor so even chunk 0 has a neighbourhood to explore.
     let mut front = pareto::ParetoFront::new();
     if let Ok((m, e)) = greedy::greedy_mapping(layer, arch) {
         let e = poison(e);
@@ -1022,27 +995,28 @@ fn run_guided_rung(
         }
     }
 
-    let mut rung = GuidedRung {
-        merged: MapperResult::default(),
-        sampled_any: false,
-        cancelled: false,
-    };
-    let was_cancelled = AtomicBool::new(false);
+    let mut merged = MapperResult::default();
+    let mut sampled_any = false;
+    // The best among *uniform* draws only. Neighbourhood
+    // exploitation converges onto one structural family; downstream
+    // consumers (cross-layer AuthBlock optimisation) need at least one
+    // candidate whose loop structure was drawn unbiased.
     let mut explore_best: Vec<(Mapping, Evaluation)> = Vec::new();
     // One divisor table per search, shared by every chunk's sampler.
     let base = MappingSampler::new(layer, arch, 0);
     let mut stall = 0usize;
-    let mut round_start = 0usize;
     let mut rounds = 0u64;
     let mut neigh_hits = 0u64;
-    // (latency, energy bits) of the best candidate, to date the round
+    // (latency, energy bits) of the best candidate, to date the chunk
     // where the optimum last improved.
     let mut best_key: Option<(u64, u64)> = None;
     let mut samples_to_best = 0usize;
 
-    while round_start < max_chunks && stall < GUIDED_STALL_ROUNDS {
-        let round_end = round_start + GUIDED_ROUND_CHUNKS.min(max_chunks - round_start);
-        // At small sample caps, round 0 is a pure-uniform burn-in: full
+    for chunk in 0..max_chunks {
+        if stall >= GUIDED_STALL_ROUNDS {
+            break;
+        }
+        // At small sample caps, chunk 0 is a pure-uniform burn-in: full
         // chunk, no guides, no patience. With only a couple of chunks
         // to spend there aren't enough uniform draws (EXPLORE_PROB of a
         // few hundred) to cover the basins, and exploitation from the
@@ -1051,218 +1025,132 @@ fn run_guided_rung(
         // degrades to random-plus-polish instead. At larger caps the
         // uniform share spread across many chunks already supplies that
         // unbiased coverage, and spending a full chunk on it first only
-        // starves the exploitation rounds.
-        let burnin = round_start == 0 && max_chunks <= GUIDED_BURNIN_MAX_CHUNKS;
+        // starves the exploitation chunks.
+        let burnin = chunk == 0 && max_chunks <= GUIDED_BURNIN_MAX_CHUNKS;
         let guides = if burnin {
             Vec::new()
         } else {
             front.guides(GUIDED_MAX_GUIDES)
         };
-        let guides = &guides;
-        let was_cancelled = &was_cancelled;
-
-        let run_chunk = |worker: usize, chunk: usize| -> GuidedChunkResult {
-            let start = Instant::now();
-            let samples = CHUNK_SAMPLES.min(cfg.samples - chunk * CHUNK_SAMPLES);
-            let mut sampler =
-                GuidedSampler::with_base(base.clone(), chunk_seed(cfg.seed, chunk), guides);
-            let mut keep: Vec<(Mapping, Evaluation)> = Vec::new();
-            let mut explore: Vec<(Mapping, Evaluation)> = Vec::new();
-            let mut local_front = pareto::ParetoFront::new();
-            let mut tally = ChunkTally::default();
-            let mut cut = false;
-            let mut hits = 0u64;
-            let mut patience = 0usize;
-            for i in 0..samples {
-                if i % DEADLINE_STRIDE == 0 {
-                    if cancel::cancelled(ctx) {
-                        was_cancelled.store(true, Ordering::Relaxed);
-                        cut = true;
-                        break;
-                    }
-                    if let Some(dl) = deadline {
-                        if Instant::now() >= dl {
-                            cut = true;
-                            break;
-                        }
-                    }
-                }
-                if !burnin && patience >= GUIDED_CHUNK_PATIENCE {
-                    break;
-                }
-                tally.drawn += 1;
-                let (mapping, from_neighbourhood) = sampler.sample();
-                match evaluate(layer, arch, &mapping) {
-                    Ok(eval) => {
-                        let eval = poison(eval);
-                        if eval.energy_pj.is_finite() {
-                            tally.valid += 1;
-                        }
-                        let point = pareto::ParetoPoint::of(&eval);
-                        // Multi-objective progress counts as progress:
-                        // a low-energy point off the latency floor
-                        // would never enter the top-k, but it keeps the
-                        // chunk alive and feeds the global front.
-                        let front_added = eval.latency_cycles < SATURATED_LATENCY
-                            && local_front.insert(mapping.clone(), point)
-                                == pareto::FrontInsert::Added;
-                        // Feed the discovery back as a live anchor: the
-                        // chunk hill-climbs its own front instead of
-                        // orbiting the round's static guide snapshot.
-                        if front_added && !burnin {
-                            sampler.add_anchor(mapping.clone());
-                        }
-                        if !from_neighbourhood {
-                            insert_candidate_distinct(
-                                &mut explore,
-                                GUIDED_EXPLORE_SLOTS,
-                                &mapping,
-                                eval.clone(),
-                            );
-                        }
-                        match insert_candidate_distinct(&mut keep, cfg.top_k, &mapping, eval) {
-                            InsertOutcome::Inserted => {
-                                patience = 0;
-                                if from_neighbourhood {
-                                    hits += 1;
-                                }
-                            }
-                            InsertOutcome::RejectedNonFinite => {
-                                tally.nonfinite += 1;
-                                patience += 1;
-                            }
-                            InsertOutcome::RejectedSaturated => {
-                                tally.saturated += 1;
-                                patience += 1;
-                            }
-                            InsertOutcome::RejectedDuplicate => {
-                                tally.duplicate += 1;
-                                patience += 1;
-                            }
-                            InsertOutcome::RejectedBelowCutoff => {
-                                tally.below_cutoff += 1;
-                                patience += 1;
-                            }
-                        }
-                        if front_added {
-                            patience = 0;
-                        }
-                    }
-                    Err(_) => {
-                        tally.eval_error += 1;
-                        patience += 1;
-                    }
-                }
+        let mut sampler =
+            GuidedSampler::with_base(base.clone(), chunk_seed(cfg.seed, chunk), &guides);
+        // Chunk-local top-k by (latency, energy), and the chunk-local
+        // Pareto front: multi-objective progress the top-k ranking
+        // would discard (e.g. low-energy points off the latency floor),
+        // fed into the global front so guides stay diverse.
+        let mut keep: Vec<(Mapping, Evaluation)> = Vec::new();
+        let mut local_front = pareto::ParetoFront::new();
+        let mut explore: Vec<(Mapping, Evaluation)> = Vec::new();
+        let mut tally = [ChunkTally::default()];
+        let mut hits = 0u64;
+        let mut patience = 0usize;
+        let end = chunks.run(0, chunk, &mut tally, |tally| {
+            let tally = &mut tally[0];
+            if !burnin && patience >= GUIDED_CHUNK_PATIENCE {
+                return false;
             }
-            DRAWS.add(tally.drawn);
-            tally.flush();
-            let elapsed = start.elapsed();
-            CHUNK_TIMER.record(elapsed);
-            CHUNK_US.record(elapsed.as_micros() as u64);
-            telemetry::emit(|| {
-                Json::obj()
-                    .field("event", "chunk")
-                    .field("phase", "mapper")
-                    .field("name", layer.name())
-                    .field("chunk", chunk as u64)
-                    .field("worker", worker as u64)
-                    .field("samples", tally.drawn)
-                    .field("valid", tally.valid)
-                    .field("us", elapsed.as_micros() as u64)
-            });
-            GuidedChunkResult {
-                keep,
-                front: local_front.entries().to_vec(),
-                valid: tally.valid as usize,
-                drawn: tally.drawn as usize,
-                cut,
-                hits,
-                explore,
-            }
-        };
-
-        let next_chunk = AtomicUsize::new(round_start);
-        let next_chunk = &next_chunk;
-        let worker_loop = |worker: usize| -> Vec<(usize, GuidedChunkResult)> {
-            let mut out = Vec::new();
-            loop {
-                let chunk = next_chunk.fetch_add(1, Ordering::Relaxed);
-                if chunk >= round_end {
-                    break;
-                }
-                let result = run_chunk(worker, chunk);
-                let cut = result.cut;
-                out.push((chunk, result));
-                if cut {
-                    break;
-                }
-            }
-            out
-        };
-
-        let round_chunks = round_end - round_start;
-        let mut round_results: Vec<(usize, GuidedChunkResult)> =
-            if threads == 1 || round_chunks <= 1 {
-                worker_loop(0)
-            } else {
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = (0..threads.min(round_chunks))
-                        .map(|worker| scope.spawn(move || worker_loop(worker)))
-                        .collect();
-                    handles
-                        .into_iter()
-                        .flat_map(|h| h.join().expect("worker panicked"))
-                        .collect()
-                })
+            tally.drawn += 1;
+            let (mapping, from_neighbourhood) = sampler.sample();
+            let Ok(eval) = evaluate(layer, arch, &mapping) else {
+                tally.eval_error += 1;
+                patience += 1;
+                return true;
             };
-        round_results.sort_by_key(|&(chunk, _)| chunk);
-
-        if was_cancelled.load(Ordering::Relaxed) {
-            rung.cancelled = true;
-            return rung;
+            let eval = poison(eval);
+            if eval.energy_pj.is_finite() {
+                tally.valid += 1;
+            }
+            let point = pareto::ParetoPoint::of(&eval);
+            // Multi-objective progress counts as progress: a low-energy
+            // point off the latency floor would never enter the top-k,
+            // but it keeps the chunk alive and feeds the global front.
+            let front_added = eval.latency_cycles < SATURATED_LATENCY
+                && local_front.insert(mapping.clone(), point) == pareto::FrontInsert::Added;
+            // Feed the discovery back as a live anchor: the chunk
+            // hill-climbs its own front instead of orbiting the static
+            // guide snapshot it started from.
+            if front_added && !burnin {
+                sampler.add_anchor(mapping.clone());
+            }
+            if !from_neighbourhood {
+                insert_candidate_distinct(
+                    &mut explore,
+                    GUIDED_EXPLORE_SLOTS,
+                    &mapping,
+                    eval.clone(),
+                );
+            }
+            match insert_candidate_distinct(&mut keep, cfg.top_k, &mapping, eval) {
+                InsertOutcome::Inserted => {
+                    patience = 0;
+                    if from_neighbourhood {
+                        hits += 1;
+                    }
+                }
+                InsertOutcome::RejectedNonFinite => {
+                    tally.nonfinite += 1;
+                    patience += 1;
+                }
+                InsertOutcome::RejectedSaturated => {
+                    tally.saturated += 1;
+                    patience += 1;
+                }
+                InsertOutcome::RejectedDuplicate => {
+                    tally.duplicate += 1;
+                    patience += 1;
+                }
+                InsertOutcome::RejectedBelowCutoff => {
+                    tally.below_cutoff += 1;
+                    patience += 1;
+                }
+            }
+            if front_added {
+                patience = 0;
+            }
+            true
+        });
+        if end == ChunkEnd::Cancelled {
+            return None;
         }
 
-        let mut round_inserted = false;
-        for (_, chunk_result) in round_results {
-            rung.merged.valid_samples += chunk_result.valid;
-            rung.merged.total_samples += chunk_result.drawn;
-            rung.merged.truncated |= chunk_result.cut;
-            rung.sampled_any |= !chunk_result.keep.is_empty();
-            neigh_hits += chunk_result.hits;
-            for (m, e) in chunk_result.keep {
-                if insert_candidate_distinct(&mut rung.merged.candidates, cfg.top_k, &m, e)
-                    == InsertOutcome::Inserted
-                {
-                    round_inserted = true;
-                }
+        let [tally] = tally;
+        merged.valid_samples += tally.valid as usize;
+        merged.total_samples += tally.drawn as usize;
+        merged.truncated |= end != ChunkEnd::Done;
+        sampled_any |= !keep.is_empty();
+        neigh_hits += hits;
+        let mut inserted = false;
+        for (m, e) in keep {
+            if insert_candidate_distinct(&mut merged.candidates, cfg.top_k, &m, e)
+                == InsertOutcome::Inserted
+            {
+                inserted = true;
             }
-            // The chunk-local fronts carry the multi-objective points
-            // the top-k ranking discards; merging them (still in
-            // chunk-index order) is what keeps the guides diverse.
-            for (p, m) in chunk_result.front {
-                if front.insert(m, p) == pareto::FrontInsert::Added {
-                    round_inserted = true;
-                }
+        }
+        // The chunk-local front carries the multi-objective points the
+        // top-k ranking discards; merging it is what keeps the guides
+        // diverse.
+        for (p, m) in local_front.entries() {
+            if front.insert(m.clone(), *p) == pareto::FrontInsert::Added {
+                inserted = true;
             }
-            for (m, e) in chunk_result.explore {
-                insert_candidate_distinct(&mut explore_best, GUIDED_EXPLORE_SLOTS, &m, e);
-            }
+        }
+        for (m, e) in explore {
+            insert_candidate_distinct(&mut explore_best, GUIDED_EXPLORE_SLOTS, &m, e);
         }
         rounds += 1;
-        let key = rung
-            .merged
+        let key = merged
             .candidates
             .first()
             .map(|(_, e)| (e.latency_cycles, e.energy_pj.to_bits()));
         if key.is_some() && key != best_key {
             best_key = key;
-            samples_to_best = rung.merged.total_samples;
+            samples_to_best = merged.total_samples;
         }
-        stall = if round_inserted { 0 } else { stall + 1 };
-        if rung.merged.truncated {
+        stall = if inserted { 0 } else { stall + 1 };
+        if merged.truncated {
             break;
         }
-        round_start = round_end;
     }
 
     // Final selection: a guided search's value is its *front*, not just
@@ -1275,7 +1163,7 @@ fn run_guided_rung(
     // survivors. Pure function of the merged state, so determinism is
     // unaffected.
     let slots = cfg.top_k.max(1);
-    if !front.is_empty() && !rung.merged.candidates.is_empty() {
+    if !front.is_empty() && !merged.candidates.is_empty() {
         let mut fr: Vec<(pareto::ParetoPoint, Mapping)> = front.entries().to_vec();
         fr.sort_by(|a, b| {
             (a.0.latency_cycles, a.0.energy_pj.to_bits())
@@ -1296,7 +1184,7 @@ fn run_guided_rung(
                 fin.push((m, e));
             }
         }
-        let (m0, e0) = rung.merged.candidates[0].clone();
+        let (m0, e0) = merged.candidates[0].clone();
         push(&mut fin, &mut seen, slots, m0, e0);
         // Guaranteed slot for the best unbiased draw: exploitation
         // converges onto one structural family, and downstream
@@ -1321,14 +1209,14 @@ fn run_guided_rung(
                 }
             }
         }
-        for (m, e) in rung.merged.candidates.iter().skip(1) {
+        for (m, e) in merged.candidates.iter().skip(1) {
             push(&mut fin, &mut seen, slots, m.clone(), e.clone());
         }
         fin.sort_by(|a, b| {
             (a.1.latency_cycles, a.1.energy_pj.to_bits())
                 .cmp(&(b.1.latency_cycles, b.1.energy_pj.to_bits()))
         });
-        rung.merged.candidates = fin;
+        merged.candidates = fin;
     }
 
     GUIDED_ROUNDS.add(rounds);
@@ -1336,7 +1224,7 @@ fn run_guided_rung(
     if best_key.is_some() {
         SAMPLES_TO_BEST.record(samples_to_best as u64);
     }
-    rung
+    Some((merged, sampled_any))
 }
 
 #[cfg(test)]

@@ -4,10 +4,10 @@
 //! chunk results merge in index order, so the thread count only decides
 //! who runs a chunk, never what the chunk computes.
 //!
-//! Guided mode carries the same contract with a stronger argument to
-//! check: the Pareto front that steers sampling is only mutated at
-//! sequential round barriers, so the guides any chunk sees are a pure
-//! function of prior chunk *indices*, never of thread interleaving.
+//! Guided mode carries the same contract with a different argument: it
+//! runs its chunks in order on the calling thread whatever `threads`
+//! says, so the guides any chunk sees are a pure function of the chunks
+//! before it.
 //! The guided tests below pin that, plus cache hygiene: a warm
 //! [`CandidateCache`] must return exactly what the cold search
 //! computed, and guided and random results must never alias one
@@ -104,9 +104,9 @@ fn oversubscribed_thread_counts_are_harmless() {
 
 #[test]
 fn guided_search_is_thread_invariant() {
-    // The Pareto front is mutated only at sequential round barriers,
-    // so guided results must be byte-identical for any thread count —
-    // including oversubscription far past the chunk count.
+    // Guided chunks run in order on the calling thread, so guided
+    // results must be byte-identical for any thread count — including
+    // oversubscription far past the chunk count.
     let net = zoo::alexnet_conv();
     let arch =
         Architecture::eyeriss_base().with_crypto(CryptoConfig::new(EngineClass::Parallel, 3));
