@@ -2,11 +2,9 @@
 
 //! Durable artifact layer for the SecureLoop reproduction.
 //!
-//! Every artifact the pipeline persists (sweep checkpoints, the
-//! candidate cache, the service journal, telemetry traces, committed
-//! bench baselines) used to be written with bare `fs::write` + rename
-//! and read with an all-or-nothing parser. This crate replaces those
-//! hand-copied routines with one shared path:
+//! The pipeline's persisted state (sweep checkpoints, the candidate
+//! cache, the service journal) and the committed bench baselines are
+//! written and read through this crate, on one shared path:
 //!
 //! * **Envelope** — [`seal`] appends a one-line footer carrying the
 //!   payload byte length and an FNV-1a 64 checksum; [`open`] verifies
@@ -18,27 +16,31 @@
 //!   fsync(parent dir), with exponential-backoff retries governed by a
 //!   [`DurabilityPolicy`]. Rename alone is not power-loss durable;
 //!   the fsyncs are what make the rename stick.
-//! * **Salvage loads** — [`load_recoverable`] walks a ladder (primary
-//!   strict → primary salvage → `.bak` strict → `.bak` salvage) and
-//!   reports what it did as warnings instead of discarding state. The
-//!   raw-text scanners ([`salvage_array_items`] and friends) let
-//!   loaders recover intact records from a torn tail without trusting
-//!   the damaged region.
+//! * **Persistent types** — a type becomes persistent by implementing
+//!   [`Persistent`]: its kind, its version range, its header and how
+//!   to read and write one record. [`save`] writes it durably; [`load`]
+//!   walks a salvage ladder (primary strict → primary salvage → `.bak`
+//!   strict → `.bak` salvage) and reports what it did as warnings
+//!   instead of discarding state. Salvage recovers intact records from
+//!   a torn tail without trusting the damaged region.
 //! * **Failure injection** — [`crash_point`] hooks let tests abort the
 //!   process between any two steps of the write path, and [`fault`]
 //!   injects deterministic I/O errors with a budget (transient) or
 //!   without one (ENOSPC-style persistent failure).
 //!
-//! The crate is dependency-free on purpose: it sits below
-//! `secureloop-json` in the stack so every persistence site can use it.
+//! The crate depends only on `secureloop-json`, which has no
+//! dependencies of its own, so every persistence site can use it.
 
 use std::fmt;
 use std::fs::{self, File};
 use std::io::Write as _;
+use std::ops::RangeInclusive;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::Duration;
+
+use secureloop_json::Json;
 
 /// Marker that starts an envelope footer line.
 pub const FOOTER_PREFIX: &str = "//#secureloop-artifact";
@@ -518,9 +520,142 @@ fn write_once_inner(
     Ok(())
 }
 
+/// Remove a stale temp file ([`temp_path`]) left beside `path` by a
+/// write that died between temp-write and rename (power loss,
+/// SIGKILL). The orphan is a torn partial write and is never trusted;
+/// call this before the first write to `path`. Returns whether an
+/// orphan was removed.
+pub fn remove_stale_temp(path: &Path) -> bool {
+    fs::remove_file(temp_path(path)).is_ok()
+}
+
 // ---------------------------------------------------------------------------
-// Recoverable load
+// Persistent artifacts
 // ---------------------------------------------------------------------------
+
+/// A type persisted as one sealed JSON object laid out as
+///
+/// ```text
+/// {"version": V, "kind": KIND, <HEADER fields>, <RECORDS arrays>}
+/// ```
+///
+/// A type states its kind, the versions it reads, its header and how
+/// one record of each array is written and read. This crate owns the
+/// rest: the version/kind check, [`save`] and the salvage-ladder
+/// [`load`], whose strict and salvage rungs read records with the same
+/// [`Persistent::read_record`].
+pub trait Persistent: Sized {
+    /// The `kind` tag; a file of another kind is refused, never mined.
+    const KIND: &'static str;
+    /// What a version error calls the artifact (`"checkpoint"`, ...).
+    const NOUN: &'static str;
+    /// Schema versions this type reads; it writes the last one.
+    const VERSIONS: RangeInclusive<u64>;
+    /// Header field names, in file order after `kind`.
+    const HEADER: &'static [&'static str];
+    /// Record array names, in file order after the header.
+    const RECORDS: &'static [&'static str];
+    /// Record arrays an older version lacks; a missing one reads as
+    /// empty. Any other missing array is an error.
+    const OPTIONAL_RECORDS: &'static [&'static str] = &[];
+
+    /// The header values, one per [`Persistent::HEADER`] name.
+    fn header(&self) -> Vec<Json>;
+
+    /// A value without records, from an object holding the header.
+    ///
+    /// # Errors
+    ///
+    /// Names the missing or ill-typed header field.
+    fn from_header(header: &Json) -> Result<Self, String>;
+
+    /// The records of array `array`, in file order.
+    fn write_records(&self, array: &str) -> Vec<Json>;
+
+    /// Parse one record of array `array` and add it to `self`. A record
+    /// that fails to parse leaves `self` unchanged.
+    ///
+    /// # Errors
+    ///
+    /// Names the missing or ill-typed field.
+    fn read_record(&mut self, array: &str, record: &Json) -> Result<(), String>;
+
+    /// Serialise: version, kind, header, then the record arrays.
+    fn to_json(&self) -> Json {
+        let mut v = Json::obj()
+            .field("version", *Self::VERSIONS.end())
+            .field("kind", Self::KIND);
+        for (name, value) in Self::HEADER.iter().zip(self.header()) {
+            v = v.field(name, value);
+        }
+        for name in Self::RECORDS {
+            v = v.field(name, Json::Arr(self.write_records(name)));
+        }
+        v
+    }
+
+    /// Parse an object written by [`Persistent::to_json`], strictly:
+    /// the first bad record fails the whole parse.
+    ///
+    /// # Errors
+    ///
+    /// Names the missing or ill-typed field, including a version or
+    /// kind mismatch.
+    fn from_json(v: &Json) -> Result<Self, String> {
+        check_schema::<Self>(v["version"].as_u64(), v["kind"].as_str())?;
+        let mut value = Self::from_header(v)?;
+        for name in Self::RECORDS {
+            let records = match &v[*name] {
+                Json::Null if Self::OPTIONAL_RECORDS.contains(name) => continue,
+                list => list.as_array().ok_or_else(|| field_err(name))?,
+            };
+            for record in records {
+                value.read_record(name, record)?;
+            }
+        }
+        Ok(value)
+    }
+}
+
+fn field_err(field: &str) -> String {
+    format!("missing or invalid field '{field}'")
+}
+
+/// The version/kind gate both rungs apply before reading a record, so a
+/// wrong-schema file is never record-mined into the current schema.
+fn check_schema<T: Persistent>(version: Option<u64>, kind: Option<&str>) -> Result<(), String> {
+    let version = version.ok_or_else(|| field_err("version"))?;
+    if !T::VERSIONS.contains(&version) {
+        let (lo, hi) = (T::VERSIONS.start(), T::VERSIONS.end());
+        let expected = if lo == hi {
+            hi.to_string()
+        } else {
+            format!("{lo}..={hi}")
+        };
+        return Err(format!(
+            "unsupported {} version {version} (expected {expected})",
+            T::NOUN
+        ));
+    }
+    if kind != Some(T::KIND) {
+        return Err(field_err("kind"));
+    }
+    Ok(())
+}
+
+/// Serialise `value` and write it durably to `path`
+/// ([`write_durable`]).
+///
+/// # Errors
+///
+/// [`ArtifactError::Io`] once the policy's retries are spent.
+pub fn save<T: Persistent>(
+    value: &T,
+    path: &Path,
+    policy: &DurabilityPolicy,
+) -> Result<(), ArtifactError> {
+    write_durable(path, &value.to_json().pretty(), policy)
+}
 
 /// Where a recovered artifact ultimately came from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -546,12 +681,9 @@ pub struct Recovered<T> {
     pub warnings: Vec<String>,
 }
 
-/// Read an artifact file and verify its envelope.
-///
-/// Returns the payload (footer stripped) plus the [`Integrity`]
-/// verdict. A 0-byte file is [`ArtifactError::Empty`]; read failures
-/// are [`ArtifactError::Io`].
-pub fn read_verified(path: &Path) -> Result<(String, Integrity), ArtifactError> {
+/// Read an artifact file and verify its envelope. A 0-byte file is
+/// [`ArtifactError::Empty`]; read failures are [`ArtifactError::Io`].
+fn read_verified(path: &Path) -> Result<(String, Integrity), ArtifactError> {
     let text = fs::read_to_string(path).map_err(|e| io_err(path, "read", e))?;
     if text.is_empty() {
         return Err(ArtifactError::Empty {
@@ -562,103 +694,113 @@ pub fn read_verified(path: &Path) -> Result<(String, Integrity), ArtifactError> 
     Ok((payload.to_string(), integrity))
 }
 
-/// Load an artifact through the salvage ladder.
+/// Load a `T` through the salvage ladder: primary strict → primary
+/// salvage (only when the envelope or the strict parse failed) → `.bak`
+/// strict → `.bak` salvage. Every rung below the first adds a warning.
 ///
-/// `parse` is the strict loader (it should reject wrong versions /
-/// kinds); `salvage` recovers what it can from a damaged payload and
-/// returns `None` when nothing trustworthy survives — it must apply the
-/// same version/kind gate, so a wrong-schema file is never record-mined
-/// into the current schema.
+/// # Errors
 ///
-/// Ladder: primary strict → primary salvage (only when the envelope or
-/// strict parse failed) → `.bak` strict → `.bak` salvage. A 0-byte
-/// primary skips straight to the backup; if that is also unusable the
-/// original [`ArtifactError::Empty`] is returned so callers can treat
-/// the artifact as absent.
-pub fn load_recoverable<T>(
-    path: &Path,
-    parse: impl Fn(&str) -> Result<T, String>,
-    salvage: impl Fn(&str) -> Option<(T, String)>,
-) -> Result<Recovered<T>, ArtifactError> {
-    let display = path.display().to_string();
-    let primary_failure: String;
-    match read_verified(path) {
-        Ok((payload, integrity)) => {
-            let envelope_note = match &integrity {
-                Integrity::Damaged(reason) => Some(reason.clone()),
-                _ => None,
-            };
-            if let Some(note) = envelope_note {
-                primary_failure = note;
-            } else {
-                match parse(&payload) {
-                    Ok(value) => {
-                        return Ok(Recovered {
-                            value,
-                            source: LoadSource::Primary,
-                            warnings: Vec::new(),
-                        })
-                    }
-                    Err(e) => primary_failure = e,
-                }
-            }
-            if let Some((value, note)) = salvage(&payload) {
-                return Ok(Recovered {
-                    value,
-                    source: LoadSource::PrimarySalvaged,
-                    warnings: vec![format!("salvaged '{display}' ({primary_failure}): {note}")],
-                });
-            }
-        }
+/// A 0-byte primary without a usable backup is [`ArtifactError::Empty`],
+/// so callers can treat the artifact as absent; an unreadable primary
+/// is [`ArtifactError::Io`]; [`ArtifactError::Corrupt`] when every rung
+/// fails.
+pub fn load<T: Persistent>(path: &Path) -> Result<Recovered<T>, ArtifactError> {
+    let (payload, integrity) = match read_verified(path) {
+        Ok(read) => read,
         Err(e @ ArtifactError::Empty { .. }) => {
-            // Crash between create and write: fall through to the backup,
+            // Crash between create and write: fall back to the backup,
             // and report Empty (absent-with-warning) if that fails too.
-            if let Some(rec) = try_backup(path, &parse, &salvage, "primary is empty") {
-                return Ok(rec);
-            }
-            return Err(e);
+            return try_backup(path, "primary is empty").ok_or(e);
         }
         Err(e) => return Err(e),
+    };
+    let primary_failure = match integrity {
+        Integrity::Damaged(reason) => reason,
+        _ => match strict::<T>(&payload) {
+            Ok(value) => {
+                return Ok(Recovered {
+                    value,
+                    source: LoadSource::Primary,
+                    warnings: Vec::new(),
+                })
+            }
+            Err(e) => e,
+        },
+    };
+    let display = path.display();
+    if let Some((value, note)) = salvage::<T>(&payload) {
+        return Ok(Recovered {
+            value,
+            source: LoadSource::PrimarySalvaged,
+            warnings: vec![format!("salvaged '{display}' ({primary_failure}): {note}")],
+        });
     }
-    match try_backup(path, &parse, &salvage, &primary_failure) {
-        Some(rec) => Ok(rec),
-        None => Err(ArtifactError::Corrupt {
-            path: display,
-            message: format!("{primary_failure}; no usable backup generation"),
-        }),
-    }
+    try_backup(path, &primary_failure).ok_or_else(|| ArtifactError::Corrupt {
+        path: display.to_string(),
+        message: format!("{primary_failure}; no usable backup generation"),
+    })
 }
 
-fn try_backup<T>(
-    path: &Path,
-    parse: &impl Fn(&str) -> Result<T, String>,
-    salvage: &impl Fn(&str) -> Option<(T, String)>,
-    why: &str,
-) -> Option<Recovered<T>> {
+fn try_backup<T: Persistent>(path: &Path, why: &str) -> Option<Recovered<T>> {
     let bak = backup_path(path);
     let (payload, integrity) = read_verified(&bak).ok()?;
-    let display = path.display().to_string();
+    let (display, bak) = (path.display(), bak.display());
     if !matches!(integrity, Integrity::Damaged(_)) {
-        if let Ok(value) = parse(&payload) {
+        if let Ok(value) = strict::<T>(&payload) {
             return Some(Recovered {
                 value,
                 source: LoadSource::Backup,
                 warnings: vec![format!(
-                    "recovered '{display}' from backup generation '{}' ({why})",
-                    bak.display()
+                    "recovered '{display}' from backup generation '{bak}' ({why})"
                 )],
             });
         }
     }
-    let (value, note) = salvage(&payload)?;
+    let (value, note) = salvage::<T>(&payload)?;
     Some(Recovered {
         value,
         source: LoadSource::BackupSalvaged,
         warnings: vec![format!(
-            "salvaged backup generation '{}' of '{display}' ({why}): {note}",
-            bak.display()
+            "salvaged backup generation '{bak}' of '{display}' ({why}): {note}"
         )],
     })
+}
+
+/// The strict rung: the payload must parse whole.
+fn strict<T: Persistent>(payload: &str) -> Result<T, String> {
+    let v = Json::parse(payload).map_err(|e| format!("parse: {e}"))?;
+    T::from_json(&v)
+}
+
+/// The salvage rung: recover the intact records of a damaged payload.
+/// The header must still be readable and pass the version/kind gate;
+/// the record arrays are then taken record by record, dropping whatever
+/// the damage reached. `None` when no record survives.
+fn salvage<T: Persistent>(payload: &str) -> Option<(T, String)> {
+    let version = salvage_field(payload, "version").and_then(|v| v.as_u64());
+    let kind = salvage_field(payload, "kind");
+    check_schema::<T>(version, kind.as_ref().and_then(Json::as_str)).ok()?;
+    let mut header = Json::obj();
+    for name in T::HEADER {
+        header = header.field(name, salvage_field(payload, name)?);
+    }
+    let mut value = T::from_header(&header).ok()?;
+    let (mut kept, mut dropped) = (0usize, 0usize);
+    for name in T::RECORDS {
+        for item in salvage_array_items(payload, name) {
+            let read = Json::parse(&item).is_ok_and(|r| value.read_record(name, &r).is_ok());
+            if read {
+                kept += 1;
+            } else {
+                dropped += 1;
+            }
+        }
+    }
+    if kept == 0 {
+        return None;
+    }
+    let note = format!("kept {kept} intact record(s), dropped {dropped} damaged");
+    Some((value, note))
 }
 
 // ---------------------------------------------------------------------------
@@ -779,43 +921,11 @@ fn balanced_value_end(payload: &str, start: usize) -> Option<usize> {
     }
 }
 
-/// Salvage the string value of top-level `key` from damaged JSON text.
-/// Intended for header scalars like `"kind"` — no unescaping is done.
-pub fn salvage_string_field(payload: &str, key: &str) -> Option<String> {
+/// The value of top-level `key` in damaged JSON text, if it is whole.
+fn salvage_field(payload: &str, key: &str) -> Option<Json> {
     let start = find_key_value(payload, key)?;
-    let b = payload.as_bytes();
-    if start >= b.len() || b[start] != b'"' {
-        return None;
-    }
-    let mut i = start + 1;
-    let mut esc = false;
-    while i < b.len() {
-        let c = b[i];
-        if esc {
-            esc = false;
-        } else if c == b'\\' {
-            esc = true;
-        } else if c == b'"' {
-            return Some(payload[start + 1..i].to_string());
-        }
-        i += 1;
-    }
-    None
-}
-
-/// Salvage the unsigned integer value of top-level `key` from damaged
-/// JSON text. Intended for header scalars like `"version"`.
-pub fn salvage_u64_field(payload: &str, key: &str) -> Option<u64> {
-    let start = find_key_value(payload, key)?;
-    let b = payload.as_bytes();
-    let mut end = start;
-    while end < b.len() && b[end].is_ascii_digit() {
-        end += 1;
-    }
-    if end == start {
-        return None;
-    }
-    payload[start..end].parse().ok()
+    let end = balanced_value_end(payload, start)?;
+    Json::parse(&payload[start..end]).ok()
 }
 
 /// Salvage complete items from the top-level array `key` in damaged
@@ -823,7 +933,7 @@ pub fn salvage_u64_field(payload: &str, key: &str) -> Option<u64> {
 /// usually); scanning stops cleanly at the first truncated or
 /// unbalanced item, so only records that were fully written come back.
 /// Callers parse and validate each item individually.
-pub fn salvage_array_items(payload: &str, key: &str) -> Vec<String> {
+fn salvage_array_items(payload: &str, key: &str) -> Vec<String> {
     let mut items = Vec::new();
     let Some(start) = find_key_value(payload, key) else {
         return items;
@@ -847,29 +957,6 @@ pub fn salvage_array_items(payload: &str, key: &str) -> Vec<String> {
         i = end;
     }
     items
-}
-
-/// Split JSON-Lines text into complete lines, dropping a trailing
-/// partial line (no terminating newline). Returns the complete lines
-/// and whether a partial tail was dropped.
-pub fn salvage_jsonl_lines(text: &str) -> (Vec<&str>, bool) {
-    let mut lines: Vec<&str> = Vec::new();
-    let mut rest = text;
-    loop {
-        match rest.find('\n') {
-            Some(idx) => {
-                let line = &rest[..idx];
-                if !line.trim().is_empty() {
-                    lines.push(line);
-                }
-                rest = &rest[idx + 1..];
-            }
-            None => {
-                let truncated = !rest.trim().is_empty();
-                return (lines, truncated);
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1031,79 +1118,200 @@ mod tests {
         assert!(err.path().contains("state.json"));
     }
 
+    /// A toy persistent type with a header field and two record arrays.
+    #[derive(Debug, Clone, Default, PartialEq)]
+    struct Ledger {
+        owner: String,
+        credits: Vec<u64>,
+        notes: Vec<String>,
+    }
+
+    impl Persistent for Ledger {
+        const KIND: &'static str = "ledger";
+        const NOUN: &'static str = "ledger";
+        const VERSIONS: RangeInclusive<u64> = 2..=3;
+        const HEADER: &'static [&'static str] = &["owner"];
+        const RECORDS: &'static [&'static str] = &["credits", "notes"];
+        const OPTIONAL_RECORDS: &'static [&'static str] = &["notes"];
+
+        fn header(&self) -> Vec<Json> {
+            vec![Json::from(self.owner.as_str())]
+        }
+
+        fn from_header(header: &Json) -> Result<Self, String> {
+            let owner = header["owner"].as_str().ok_or_else(|| field_err("owner"))?;
+            Ok(Ledger {
+                owner: owner.to_string(),
+                ..Ledger::default()
+            })
+        }
+
+        fn write_records(&self, array: &str) -> Vec<Json> {
+            if array == "credits" {
+                let credit = |&c: &u64| Json::obj().field("amount", c);
+                self.credits.iter().map(credit).collect()
+            } else {
+                let note = |n: &String| Json::obj().field("text", n.as_str());
+                self.notes.iter().map(note).collect()
+            }
+        }
+
+        fn read_record(&mut self, array: &str, record: &Json) -> Result<(), String> {
+            if array == "credits" {
+                let amount = record["amount"].as_u64();
+                self.credits
+                    .push(amount.ok_or_else(|| field_err("amount"))?);
+            } else {
+                let text = record["text"].as_str();
+                self.notes
+                    .push(text.ok_or_else(|| field_err("text"))?.to_string());
+            }
+            Ok(())
+        }
+    }
+
+    fn ledger(credits: &[u64]) -> Ledger {
+        Ledger {
+            owner: "ada".to_string(),
+            credits: credits.to_vec(),
+            notes: vec!["opened".to_string(), "audited".to_string()],
+        }
+    }
+
     #[test]
-    fn load_recoverable_falls_back_to_backup_on_corruption() {
+    fn clean_primary_loads_strictly_without_warnings() {
         let _io = io_lock();
-        let dir = tmpdir("ladder");
-        let path = dir.join("state.json");
+        let path = tmpdir("clean").join("ledger.json");
+        save(&ledger(&[5, 7]), &path, &DurabilityPolicy::fast()).unwrap();
+        let rec = load::<Ledger>(&path).unwrap();
+        assert_eq!(rec.value, ledger(&[5, 7]));
+        assert_eq!(rec.source, LoadSource::Primary);
+        assert!(rec.warnings.is_empty(), "{:?}", rec.warnings);
+    }
+
+    #[test]
+    fn wrong_version_or_kind_is_refused_and_never_record_mined() {
+        let good = ledger(&[1, 2]).to_json().pretty();
+        let v9 = good.replacen("\"version\": 3", "\"version\": 9", 1);
+        let other = good.replacen("\"ledger\"", "\"journal\"", 1);
+        for (text, named) in [
+            (&v9, "unsupported ledger version 9 (expected 2..=3)"),
+            (&other, "'kind'"),
+        ] {
+            let err = Ledger::from_json(&Json::parse(text).unwrap()).unwrap_err();
+            assert!(err.contains(named), "{err}");
+            // Every record is intact, yet the salvage rung mines none.
+            assert!(salvage::<Ledger>(text).is_none());
+            let path = tmpdir("schema").join("ledger.json");
+            fs::write(&path, seal(text)).unwrap();
+            match load::<Ledger>(&path) {
+                Err(ArtifactError::Corrupt { message, .. }) => {
+                    assert!(message.contains(named), "{message}")
+                }
+                other => panic!("expected Corrupt, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn strict_parse_fails_on_the_first_bad_record_and_salvage_counts_it() {
+        let text = ledger(&[1, 2, 3]).to_json().pretty().replacen(
+            "\"amount\": 2",
+            "\"amount\": \"two\"",
+            1,
+        );
+        let err = Ledger::from_json(&Json::parse(&text).unwrap()).unwrap_err();
+        assert_eq!(err, "missing or invalid field 'amount'");
+        let path = tmpdir("bad-record").join("ledger.json");
+        fs::write(&path, seal(&text)).unwrap();
+        let rec = load::<Ledger>(&path).unwrap();
+        assert_eq!(rec.value, ledger(&[1, 3]), "the other records survive");
+        assert_eq!(rec.source, LoadSource::PrimarySalvaged);
+        assert!(
+            rec.warnings[0].ends_with("kept 4 intact record(s), dropped 1 damaged"),
+            "{:?}",
+            rec.warnings
+        );
+    }
+
+    #[test]
+    fn only_optional_record_arrays_may_be_missing() {
+        let v = Json::parse(r#"{"version": 2, "kind": "ledger", "owner": "ada", "credits": []}"#);
+        let back = Ledger::from_json(&v.unwrap()).unwrap();
+        assert!(back.notes.is_empty());
+        let v = Json::parse(r#"{"version": 2, "kind": "ledger", "owner": "ada", "notes": []}"#);
+        let err = Ledger::from_json(&v.unwrap()).unwrap_err();
+        assert_eq!(err, "missing or invalid field 'credits'");
+    }
+
+    #[test]
+    fn load_falls_back_to_backup_on_corruption() {
+        let _io = io_lock();
+        let path = tmpdir("ladder").join("ledger.json");
         let policy = DurabilityPolicy::fast();
-        write_durable(&path, "{\"v\": 1}", &policy).unwrap();
-        write_durable(&path, "{\"v\": 2}", &policy).unwrap();
-        // Corrupt the primary beyond salvage.
-        fs::write(&path, seal("{\"v\": 2}").replace('2', "X")).unwrap();
-        let rec = load_recoverable(
-            &path,
-            |p| {
-                salvage_u64_field(p, "v")
-                    .filter(|_| p.starts_with('{') && p.ends_with('}'))
-                    .ok_or_else(|| "no v".to_string())
-            },
-            |_| None,
-        )
-        .unwrap();
-        assert_eq!(rec.value, 1, "backup generation should win");
+        save(&ledger(&[1]), &path, &policy).unwrap();
+        save(&ledger(&[1, 2]), &path, &policy).unwrap();
+        // Corrupt the primary beyond salvage (header unreadable).
+        fs::write(&path, "\u{0}garbage").unwrap();
+        let rec = load::<Ledger>(&path).unwrap();
+        assert_eq!(rec.value, ledger(&[1]), "backup generation should win");
         assert_eq!(rec.source, LoadSource::Backup);
         assert!(rec.warnings[0].contains("backup"));
     }
 
     #[test]
-    fn load_recoverable_salvages_damaged_primary_first() {
-        let dir = tmpdir("salvage");
-        let path = dir.join("state.json");
-        let full = "{\"version\": 3, \"items\": [{\"id\": 1}, {\"id\": 2}, {\"id\": 3}]}";
-        // Simulate a torn write: sealed, then truncated mid-array (footer lost).
-        let sealed = seal(full);
-        fs::write(&path, &sealed[..full.rfind(", {\"id\": 3").unwrap()]).unwrap();
-        let rec = load_recoverable(
-            &path,
-            |p| {
-                if p == full {
-                    Ok(3usize)
-                } else {
-                    Err("strict parse failed".to_string())
-                }
-            },
-            |p| {
-                if salvage_u64_field(p, "version") != Some(3) {
-                    return None;
-                }
-                let items = salvage_array_items(p, "items");
-                if items.is_empty() {
-                    None
-                } else {
-                    let n = items.len();
-                    Some((n, format!("kept {n} records")))
-                }
-            },
-        )
-        .unwrap();
-        assert_eq!(rec.value, 2, "two intact records before the tear");
+    fn load_salvages_damaged_primary_first() {
+        let path = tmpdir("salvage").join("ledger.json");
+        let text = ledger(&[1, 2, 3]).to_json().pretty();
+        // A torn write: the tail, footer included, is lost mid-record.
+        fs::write(&path, &text[..text.find("\"amount\": 3").unwrap()]).unwrap();
+        let rec = load::<Ledger>(&path).unwrap();
+        assert_eq!(
+            rec.value.credits,
+            [1, 2],
+            "two intact records before the tear"
+        );
+        assert!(rec.value.notes.is_empty());
         assert_eq!(rec.source, LoadSource::PrimarySalvaged);
+        assert!(rec.warnings[0].contains("salvaged"), "{:?}", rec.warnings);
     }
 
     #[test]
-    fn load_recoverable_reports_empty_when_no_backup() {
-        let dir = tmpdir("empty-ladder");
-        let path = dir.join("state.json");
+    fn load_reports_empty_when_no_backup() {
+        let path = tmpdir("empty-ladder").join("ledger.json");
         fs::write(&path, "").unwrap();
-        let err = load_recoverable(&path, |_| Ok(()), |_| None::<((), String)>).unwrap_err();
+        let err = load::<Ledger>(&path).unwrap_err();
         assert!(err.is_empty(), "got {err:?}");
+    }
+
+    #[test]
+    fn stale_tmp_orphans_are_cleaned_up_and_real_files_kept() {
+        let _io = io_lock();
+        let path = tmpdir("tmp-orphan").join("ledger.json");
+        let tmp = temp_path(&path);
+        // A write that died mid-flight: a torn temp next to a good
+        // (older) generation.
+        save(&ledger(&[4]), &path, &DurabilityPolicy::fast()).unwrap();
+        fs::write(&tmp, "{\"version\": 3, \"kind\": \"led").unwrap();
+
+        assert!(remove_stale_temp(&path), "orphan removed");
+        assert!(!tmp.exists());
+        let rec = load::<Ledger>(&path).unwrap();
+        assert_eq!(
+            rec.source,
+            LoadSource::Primary,
+            "the real file is untouched"
+        );
+        assert_eq!(rec.value, ledger(&[4]));
+
+        // Idempotent when there is nothing to clean.
+        assert!(!remove_stale_temp(&path));
     }
 
     #[test]
     fn salvage_scanners_ignore_keys_inside_strings_and_nested_objects() {
         let text = r#"{"version": 7, "note": "\"jobs\": [fake]", "meta": {"jobs": [1]}, "jobs": [{"id": "a,b]{"}, {"id": "c"}"#;
-        assert_eq!(salvage_u64_field(text, "version"), Some(7));
+        assert_eq!(salvage_field(text, "version"), Some(Json::from(7u64)));
         let items = salvage_array_items(text, "jobs");
         assert_eq!(items.len(), 2);
         assert!(items[0].contains("a,b]{"));
@@ -1111,23 +1319,16 @@ mod tests {
     }
 
     #[test]
-    fn salvage_string_field_reads_header_scalars() {
+    fn salvage_field_reads_header_scalars() {
         let text = r#"{"kind": "service-journal", "version": 1, "jobs": ["#;
         assert_eq!(
-            salvage_string_field(text, "kind").as_deref(),
+            salvage_field(text, "kind").as_ref().and_then(Json::as_str),
             Some("service-journal")
         );
-        assert_eq!(salvage_u64_field(text, "version"), Some(1));
-    }
-
-    #[test]
-    fn jsonl_salvage_drops_only_the_partial_tail() {
-        let (lines, truncated) = salvage_jsonl_lines("{\"a\":1}\n{\"b\":2}\n{\"c\":");
-        assert_eq!(lines, vec!["{\"a\":1}", "{\"b\":2}"]);
-        assert!(truncated);
-        let (lines, truncated) = salvage_jsonl_lines("{\"a\":1}\n");
-        assert_eq!(lines, vec!["{\"a\":1}"]);
-        assert!(!truncated);
+        assert_eq!(
+            salvage_field(text, "version").and_then(|v| v.as_u64()),
+            Some(1)
+        );
     }
 }
 

@@ -28,7 +28,7 @@
 //!   [`optimize::evaluate_assignment`]);
 //! * the exhaustive orientation × size search for the optimal
 //!   assignment, with `tile-as-an-AuthBlock` and *rehash* as the
-//!   baselines it must beat ([`optimize`]).
+//!   baselines it must beat ([`optimize`](fn@optimize)).
 //!
 //! # Example: the paper's Fig. 8/9 geometry
 //!

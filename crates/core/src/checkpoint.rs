@@ -2,33 +2,25 @@
 //!
 //! A Fig. 13–16-style DSE sweep evaluates dozens of design points, each
 //! of which runs the full three-step scheduler; losing the sweep to a
-//! crash at design point 47 of 54 used to lose everything. This module
-//! serialises finished work to disk so a re-invocation picks up where
-//! the previous run stopped:
+//! crash at design point 47 of 54 used to lose everything.
+//! [`SweepCheckpoint`] holds the finished design points of a sweep,
+//! keyed by design label, and is saved after every design point so a
+//! re-invocation picks up where the previous run stopped.
 //!
-//! * [`SweepCheckpoint`] — finished design points of a DSE sweep, keyed
-//!   by design label, written atomically (temp file + rename) after
-//!   every design point.
-//! * [`AnnealState`] round-trips ([`anneal_state_to_json`] /
-//!   [`anneal_state_from_json`]) — the Markovian simulated-annealing
-//!   snapshot, resumable via
-//!   [`crate::annealing::anneal_segment_resumable`].
-//!
-//! Everything uses the dependency-free [`secureloop_json`] crate; a
-//! corrupted or mismatched checkpoint surfaces as
-//! [`SecureLoopError::Checkpoint`] naming the file and the offending
-//! field rather than panicking.
+//! It persists through [`secureloop_artifact::Persistent`]: a durable
+//! write per save, and a salvage-ladder load that names the file and
+//! the offending field of a corrupted or mismatched checkpoint rather
+//! than panicking.
 
-use std::fs;
+use std::ops::RangeInclusive;
 use std::path::Path;
 
-use secureloop_artifact::{self as artifact, DurabilityPolicy, Recovered};
+use secureloop_artifact::{self as artifact, DurabilityPolicy, Persistent};
 use secureloop_authblock::OverheadBreakdown;
 use secureloop_json::Json;
 use secureloop_loopnest::{CompactMapping, EnergyBreakdown};
 use secureloop_telemetry::Timer;
 
-use crate::annealing::AnnealState;
 use crate::error::SecureLoopError;
 use crate::scheduler::{Algorithm, LayerOutcome, LayerResult, NetworkSchedule};
 
@@ -37,12 +29,10 @@ use crate::scheduler::{Algorithm, LayerOutcome, LayerResult, NetworkSchedule};
 /// quarantine) are still accepted on load.
 pub const CHECKPOINT_VERSION: u64 = 2;
 
-/// Oldest checkpoint schema version [`SweepCheckpoint::from_json`]
-/// still understands.
+/// Oldest checkpoint schema version a load still understands.
 pub const CHECKPOINT_MIN_VERSION: u64 = 1;
 
 static SAVE_TIMER: Timer = Timer::new("checkpoint.save");
-static LOAD_TIMER: Timer = Timer::new("checkpoint.load");
 
 fn field_err(field: &str) -> String {
     format!("missing or invalid field '{field}'")
@@ -61,53 +51,6 @@ fn req_u64(v: &Json, field: &str) -> Result<u64, String> {
 
 fn req_f64(v: &Json, field: &str) -> Result<f64, String> {
     v[field].as_f64().ok_or_else(|| field_err(field))
-}
-
-fn req_usize(v: &Json, field: &str) -> Result<usize, String> {
-    v[field].as_usize().ok_or_else(|| field_err(field))
-}
-
-fn usize_array(v: &Json, field: &str) -> Result<Vec<usize>, String> {
-    v[field]
-        .as_array()
-        .ok_or_else(|| field_err(field))?
-        .iter()
-        .map(|x| x.as_usize().ok_or_else(|| field_err(field)))
-        .collect()
-}
-
-/// Serialise an [`AnnealState`] snapshot.
-pub fn anneal_state_to_json(s: &AnnealState) -> Json {
-    let global = match &s.global_best {
-        Some(c) => Json::Arr(c.iter().map(|&x| Json::from(x)).collect()),
-        None => Json::Null,
-    };
-    Json::obj()
-        .field("restart", s.restart)
-        .field("iteration", s.iteration)
-        .field("current", s.current.clone())
-        .field("best", s.best.clone())
-        .field("global_best", global)
-}
-
-/// Parse an [`AnnealState`] snapshot.
-///
-/// # Errors
-///
-/// Names the missing or ill-typed field.
-pub fn anneal_state_from_json(v: &Json) -> Result<AnnealState, String> {
-    let global_best = if v["global_best"].is_null() {
-        None
-    } else {
-        Some(usize_array(v, "global_best")?)
-    };
-    Ok(AnnealState {
-        restart: req_usize(v, "restart")?,
-        iteration: req_usize(v, "iteration")?,
-        current: usize_array(v, "current")?,
-        best: usize_array(v, "best")?,
-        global_best,
-    })
 }
 
 fn outcome_to_json(name: &str, outcome: &LayerOutcome) -> Json {
@@ -326,229 +269,68 @@ impl SweepCheckpoint {
         self.entries.is_empty()
     }
 
-    /// Serialise the checkpoint.
-    pub fn to_json(&self) -> Json {
-        Json::obj()
-            .field("version", CHECKPOINT_VERSION)
-            .field("kind", "dse-sweep")
-            .field("workload", self.workload.as_str())
-            .field("algorithm", self.algorithm.name())
-            .field(
-                "designs",
-                Json::Arr(
-                    self.entries
-                        .iter()
-                        .map(|(label, s)| {
-                            Json::obj()
-                                .field("label", label.as_str())
-                                .field("schedule", schedule_to_json(s))
-                        })
-                        .collect(),
-                ),
-            )
-            .field(
-                "poisoned",
-                Json::Arr(
-                    self.poisoned
-                        .iter()
-                        .map(|(label, cause)| {
-                            Json::obj()
-                                .field("label", label.as_str())
-                                .field("cause", cause.as_str())
-                        })
-                        .collect(),
-                ),
-            )
-    }
-
-    /// Parse a checkpoint written by [`SweepCheckpoint::to_json`].
-    ///
-    /// # Errors
-    ///
-    /// Names the missing or ill-typed field (including a version or
-    /// kind mismatch).
-    pub fn from_json(v: &Json) -> Result<Self, String> {
-        let version = req_u64(v, "version")?;
-        if !(CHECKPOINT_MIN_VERSION..=CHECKPOINT_VERSION).contains(&version) {
-            return Err(format!(
-                "unsupported checkpoint version {version} \
-                 (expected {CHECKPOINT_MIN_VERSION}..={CHECKPOINT_VERSION})"
-            ));
-        }
-        if v["kind"].as_str() != Some("dse-sweep") {
-            return Err(field_err("kind"));
-        }
-        let algorithm_name = req_str(v, "algorithm")?;
-        let algorithm = Algorithm::from_name(&algorithm_name)
-            .ok_or_else(|| format!("field 'algorithm': unknown algorithm '{algorithm_name}'"))?;
-        let entries = v["designs"]
-            .as_array()
-            .ok_or_else(|| field_err("designs"))?
-            .iter()
-            .map(|d| {
-                let label = req_str(d, "label")?;
-                let schedule = schedule_from_json(&d["schedule"])?;
-                Ok((label, schedule))
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        // Version-1 checkpoints predate the quarantine; treat a missing
-        // list as empty.
-        let poisoned = match &v["poisoned"] {
-            Json::Null => Vec::new(),
-            list => list
-                .as_array()
-                .ok_or_else(|| field_err("poisoned"))?
-                .iter()
-                .map(|p| Ok((req_str(p, "label")?, req_str(p, "cause")?)))
-                .collect::<Result<Vec<_>, String>>()?,
-        };
-        Ok(SweepCheckpoint {
-            workload: req_str(v, "workload")?,
-            algorithm,
-            entries,
-            poisoned,
-        })
-    }
-
-    /// Write the checkpoint durably with the default
-    /// [`DurabilityPolicy`]: sealed in a checksummed envelope, written
-    /// to a sibling `.tmp`, fsynced, rotated over the previous
-    /// generation (kept as `.bak`) and renamed into place, so an
-    /// interrupted write can never leave a torn checkpoint behind.
+    /// Write the checkpoint durably with `policy` ([`artifact::save`]).
     ///
     /// # Errors
     ///
     /// [`SecureLoopError::Artifact`] on I/O failure (after retries).
-    pub fn save(&self, path: &Path) -> Result<(), SecureLoopError> {
-        self.save_with(path, &DurabilityPolicy::default())
-    }
-
-    /// [`SweepCheckpoint::save`] with an explicit [`DurabilityPolicy`].
     pub fn save_with(&self, path: &Path, policy: &DurabilityPolicy) -> Result<(), SecureLoopError> {
-        SAVE_TIMER.time(|| {
-            artifact::write_durable(path, &self.to_json().pretty(), policy)
-                .map_err(SecureLoopError::Artifact)
-        })
+        SAVE_TIMER.time(|| artifact::save(self, path, policy).map_err(SecureLoopError::Artifact))
+    }
+}
+
+impl Persistent for SweepCheckpoint {
+    const KIND: &'static str = "dse-sweep";
+    const NOUN: &'static str = "checkpoint";
+    const VERSIONS: RangeInclusive<u64> = CHECKPOINT_MIN_VERSION..=CHECKPOINT_VERSION;
+    const HEADER: &'static [&'static str] = &["workload", "algorithm"];
+    const RECORDS: &'static [&'static str] = &["designs", "poisoned"];
+    /// Version-1 checkpoints predate the quarantine.
+    const OPTIONAL_RECORDS: &'static [&'static str] = &["poisoned"];
+
+    fn header(&self) -> Vec<Json> {
+        vec![self.workload.as_str().into(), self.algorithm.name().into()]
     }
 
-    /// Remove a stale `<path>.tmp` orphan left behind by a write that
-    /// died between `fs::write` and `fs::rename` (power loss, SIGKILL).
-    /// Call before the first [`SweepCheckpoint::save`] against `path`;
-    /// the orphan is a torn partial write and must never be trusted.
-    /// Returns whether an orphan was removed.
-    pub fn remove_stale_tmp(path: &Path) -> bool {
-        let tmp = path.with_extension("tmp");
-        tmp.exists() && fs::remove_file(&tmp).is_ok()
+    fn from_header(v: &Json) -> Result<Self, String> {
+        let algorithm_name = req_str(v, "algorithm")?;
+        let algorithm = Algorithm::from_name(&algorithm_name)
+            .ok_or_else(|| format!("field 'algorithm': unknown algorithm '{algorithm_name}'"))?;
+        Ok(SweepCheckpoint::new(req_str(v, "workload")?, algorithm))
     }
 
-    /// Load a checkpoint from disk, strictly: the envelope (if present)
-    /// must verify and the payload must parse whole. Use
-    /// [`SweepCheckpoint::load_recovering`] to additionally walk the
-    /// salvage ladder.
-    ///
-    /// # Errors
-    ///
-    /// [`SecureLoopError::Checkpoint`] when the file fails validation;
-    /// [`SecureLoopError::Artifact`] with
-    /// [`ArtifactError::Empty`] for a 0-byte file (a crash between
-    /// create and write — callers treat it as absent-with-warning) and
-    /// [`ArtifactError::Io`] when it cannot be read.
-    pub fn load(path: &Path) -> Result<Self, SecureLoopError> {
-        let err = |message: String| SecureLoopError::Checkpoint {
-            path: path.display().to_string(),
-            message,
-        };
-        LOAD_TIMER.time(|| {
-            let (payload, integrity) =
-                artifact::read_verified(path).map_err(SecureLoopError::Artifact)?;
-            if let artifact::Integrity::Damaged(reason) = integrity {
-                return Err(err(format!("envelope damaged: {reason}")));
-            }
-            let v = Json::parse(&payload).map_err(|e| err(format!("parse: {e}")))?;
-            SweepCheckpoint::from_json(&v).map_err(err)
-        })
+    fn write_records(&self, array: &str) -> Vec<Json> {
+        if array == "designs" {
+            self.entries
+                .iter()
+                .map(|(label, s)| {
+                    Json::obj()
+                        .field("label", label.as_str())
+                        .field("schedule", schedule_to_json(s))
+                })
+                .collect()
+        } else {
+            self.poisoned
+                .iter()
+                .map(|(label, cause)| {
+                    Json::obj()
+                        .field("label", label.as_str())
+                        .field("cause", cause.as_str())
+                })
+                .collect()
+        }
     }
 
-    /// Load a checkpoint through the salvage ladder: strict parse of
-    /// the primary, record-by-record salvage of a damaged primary
-    /// (intact designs kept, the corrupt tail quarantined), then the
-    /// `.bak` last-known-good generation. Warnings describe anything
-    /// lossy that happened.
-    ///
-    /// # Errors
-    ///
-    /// As [`SweepCheckpoint::load`], when every rung fails.
-    pub fn load_recovering(path: &Path) -> Result<Recovered<Self>, SecureLoopError> {
-        LOAD_TIMER.time(|| {
-            artifact::load_recoverable(
-                path,
-                |payload| {
-                    let v = Json::parse(payload).map_err(|e| format!("parse: {e}"))?;
-                    SweepCheckpoint::from_json(&v)
-                },
-                Self::salvage,
-            )
-            .map_err(SecureLoopError::Artifact)
-        })
-    }
-
-    /// Recover intact records from a damaged checkpoint payload. The
-    /// header (version, kind, workload, algorithm) must still be
-    /// readable — a wrong-schema file is never record-mined into the
-    /// current schema — but the designs/poisoned arrays are taken
-    /// record-by-record, dropping whatever the torn tail corrupted.
-    fn salvage(payload: &str) -> Option<(Self, String)> {
-        let version = artifact::salvage_u64_field(payload, "version")?;
-        if !(CHECKPOINT_MIN_VERSION..=CHECKPOINT_VERSION).contains(&version) {
-            return None;
+    fn read_record(&mut self, array: &str, v: &Json) -> Result<(), String> {
+        let label = req_str(v, "label")?;
+        if array == "designs" {
+            let schedule = schedule_from_json(&v["schedule"])?;
+            self.entries.push((label, schedule));
+        } else {
+            let cause = req_str(v, "cause")?;
+            self.poisoned.push((label, cause));
         }
-        if artifact::salvage_string_field(payload, "kind").as_deref() != Some("dse-sweep") {
-            return None;
-        }
-        let workload = artifact::salvage_string_field(payload, "workload")?;
-        let algorithm =
-            Algorithm::from_name(&artifact::salvage_string_field(payload, "algorithm")?)?;
-        let mut ckpt = SweepCheckpoint::new(workload, algorithm);
-        let mut dropped = 0usize;
-        for item in artifact::salvage_array_items(payload, "designs") {
-            let parsed = match Json::parse(&item) {
-                Ok(v) => v,
-                Err(_) => {
-                    dropped += 1;
-                    continue;
-                }
-            };
-            match (
-                parsed["label"].as_str(),
-                schedule_from_json(&parsed["schedule"]),
-            ) {
-                (Some(label), Ok(schedule)) => ckpt.entries.push((label.to_string(), schedule)),
-                _ => dropped += 1,
-            }
-        }
-        for item in artifact::salvage_array_items(payload, "poisoned") {
-            let parsed = match Json::parse(&item) {
-                Ok(v) => v,
-                Err(_) => {
-                    dropped += 1;
-                    continue;
-                }
-            };
-            match (parsed["label"].as_str(), parsed["cause"].as_str()) {
-                (Some(label), Some(cause)) => {
-                    ckpt.poisoned.push((label.to_string(), cause.to_string()))
-                }
-                _ => dropped += 1,
-            }
-        }
-        if ckpt.entries.is_empty() && ckpt.poisoned.is_empty() {
-            return None;
-        }
-        let kept = ckpt.entries.len() + ckpt.poisoned.len();
-        Some((
-            ckpt,
-            format!("kept {kept} intact record(s), dropped {dropped} damaged"),
-        ))
+        Ok(())
     }
 }
 
@@ -558,9 +340,11 @@ mod tests {
     use crate::annealing::AnnealingConfig;
     use crate::scheduler::Scheduler;
     use secureloop_arch::Architecture;
+    use secureloop_artifact::{ArtifactError, LoadSource};
     use secureloop_crypto::{CryptoConfig, EngineClass};
     use secureloop_mapper::{FaultPlan, FaultScope, SearchConfig};
     use secureloop_workload::zoo;
+    use std::fs;
 
     fn sample_schedule() -> NetworkSchedule {
         let arch =
@@ -609,34 +393,20 @@ mod tests {
     }
 
     #[test]
-    fn anneal_state_round_trips() {
-        let s = AnnealState {
-            restart: 2,
-            iteration: 417,
-            current: vec![1, 0, 3],
-            best: vec![0, 0, 2],
-            global_best: Some(vec![0, 1, 2]),
-        };
-        let back = anneal_state_from_json(&anneal_state_to_json(&s)).unwrap();
-        assert_eq!(back, s);
-        let fresh = AnnealState::fresh(4);
-        let back = anneal_state_from_json(&anneal_state_to_json(&fresh)).unwrap();
-        assert_eq!(back, fresh);
-    }
-
-    #[test]
     fn sweep_checkpoint_saves_and_loads_atomically() {
         let dir = std::env::temp_dir().join("secureloop-ckpt-test");
         fs::create_dir_all(&dir).unwrap();
         let path = dir.join("sweep.json");
         let mut ckpt = SweepCheckpoint::new("AlexNet", Algorithm::CryptOptSingle);
         ckpt.insert("design-a", sample_schedule());
-        ckpt.save(&path).unwrap();
+        ckpt.save_with(&path, &DurabilityPolicy::default()).unwrap();
         assert!(
             !path.with_extension("tmp").exists(),
             "temp file renamed away"
         );
-        let back = SweepCheckpoint::load(&path).unwrap();
+        let rec = artifact::load::<SweepCheckpoint>(&path).unwrap();
+        assert_eq!(rec.source, LoadSource::Primary);
+        let back = rec.value;
         assert!(back.matches("AlexNet", Algorithm::CryptOptSingle));
         assert!(!back.matches("ResNet18", Algorithm::CryptOptSingle));
         assert_eq!(back.len(), 1);
@@ -678,31 +448,6 @@ mod tests {
     }
 
     #[test]
-    fn stale_tmp_orphans_are_cleaned_up_and_real_files_kept() {
-        let dir = std::env::temp_dir().join("secureloop-ckpt-tmp-orphan");
-        fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("sweep.json");
-        let tmp = path.with_extension("tmp");
-
-        // Simulate a write that died mid-flight: a torn .tmp next to a
-        // good (older) checkpoint.
-        let mut ckpt = SweepCheckpoint::new("AlexNet", Algorithm::CryptOptSingle);
-        ckpt.insert_poisoned("design-x", "panicked: chaos");
-        ckpt.save(&path).unwrap();
-        fs::write(&tmp, "{\"version\": 2, \"kind\": \"dse-swe").unwrap();
-
-        assert!(SweepCheckpoint::remove_stale_tmp(&path), "orphan removed");
-        assert!(!tmp.exists());
-        assert!(path.exists(), "the real checkpoint is untouched");
-        let back = SweepCheckpoint::load(&path).unwrap();
-        assert_eq!(back.poisoned_cause("design-x"), Some("panicked: chaos"));
-
-        // Idempotent when there is nothing to clean.
-        assert!(!SweepCheckpoint::remove_stale_tmp(&path));
-        fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
     fn failed_save_does_not_strand_a_tmp_file() {
         let dir = std::env::temp_dir().join("secureloop-ckpt-save-fail");
         fs::create_dir_all(&dir).unwrap();
@@ -731,13 +476,8 @@ mod tests {
         fs::create_dir_all(&dir).unwrap();
         let path = dir.join("sweep.json");
         fs::write(&path, "").unwrap();
-        let err = SweepCheckpoint::load(&path).unwrap_err();
-        assert!(
-            matches!(err, SecureLoopError::Artifact(ref a) if a.is_empty()),
-            "got {err:?}"
-        );
-        let err = SweepCheckpoint::load_recovering(&path).unwrap_err();
-        assert!(matches!(err, SecureLoopError::Artifact(ref a) if a.is_empty()));
+        let err = artifact::load::<SweepCheckpoint>(&path).unwrap_err();
+        assert!(err.is_empty(), "got {err:?}");
         fs::remove_file(&path).unwrap();
     }
 
@@ -758,8 +498,12 @@ mod tests {
         // Make sure a stale backup cannot mask the salvage path.
         let _ = fs::remove_file(path.with_extension("bak"));
 
-        assert!(SweepCheckpoint::load(&path).is_err(), "strict load rejects");
-        let rec = SweepCheckpoint::load_recovering(&path).unwrap();
+        let rec = artifact::load::<SweepCheckpoint>(&path).unwrap();
+        assert_eq!(
+            rec.source,
+            LoadSource::PrimarySalvaged,
+            "strict load rejects"
+        );
         assert!(rec.value.get("design-a").is_some());
         assert!(rec.value.get("design-b").is_none(), "torn record dropped");
         assert!(!rec.warnings.is_empty());
@@ -774,13 +518,15 @@ mod tests {
         let path = dir.join("sweep.json");
         let _ = fs::remove_file(path.with_extension("bak"));
         let mut ckpt = SweepCheckpoint::new("AlexNet", Algorithm::CryptOptSingle);
+        let policy = DurabilityPolicy::default();
         ckpt.insert("design-a", sample_schedule());
-        ckpt.save(&path).unwrap();
+        ckpt.save_with(&path, &policy).unwrap();
         ckpt.insert("design-b", sample_schedule());
-        ckpt.save(&path).unwrap();
+        ckpt.save_with(&path, &policy).unwrap();
         // Obliterate the primary beyond salvage (header unreadable).
         fs::write(&path, "\u{0}\u{0}garbage\u{0}").unwrap();
-        let rec = SweepCheckpoint::load_recovering(&path).unwrap();
+        let rec = artifact::load::<SweepCheckpoint>(&path).unwrap();
+        assert_eq!(rec.source, LoadSource::Backup);
         assert_eq!(rec.value.len(), 1, "previous generation had one design");
         assert!(rec.value.get("design-a").is_some());
         assert!(rec.warnings[0].contains("backup"), "{:?}", rec.warnings);
@@ -794,24 +540,22 @@ mod tests {
         fs::create_dir_all(&dir).unwrap();
         let path = dir.join("corrupt.json");
         fs::write(&path, "{not json").unwrap();
-        let err = SweepCheckpoint::load(&path).unwrap_err();
-        assert!(matches!(err, SecureLoopError::Checkpoint { .. }));
+        let err = artifact::load::<SweepCheckpoint>(&path).unwrap_err();
+        assert!(
+            matches!(err, ArtifactError::Corrupt { ref message, .. } if message.contains("parse")),
+            "got {err:?}"
+        );
         assert!(err.to_string().contains("corrupt.json"));
 
         fs::write(&path, r#"{"version": 99, "kind": "dse-sweep"}"#).unwrap();
-        let err = SweepCheckpoint::load(&path).unwrap_err();
-        assert!(err.to_string().contains("version 99"));
+        let err = artifact::load::<SweepCheckpoint>(&path).unwrap_err();
+        assert!(
+            matches!(err, ArtifactError::Corrupt { ref message, .. } if message.contains("version 99")),
+            "got {err:?}"
+        );
 
         let missing = dir.join("never-written.json");
-        assert!(SweepCheckpoint::load(&missing).is_err());
+        assert!(artifact::load::<SweepCheckpoint>(&missing).is_err());
         fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn malformed_fields_are_named() {
-        let v =
-            Json::parse(r#"{"restart": 1, "iteration": "x", "current": [], "best": []}"#).unwrap();
-        let err = anneal_state_from_json(&v).unwrap_err();
-        assert!(err.contains("iteration"), "{err}");
     }
 }

@@ -47,7 +47,7 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
 use secureloop_arch::{Architecture, DramSpec};
-use secureloop_artifact::DurabilityPolicy;
+use secureloop_artifact::{self as artifact, ArtifactError, DurabilityPolicy, Persistent};
 use secureloop_crypto::{CryptoConfig, EngineClass, SchemeId};
 use secureloop_energy::AreaModel;
 use secureloop_mapper::{cancel, CancelToken, CandidateCache, SearchConfig};
@@ -67,6 +67,7 @@ static DESIGNS_SKIPPED: Counter = Counter::new("dse.designs_skipped");
 static DESIGNS_POISONED: Counter = Counter::new("dse.designs_poisoned");
 static SWEEP_INTERRUPTED: Counter = Counter::new("dse.interrupted");
 static DESIGN_TIMER: Timer = Timer::new("dse.design");
+static CHECKPOINT_LOAD: Timer = Timer::new("checkpoint.load");
 
 /// One evaluated design point.
 #[derive(Debug, Clone)]
@@ -479,6 +480,31 @@ pub enum DesignOutcome {
     },
 }
 
+/// [`artifact::load`] of a file a crash may have left empty: a 0-byte
+/// file reads as `None`. Salvage and backup notes, and the empty-file
+/// note, become warnings naming `what`.
+fn load_warm<T: Persistent>(
+    path: &Path,
+    what: &str,
+    warnings: &mut Vec<String>,
+) -> Result<Option<T>, ArtifactError> {
+    match artifact::load(path) {
+        Ok(rec) => {
+            warnings.extend(rec.warnings.into_iter().map(|w| format!("{what}: {w}")));
+            Ok(Some(rec.value))
+        }
+        Err(e) if e.is_empty() => {
+            warnings.push(format!(
+                "{what} '{}' is empty (crash between create and write); \
+                 treating it as absent",
+                path.display()
+            ));
+            Ok(None)
+        }
+        Err(e) => Err(e),
+    }
+}
+
 /// The incremental DSE engine: [`evaluate_designs_resumable`] plus a
 /// cross-design candidate cache and a worker pool.
 ///
@@ -514,50 +540,33 @@ pub fn evaluate_designs_sweep(
 ) -> Result<SweepRun, SecureLoopError> {
     let mut run = SweepRun::default();
 
-    // A previous invocation killed between `write` and `rename` leaves
-    // a torn `.tmp` next to the checkpoint (and cache) file; sweep it
+    // A previous invocation killed between temp-write and rename leaves
+    // a torn temp file next to the checkpoint (and cache) file; sweep it
     // away before trusting or writing anything here.
     if let Some(path) = &opts.checkpoint_path {
-        SweepCheckpoint::remove_stale_tmp(path);
+        artifact::remove_stale_temp(path);
     }
     if let Some(path) = opts.effective_cache_path() {
-        let tmp = path.with_extension("tmp");
-        if tmp.exists() {
-            let _ = std::fs::remove_file(&tmp);
-        }
+        artifact::remove_stale_temp(&path);
     }
 
+    let fresh = || SweepCheckpoint::new(network.name(), algorithm);
     let ckpt = match (&opts.checkpoint_path, opts.resume) {
-        (Some(path), true) if path.exists() => match SweepCheckpoint::load_recovering(path) {
-            Ok(rec) => {
-                // Salvage or `.bak`-fallback notes ride along as
-                // warnings; a clean strict load contributes none.
-                run.warnings
-                    .extend(rec.warnings.into_iter().map(|w| format!("checkpoint: {w}")));
-                if rec.value.matches(network.name(), algorithm) {
-                    rec.value
-                } else {
-                    SweepCheckpoint::new(network.name(), algorithm)
+        (Some(path), true) if path.exists() => {
+            let loaded = CHECKPOINT_LOAD
+                .time(|| load_warm::<SweepCheckpoint>(path, "checkpoint", &mut run.warnings));
+            match loaded {
+                Ok(Some(c)) if c.matches(network.name(), algorithm) => c,
+                Ok(_) => fresh(),
+                Err(e) => {
+                    // The load error already names the file.
+                    run.warnings
+                        .push(format!("ignoring corrupted checkpoint: {e}; starting cold"));
+                    fresh()
                 }
             }
-            Err(SecureLoopError::Artifact(ref a)) if a.is_empty() => {
-                // A crash between create and write leaves a 0-byte
-                // file: absent-with-warning, not corruption.
-                run.warnings.push(format!(
-                    "checkpoint '{}' is empty (crash between create and write); \
-                     treating it as absent",
-                    path.display()
-                ));
-                SweepCheckpoint::new(network.name(), algorithm)
-            }
-            Err(e) => {
-                // The load error already names the file.
-                run.warnings
-                    .push(format!("ignoring corrupted checkpoint: {e}; starting cold"));
-                SweepCheckpoint::new(network.name(), algorithm)
-            }
-        },
-        _ => SweepCheckpoint::new(network.name(), algorithm),
+        }
+        _ => fresh(),
     };
 
     // A caller-owned cache (the service's process-wide warm cache)
@@ -572,34 +581,17 @@ pub fn evaluate_designs_sweep(
         Some(Arc::clone(shared))
     } else if opts.use_cache {
         let loaded = match &cache_path {
-            Some(path) if path.exists() => match CandidateCache::load_recovering(path) {
-                Ok(rec) => {
-                    run.warnings.extend(
-                        rec.warnings
-                            .into_iter()
-                            .map(|w| format!("candidate cache: {w}")),
-                    );
-                    rec.value
-                }
-                Err(e) if e.is_empty() => {
-                    run.warnings.push(format!(
-                        "candidate cache '{}' is empty (crash between create and write); \
-                         treating it as absent",
-                        path.display()
-                    ));
-                    CandidateCache::new()
-                }
-                Err(e) => {
+            Some(path) if path.exists() => load_warm(path, "candidate cache", &mut run.warnings)
+                .unwrap_or_else(|e| {
                     run.warnings.push(format!(
                         "ignoring candidate cache '{}': {e}",
                         path.display()
                     ));
-                    CandidateCache::new()
-                }
-            },
-            _ => CandidateCache::new(),
+                    None
+                }),
+            _ => None,
         };
-        Some(Arc::new(loaded))
+        Some(Arc::new(loaded.unwrap_or_default()))
     } else {
         None
     };

@@ -1,7 +1,7 @@
 //! Fused-layer execution — the extension the paper points to.
 //!
 //! §4.3 calls joint scheduling of multiple layers in the style of
-//! fused-layer processing [43] "promising yet orthogonal" to
+//! fused-layer processing \[43\] "promising yet orthogonal" to
 //! SecureLoop. This module implements the simplest useful member of
 //! that family: executing a *coupled pair* of layers tile-by-tile with
 //! the intermediate tensor pinned in the GLB, so it never visits DRAM —

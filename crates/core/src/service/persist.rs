@@ -17,12 +17,12 @@
 //! ```
 
 use std::fs;
+use std::ops::RangeInclusive;
 use std::path::{Path, PathBuf};
 
-use secureloop_artifact::{self as artifact, DurabilityPolicy, Recovered};
+use secureloop_artifact::Persistent;
 use secureloop_json::Json;
 
-use crate::error::SecureLoopError;
 use crate::service::job::JobRecord;
 
 /// Journal schema version; bumped on incompatible changes.
@@ -72,133 +72,28 @@ pub struct ServiceJournal {
     pub jobs: Vec<JobRecord>,
 }
 
-impl ServiceJournal {
-    /// Serialise the journal.
-    pub fn to_json(&self) -> Json {
-        Json::obj()
-            .field("version", JOURNAL_VERSION)
-            .field("kind", "service-journal")
-            .field(
-                "jobs",
-                Json::Arr(self.jobs.iter().map(JobRecord::to_json).collect()),
-            )
+impl Persistent for ServiceJournal {
+    const KIND: &'static str = "service-journal";
+    const NOUN: &'static str = "journal";
+    const VERSIONS: RangeInclusive<u64> = JOURNAL_VERSION..=JOURNAL_VERSION;
+    const HEADER: &'static [&'static str] = &[];
+    const RECORDS: &'static [&'static str] = &["jobs"];
+
+    fn header(&self) -> Vec<Json> {
+        Vec::new()
     }
 
-    /// Parse a journal written by [`ServiceJournal::to_json`].
-    ///
-    /// # Errors
-    ///
-    /// Names the missing or ill-typed field (including version / kind
-    /// mismatches).
-    pub fn from_json(v: &Json) -> Result<ServiceJournal, String> {
-        let version = v["version"]
-            .as_u64()
-            .ok_or("missing or invalid field 'version'")?;
-        if version != JOURNAL_VERSION {
-            return Err(format!(
-                "unsupported journal version {version} (expected {JOURNAL_VERSION})"
-            ));
-        }
-        if v["kind"].as_str() != Some("service-journal") {
-            return Err("missing or invalid field 'kind'".to_string());
-        }
-        let jobs = v["jobs"]
-            .as_array()
-            .ok_or("missing or invalid field 'jobs'")?
-            .iter()
-            .map(JobRecord::from_json)
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(ServiceJournal { jobs })
+    fn from_header(_: &Json) -> Result<Self, String> {
+        Ok(ServiceJournal::default())
     }
 
-    /// Write the journal durably with the default [`DurabilityPolicy`]
-    /// (checksummed envelope, temp + fsync + `.bak` rotation + rename;
-    /// a failed write cleans up its temp file).
-    ///
-    /// # Errors
-    ///
-    /// [`SecureLoopError::Artifact`] on I/O failure (after retries).
-    pub fn save(&self, path: &Path) -> Result<(), SecureLoopError> {
-        self.save_with(path, &DurabilityPolicy::default())
+    fn write_records(&self, _: &str) -> Vec<Json> {
+        self.jobs.iter().map(JobRecord::to_json).collect()
     }
 
-    /// [`ServiceJournal::save`] with an explicit [`DurabilityPolicy`].
-    pub fn save_with(&self, path: &Path, policy: &DurabilityPolicy) -> Result<(), SecureLoopError> {
-        artifact::write_durable(path, &self.to_json().pretty(), policy)
-            .map_err(SecureLoopError::Artifact)
-    }
-
-    /// Load a journal from disk, strictly.
-    ///
-    /// # Errors
-    ///
-    /// [`SecureLoopError::Checkpoint`] when the contents fail
-    /// validation; [`SecureLoopError::Artifact`] with a typed `Empty`
-    /// for a 0-byte file (crash between create and write — callers
-    /// treat it as absent-with-warning) or `Io` when it cannot be read.
-    pub fn load(path: &Path) -> Result<ServiceJournal, SecureLoopError> {
-        let err = |message: String| SecureLoopError::Checkpoint {
-            path: path.display().to_string(),
-            message,
-        };
-        let (payload, integrity) =
-            artifact::read_verified(path).map_err(SecureLoopError::Artifact)?;
-        if let artifact::Integrity::Damaged(reason) = integrity {
-            return Err(err(format!("envelope damaged: {reason}")));
-        }
-        let v = Json::parse(&payload).map_err(|e| err(format!("parse: {e}")))?;
-        ServiceJournal::from_json(&v).map_err(err)
-    }
-
-    /// Load a journal through the salvage ladder: strict parse, then
-    /// record-by-record recovery of a damaged file (intact job records
-    /// kept, the corrupt tail dropped), then the `.bak` last-known-good
-    /// generation.
-    ///
-    /// # Errors
-    ///
-    /// As [`ServiceJournal::load`], when every rung fails.
-    pub fn load_recovering(path: &Path) -> Result<Recovered<ServiceJournal>, SecureLoopError> {
-        artifact::load_recoverable(
-            path,
-            |payload| {
-                let v = Json::parse(payload).map_err(|e| format!("parse: {e}"))?;
-                ServiceJournal::from_json(&v)
-            },
-            Self::salvage,
-        )
-        .map_err(SecureLoopError::Artifact)
-    }
-
-    /// Recover intact job records from a damaged journal payload. The
-    /// header (version, kind) must still be readable so a wrong-schema
-    /// file is never record-mined into the current schema.
-    fn salvage(payload: &str) -> Option<(ServiceJournal, String)> {
-        if artifact::salvage_u64_field(payload, "version") != Some(JOURNAL_VERSION) {
-            return None;
-        }
-        if artifact::salvage_string_field(payload, "kind").as_deref() != Some("service-journal") {
-            return None;
-        }
-        let mut jobs = Vec::new();
-        let mut dropped = 0usize;
-        for item in artifact::salvage_array_items(payload, "jobs") {
-            match Json::parse(&item)
-                .map_err(|e| e.to_string())
-                .and_then(|v| JobRecord::from_json(&v))
-            {
-                Ok(job) => jobs.push(job),
-                Err(_) => dropped += 1,
-            }
-        }
-        if jobs.is_empty() {
-            return None;
-        }
-        let kept = jobs.len();
-        Some((
-            ServiceJournal { jobs },
-            format!("kept {kept} intact job record(s), dropped {dropped} damaged"),
-        ))
+    fn read_record(&mut self, _: &str, record: &Json) -> Result<(), String> {
+        self.jobs.push(JobRecord::from_json(record)?);
+        Ok(())
     }
 }
 
@@ -208,6 +103,11 @@ mod tests {
     use crate::run::RunSpec;
     use crate::scheduler::Algorithm;
     use crate::service::job::{JobSpec, JobState};
+    use secureloop_artifact::{self as artifact, ArtifactError, DurabilityPolicy, LoadSource};
+
+    fn save(journal: &ServiceJournal, path: &Path) {
+        artifact::save(journal, path, &DurabilityPolicy::default()).unwrap();
+    }
 
     fn record(id: &str, state: JobState) -> JobRecord {
         JobRecord {
@@ -242,10 +142,11 @@ mod tests {
                 record("c", JobState::Shed),
             ],
         };
-        journal.save(&path).unwrap();
+        save(&journal, &path);
         assert!(!path.with_extension("tmp").exists());
-        let back = ServiceJournal::load(&path).unwrap();
-        assert_eq!(back, journal);
+        let rec = artifact::load::<ServiceJournal>(&path).unwrap();
+        assert_eq!(rec.source, LoadSource::Primary);
+        assert_eq!(rec.value, journal);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -254,7 +155,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("sl-tmps-{}", std::process::id()));
         fs::create_dir_all(&dir).unwrap();
         let path = journal_path(&dir);
-        ServiceJournal::default().save(&path).unwrap();
+        save(&ServiceJournal::default(), &path);
         fs::write(dir.join("service.tmp"), "{torn").unwrap();
         fs::write(dir.join("job-9.ckpt.tmp"), "{torn").unwrap();
         assert_eq!(remove_stale_tmps(&dir), 2);
@@ -279,8 +180,12 @@ mod tests {
         let cut = text.rfind("\"b\"").unwrap() + 6;
         fs::write(&path, &text[..cut]).unwrap();
 
-        assert!(ServiceJournal::load(&path).is_err(), "strict load rejects");
-        let rec = ServiceJournal::load_recovering(&path).unwrap();
+        let rec = artifact::load::<ServiceJournal>(&path).unwrap();
+        assert_eq!(
+            rec.source,
+            LoadSource::PrimarySalvaged,
+            "strict load rejects"
+        );
         assert_eq!(rec.value.jobs.len(), 1);
         assert_eq!(rec.value.jobs[0].spec.id, "a");
         assert!(rec.warnings[0].contains("salvaged"), "{:?}", rec.warnings);
@@ -295,17 +200,18 @@ mod tests {
         let gen1 = ServiceJournal {
             jobs: vec![record("a", JobState::Completed)],
         };
-        gen1.save(&path).unwrap();
+        save(&gen1, &path);
         let gen2 = ServiceJournal {
             jobs: vec![
                 record("a", JobState::Completed),
                 record("b", JobState::Running),
             ],
         };
-        gen2.save(&path).unwrap();
+        save(&gen2, &path);
         // Obliterate the primary beyond salvage (header unreadable).
         fs::write(&path, "\u{0}garbage").unwrap();
-        let rec = ServiceJournal::load_recovering(&path).unwrap();
+        let rec = artifact::load::<ServiceJournal>(&path).unwrap();
+        assert_eq!(rec.source, LoadSource::Backup);
         assert_eq!(rec.value, gen1, "previous generation recovered");
         assert!(rec.warnings[0].contains("backup"), "{:?}", rec.warnings);
         fs::remove_dir_all(&dir).unwrap();
@@ -317,11 +223,8 @@ mod tests {
         fs::create_dir_all(&dir).unwrap();
         let path = journal_path(&dir);
         fs::write(&path, "").unwrap();
-        let err = ServiceJournal::load(&path).unwrap_err();
-        assert!(
-            matches!(err, SecureLoopError::Artifact(ref a) if a.is_empty()),
-            "got {err:?}"
-        );
+        let err = artifact::load::<ServiceJournal>(&path).unwrap_err();
+        assert!(matches!(err, ArtifactError::Empty { .. }), "got {err:?}");
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -23,7 +23,7 @@ use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
-use secureloop_artifact::DurabilityPolicy;
+use secureloop_artifact::{self as artifact, DurabilityPolicy};
 
 use secureloop_json::Json;
 use secureloop_mapper::{cancel, CancelToken, CandidateCache, FaultScope, SearchMode};
@@ -284,12 +284,12 @@ impl Server {
         let mut recovery_warnings = Vec::new();
         let journal_path = persist::journal_path(&cfg.state_dir);
         if journal_path.exists() {
-            let journal = match ServiceJournal::load_recovering(&journal_path) {
+            let journal = match artifact::load::<ServiceJournal>(&journal_path) {
                 Ok(rec) => {
                     recovery_warnings.extend(rec.warnings);
                     rec.value
                 }
-                Err(SecureLoopError::Artifact(ref a)) if a.is_empty() => {
+                Err(e) if e.is_empty() => {
                     recovery_warnings.push(format!(
                         "journal '{}' is empty (crash between create and write); \
                          treating it as absent",
@@ -297,7 +297,7 @@ impl Server {
                     ));
                     ServiceJournal::default()
                 }
-                Err(e) => return Err(e),
+                Err(e) => return Err(e.into()),
             };
             for mut record in journal.jobs {
                 if record.state.is_resumable() {
@@ -322,7 +322,7 @@ impl Server {
 
         let cache_path = persist::cache_path(&cfg.state_dir);
         let mut cache = if cache_path.exists() {
-            match CandidateCache::load_recovering(&cache_path) {
+            match artifact::load::<CandidateCache>(&cache_path) {
                 Ok(rec) => {
                     recovery_warnings.extend(rec.warnings);
                     rec.value
@@ -385,7 +385,8 @@ impl Server {
                 .map(|e| e.record.clone())
                 .collect(),
         };
-        if let Err(e) = journal.save_with(
+        if let Err(e) = artifact::save(
+            &journal,
             &persist::journal_path(&self.cfg.state_dir),
             &self.cfg.durability,
         ) {

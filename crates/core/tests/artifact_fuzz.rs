@@ -12,7 +12,7 @@
 use std::path::PathBuf;
 use std::sync::{Mutex, MutexGuard};
 
-use secureloop::artifact::{self, Integrity};
+use secureloop::artifact::{self, DurabilityPolicy, Integrity};
 use secureloop::checkpoint::SweepCheckpoint;
 use secureloop::dse::{evaluate_designs_sweep, SweepOptions, SweepRun};
 use secureloop::service::{JobRecord, JobSpec, JobState, ServiceJournal};
@@ -254,14 +254,14 @@ fn mutated_journals_salvage_or_reject_typed_never_panic() {
     let _ = std::fs::remove_file(artifact::backup_path(&path));
 
     let journal = journal_fixture();
-    journal.save(&path).unwrap();
+    artifact::save(&journal, &path, &DurabilityPolicy::default()).unwrap();
     let pristine = std::fs::read(&path).unwrap();
 
     let mut rng = Rng(0x10a1_0000_0000_0042);
     for case in 0..64 {
         let mutated = mutate(&pristine, &mut rng);
         std::fs::write(&path, &mutated).unwrap();
-        match ServiceJournal::load_recovering(&path) {
+        match artifact::load::<ServiceJournal>(&path) {
             Ok(rec) => {
                 // Salvage never *invents* a job: every recovered record
                 // carries an original id. (A record whose damaged field
@@ -302,11 +302,11 @@ fn footer_and_checksum_mutations_are_salvaged_across_families() {
         let _ = std::fs::remove_file(p);
         let _ = std::fs::remove_file(artifact::backup_path(p));
     }
-    SweepCheckpoint::new("mlp-2x64", Algorithm::CryptOptSingle)
-        .save(&ckpt_path)
-        .unwrap();
-    CandidateCache::new().save(&cache_path).unwrap();
-    journal_fixture().save(&journal_path).unwrap();
+    let policy = DurabilityPolicy::default();
+    let ckpt = SweepCheckpoint::new("mlp-2x64", Algorithm::CryptOptSingle);
+    artifact::save(&ckpt, &ckpt_path, &policy).unwrap();
+    artifact::save(&CandidateCache::new(), &cache_path, &policy).unwrap();
+    artifact::save(&journal_fixture(), &journal_path, &policy).unwrap();
 
     let mut rng = Rng(0xf007_e200_0000_0001);
     for (path, family) in [
@@ -334,7 +334,7 @@ fn footer_and_checksum_mutations_are_salvaged_across_families() {
 
             match family {
                 "checkpoint" => {
-                    if let Ok(rec) = SweepCheckpoint::load_recovering(path) {
+                    if let Ok(rec) = artifact::load::<SweepCheckpoint>(path) {
                         assert!(
                             rec.value.matches("mlp-2x64", Algorithm::CryptOptSingle),
                             "{family} case {case}: salvage crossed workloads"
@@ -342,10 +342,10 @@ fn footer_and_checksum_mutations_are_salvaged_across_families() {
                     }
                 }
                 "cache" => {
-                    let _ = CandidateCache::load_recovering(path);
+                    let _ = artifact::load::<CandidateCache>(path);
                 }
                 _ => {
-                    if let Ok(rec) = ServiceJournal::load_recovering(path) {
+                    if let Ok(rec) = artifact::load::<ServiceJournal>(path) {
                         for got in &rec.value.jobs {
                             assert!(
                                 journal_fixture().jobs.contains(got),

@@ -22,7 +22,7 @@ use std::path::PathBuf;
 use std::process::Command;
 use std::time::Duration;
 
-use secureloop::artifact::DurabilityPolicy;
+use secureloop::artifact::{self, DurabilityPolicy, LoadSource};
 use secureloop::checkpoint::SweepCheckpoint;
 use secureloop::dse::{evaluate_designs_sweep, SweepOptions, SweepRun};
 use secureloop::{Algorithm, AnnealingConfig};
@@ -213,7 +213,9 @@ fn transient_write_failures_are_outlasted_by_retries() {
     );
     assert!(!run.degraded_persistence, "warnings: {:?}", run.warnings);
     assert_eq!(run.results.len(), 2);
-    let ckpt_state = SweepCheckpoint::load(&ckpt).expect("retried write landed");
+    let rec = artifact::load::<SweepCheckpoint>(&ckpt).expect("retried write landed");
+    assert_eq!(rec.source, LoadSource::Primary);
+    let ckpt_state = rec.value;
     assert_eq!(ckpt_state.entries.len(), 2);
 }
 

@@ -2,6 +2,7 @@
 //! warm resumes must never recompute finished work, and a damaged cache
 //! file must degrade to a cold start with a warning — never an error.
 
+use secureloop::artifact::{self, LoadSource};
 use secureloop::dse::{evaluate_designs_sweep, fig16_design_space, SweepOptions};
 use secureloop::{Algorithm, AnnealingConfig};
 use secureloop_arch::Architecture;
@@ -128,7 +129,10 @@ fn corrupted_cache_file_degrades_to_cold_with_a_warning() {
             run.warnings
         );
         // The sweep rewrites a valid cache over the damaged one.
-        assert!(CandidateCache::load(&cache).is_ok());
+        assert!(matches!(
+            artifact::load::<CandidateCache>(&cache),
+            Ok(rec) if rec.source == LoadSource::Primary
+        ));
     }
 
     // A truncated (torn mid-write) previously-valid file behaves the

@@ -2,11 +2,11 @@
 
 //! Accelergy-lite: architecture-level energy and area estimation.
 //!
-//! The paper uses Accelergy [49] with its 40/45 nm technology tables to
+//! The paper uses Accelergy \[49\] with its 40/45 nm technology tables to
 //! estimate the energy and area of each accelerator component (§5.1).
 //! This crate rebuilds that role with a compact, documented table
 //! ([`tables`]) and two models derived from an
-//! [`Architecture`](secureloop_arch::Architecture):
+//! [`Architecture`]:
 //!
 //! * [`EnergyModel`] — per-event energies (MAC, RF access, GLB access,
 //!   DRAM bit, crypto bit) consumed by the loopnest cost roll-up.

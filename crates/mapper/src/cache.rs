@@ -11,11 +11,12 @@
 //! dataflow) share one draw stream: a miss runs one [`search_group`]
 //! for them all and fills each one's entry (see [`search_cached`]).
 //!
-//! The cache round-trips to disk (atomic temp-file + rename, like
-//! `SweepCheckpoint`) so `--resume` runs start warm. On-disk entries
-//! store mappings in compact text form; a *frozen* entry is thawed on
-//! first hit by re-evaluating its mappings against the hitting layer
-//! and architecture — cheap (top-k evaluations, not a search) and
+//! The cache round-trips to disk through
+//! [`secureloop_artifact::Persistent`], like `SweepCheckpoint`, so
+//! `--resume` runs start warm. On-disk entries store mappings in
+//! compact text form; a *frozen* entry is thawed on first hit by
+//! re-evaluating its mappings against the hitting layer and
+//! architecture — cheap (top-k evaluations, not a search) and
 //! self-validating: anything that fails to parse or evaluate demotes
 //! the entry to a miss instead of poisoning the sweep.
 //!
@@ -25,13 +26,14 @@
 //! layer *names*, which the canonical key deliberately omits).
 
 use std::collections::{HashMap, HashSet};
+use std::ops::RangeInclusive;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::Duration;
 
 use secureloop_arch::Architecture;
-use secureloop_artifact::{self as artifact, ArtifactError, DurabilityPolicy, Recovered};
+use secureloop_artifact::{self as artifact, ArtifactError, DurabilityPolicy, Persistent};
 use secureloop_json::Json;
 use secureloop_loopnest::{evaluate, CompactMapping, DrawIdentity, Mapping, SearchSpaceKey};
 use secureloop_telemetry::Counter;
@@ -397,14 +399,42 @@ impl CandidateCache {
         }
     }
 
-    /// Serialise every cached entry (mappings in compact text form).
-    pub fn to_json(&self) -> Json {
+    /// Write the cache durably with `policy` ([`artifact::save`]).
+    ///
+    /// # Errors
+    ///
+    /// A typed [`ArtifactError`] carrying the path, on I/O failure
+    /// (after the policy's retries).
+    pub fn save_with(&self, path: &Path, policy: &DurabilityPolicy) -> Result<(), ArtifactError> {
+        artifact::save(self, path, policy)
+    }
+}
+
+/// On disk, one record per entry, sorted by key, mappings in compact
+/// text form. Loaded entries come back frozen and thaw lazily on first
+/// hit. Only the current version loads: an older file's keys could
+/// alias candidates across search modes or protection schemes.
+impl Persistent for CandidateCache {
+    const KIND: &'static str = "candidate-cache";
+    const NOUN: &'static str = "cache";
+    const VERSIONS: RangeInclusive<u64> = CACHE_VERSION..=CACHE_VERSION;
+    const HEADER: &'static [&'static str] = &[];
+    const RECORDS: &'static [&'static str] = &["entries"];
+
+    fn header(&self) -> Vec<Json> {
+        Vec::new()
+    }
+
+    fn from_header(_: &Json) -> Result<Self, String> {
+        Ok(CandidateCache::new())
+    }
+
+    fn write_records(&self, _: &str) -> Vec<Json> {
         let inner = self.inner.lock().expect("cache lock");
         let entries = &inner.map;
         let mut keys: Vec<&String> = entries.keys().collect();
         keys.sort();
-        let arr = keys
-            .into_iter()
+        keys.into_iter()
             .map(|key| {
                 let (mappings, tier, valid, total) = match &entries[key].entry {
                     Entry::Ready(r) => (
@@ -430,135 +460,14 @@ impl CandidateCache {
                     .field("total_samples", total as u64)
                     .field("mappings", Json::Arr(mappings))
             })
-            .collect();
-        Json::obj()
-            .field("version", CACHE_VERSION)
-            .field("kind", "candidate-cache")
-            .field("entries", Json::Arr(arr))
+            .collect()
     }
 
-    /// Parse a cache written by [`CandidateCache::to_json`]. Entries
-    /// come back frozen; they thaw lazily on first hit.
-    ///
-    /// # Errors
-    ///
-    /// Names the missing or ill-typed field (including a version or
-    /// kind mismatch).
-    pub fn from_json(v: &Json) -> Result<Self, String> {
-        let version = v["version"]
-            .as_u64()
-            .ok_or_else(|| "missing or invalid field 'version'".to_string())?;
-        if version != CACHE_VERSION {
-            return Err(format!(
-                "unsupported cache version {version} (expected {CACHE_VERSION})"
-            ));
-        }
-        if v["kind"].as_str() != Some("candidate-cache") {
-            return Err("missing or invalid field 'kind'".to_string());
-        }
-        let mut inner = Inner::default();
-        for e in v["entries"]
-            .as_array()
-            .ok_or_else(|| "missing or invalid field 'entries'".to_string())?
-        {
-            let (key, frozen) = entry_from_json(e)?;
-            inner.insert(key, Entry::Frozen(frozen));
-        }
-        Ok(CandidateCache {
-            inner: Mutex::new(inner),
-            ..CandidateCache::default()
-        })
-    }
-
-    /// Write the cache durably with the default [`DurabilityPolicy`]:
-    /// sealed in a checksummed envelope, temp file + fsync + `.bak`
-    /// generation rotation + rename, like the sweep checkpoint.
-    ///
-    /// # Errors
-    ///
-    /// A typed [`ArtifactError`] carrying the path, on I/O failure
-    /// (after the policy's retries).
-    pub fn save(&self, path: &Path) -> Result<(), ArtifactError> {
-        self.save_with(path, &DurabilityPolicy::default())
-    }
-
-    /// [`CandidateCache::save`] with an explicit [`DurabilityPolicy`].
-    pub fn save_with(&self, path: &Path, policy: &DurabilityPolicy) -> Result<(), ArtifactError> {
-        artifact::write_durable(path, &self.to_json().pretty(), policy)
-    }
-
-    /// Load a cache from disk, strictly.
-    ///
-    /// # Errors
-    ///
-    /// A typed [`ArtifactError`] carrying the path: `Empty` for a
-    /// 0-byte file (crash between create and write — treat as absent),
-    /// `Corrupt` when the file cannot be parsed or validated. Callers
-    /// treat either as "start cold with a warning", never as fatal: a
-    /// corrupted cache only costs recomputation.
-    pub fn load(path: &Path) -> Result<Self, ArtifactError> {
-        let (payload, integrity) = artifact::read_verified(path)?;
-        let corrupt = |message: String| ArtifactError::Corrupt {
-            path: path.display().to_string(),
-            message,
-        };
-        if let artifact::Integrity::Damaged(reason) = integrity {
-            return Err(corrupt(format!("envelope damaged: {reason}")));
-        }
-        let v = Json::parse(&payload).map_err(|e| corrupt(format!("parse: {e}")))?;
-        CandidateCache::from_json(&v).map_err(corrupt)
-    }
-
-    /// Load a cache through the salvage ladder: strict parse, then
-    /// entry-by-entry salvage of a damaged file (intact entries kept,
-    /// the corrupt tail dropped), then the `.bak` last-known-good
-    /// generation. The salvage gate checks the schema version first, so
-    /// a v2 file is never entry-mined into a v3 cache (its keys could
-    /// alias candidates across protection schemes).
-    ///
-    /// # Errors
-    ///
-    /// As [`CandidateCache::load`], when every rung fails.
-    pub fn load_recovering(path: &Path) -> Result<Recovered<Self>, ArtifactError> {
-        artifact::load_recoverable(
-            path,
-            |payload| {
-                let v = Json::parse(payload).map_err(|e| format!("parse: {e}"))?;
-                CandidateCache::from_json(&v)
-            },
-            Self::salvage,
-        )
-    }
-
-    fn salvage(payload: &str) -> Option<(Self, String)> {
-        if artifact::salvage_u64_field(payload, "version") != Some(CACHE_VERSION) {
-            return None;
-        }
-        if artifact::salvage_string_field(payload, "kind").as_deref() != Some("candidate-cache") {
-            return None;
-        }
-        let mut inner = Inner::default();
-        let mut dropped = 0usize;
-        for item in artifact::salvage_array_items(payload, "entries") {
-            match Json::parse(&item)
-                .map_err(|e| e.to_string())
-                .and_then(|v| entry_from_json(&v))
-            {
-                Ok((key, frozen)) => inner.insert(key, Entry::Frozen(frozen)),
-                Err(_) => dropped += 1,
-            }
-        }
-        if inner.map.is_empty() {
-            return None;
-        }
-        let kept = inner.map.len();
-        Some((
-            CandidateCache {
-                inner: Mutex::new(inner),
-                ..CandidateCache::default()
-            },
-            format!("kept {kept} intact entr(ies), dropped {dropped} damaged"),
-        ))
+    fn read_record(&mut self, _: &str, record: &Json) -> Result<(), String> {
+        let (key, frozen) = entry_from_json(record)?;
+        let inner = self.inner.get_mut().expect("cache lock");
+        inner.insert(key, Entry::Frozen(frozen));
+        Ok(())
     }
 }
 
@@ -708,6 +617,7 @@ pub fn search_cached(
 mod tests {
     use super::*;
     use crate::{FaultPlan, FaultScope};
+    use secureloop_artifact::LoadSource;
     use secureloop_workload::zoo;
     use std::fs;
     use std::time::Duration;
@@ -880,10 +790,12 @@ mod tests {
 
         let cold = CandidateCache::new();
         let fresh = search_cached(&layer(), &arch, &[], &cfg, Some(&cold)).unwrap();
-        cold.save(&path).unwrap();
+        cold.save_with(&path, &DurabilityPolicy::default()).unwrap();
         assert!(!path.with_extension("tmp").exists());
 
-        let warm = CandidateCache::load(&path).unwrap();
+        let rec = artifact::load::<CandidateCache>(&path).unwrap();
+        assert_eq!(rec.source, LoadSource::Primary);
+        let warm = rec.value;
         assert_eq!(warm.len(), 1);
         let thawed = search_cached(&layer(), &arch, &[], &cfg, Some(&warm)).unwrap();
         assert_eq!(warm.hits(), 1, "frozen entry must count as a hit");
@@ -906,8 +818,11 @@ mod tests {
         let path = dir.join("cache.json");
 
         fs::write(&path, "{torn write").unwrap();
-        let err = CandidateCache::load(&path).unwrap_err();
-        assert!(err.to_string().contains("parse"), "{err}");
+        let err = artifact::load::<CandidateCache>(&path).unwrap_err();
+        assert!(
+            matches!(err, ArtifactError::Corrupt { ref message, .. } if message.contains("parse")),
+            "{err}"
+        );
         assert!(err.path().contains("cache.json"), "typed error names path");
 
         fs::write(
@@ -915,19 +830,19 @@ mod tests {
             r#"{"version": 99, "kind": "candidate-cache", "entries": []}"#,
         )
         .unwrap();
-        assert!(CandidateCache::load(&path)
+        assert!(artifact::load::<CandidateCache>(&path)
             .unwrap_err()
             .to_string()
             .contains("version 99"));
 
         fs::write(&path, r#"{"version": 3, "kind": "something-else"}"#).unwrap();
-        assert!(CandidateCache::load(&path)
+        assert!(artifact::load::<CandidateCache>(&path)
             .unwrap_err()
             .to_string()
             .contains("kind"));
 
         fs::write(&path, "").unwrap();
-        let err = CandidateCache::load(&path).unwrap_err();
+        let err = artifact::load::<CandidateCache>(&path).unwrap_err();
         assert!(err.is_empty(), "0-byte cache is typed Empty, got {err:?}");
         let _ = fs::remove_file(&path);
     }
@@ -951,15 +866,19 @@ mod tests {
         let cut = text.rfind("mappings").unwrap() + 4;
         fs::write(&path, &text[..cut]).unwrap();
 
-        assert!(CandidateCache::load(&path).is_err(), "strict load rejects");
-        let rec = CandidateCache::load_recovering(&path).unwrap();
+        let rec = artifact::load::<CandidateCache>(&path).unwrap();
+        assert_eq!(
+            rec.source,
+            LoadSource::PrimarySalvaged,
+            "strict load rejects"
+        );
         assert_eq!(rec.value.len(), 1, "one intact entry survives the tear");
         assert!(rec.warnings[0].contains("salvaged"), "{:?}", rec.warnings);
 
         // A v2 file must never be entry-mined into a v3 cache.
         let v2 = text.replacen("\"version\": 3", "\"version\": 2", 1);
         fs::write(&path, &v2[..v2.len() - 2]).unwrap();
-        let err = CandidateCache::load_recovering(&path).unwrap_err();
+        let err = artifact::load::<CandidateCache>(&path).unwrap_err();
         assert!(
             !err.is_empty(),
             "wrong-version salvage must fail typed, got {err:?}"
@@ -985,10 +904,12 @@ mod tests {
             ]}"#,
         )
         .unwrap();
-        let err = CandidateCache::load(&path).unwrap_err();
+        let err = artifact::load::<CandidateCache>(&path).unwrap_err();
         assert!(
-            err.to_string()
-                .contains("unsupported cache version 2 (expected 3)"),
+            matches!(err, ArtifactError::Corrupt { .. })
+                && err
+                    .to_string()
+                    .contains("unsupported cache version 2 (expected 3)"),
             "got: {err}"
         );
         let _ = fs::remove_file(&path);

@@ -10,7 +10,7 @@
 //!
 //! Secure designs need no special casing here: the architecture's
 //! *effective* bandwidth and crypto energy already flow through
-//! [`evaluate`](secureloop_loopnest::evaluate), which is exactly the
+//! [`evaluate`], which is exactly the
 //! paper's "crypt-aware" scheduling — supplying the proper bandwidth and
 //! energy parameters to the baseline scheduler.
 //!
@@ -48,9 +48,9 @@
 //!
 //! In random mode the draw stream depends only on the layer, the PE
 //! array and the dataflow, and the first cost stage
-//! ([`traffic`](secureloop_loopnest::traffic)) only on those plus the
+//! ([`traffic`]) only on those plus the
 //! register file: the architecture's
-//! [`DrawIdentity`](secureloop_loopnest::DrawIdentity). [`search_group`]
+//! [`DrawIdentity`]. [`search_group`]
 //! searches several designs that share one: it draws and runs `traffic`
 //! once per sample, then prices the sample for each design. Each
 //! design's result equals its own [`search`] byte for byte. A sweep's

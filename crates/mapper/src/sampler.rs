@@ -396,7 +396,7 @@ impl<'a> GuidedSampler<'a> {
     }
 
     /// Register one of the caller's own discoveries as a live anchor
-    /// for subsequent neighbourhood draws. Keeps the [`LOCAL_ANCHORS`]
+    /// for subsequent neighbourhood draws. Keeps the `LOCAL_ANCHORS`
     /// most recent. Determinism: callers feed anchors in draw order, so
     /// the anchor set stays a pure function of the chunk's own stream.
     pub fn add_anchor(&mut self, m: Mapping) {

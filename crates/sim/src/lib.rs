@@ -13,7 +13,7 @@
 //!   trace must reproduce the analytical
 //!   [`AccessCounts`](secureloop_loopnest::AccessCounts) *exactly* —
 //!   the integration tests assert it.
-//! * [`replay`] plays the trace through a double-buffered pipeline
+//! * [`replay`](fn@replay) plays the trace through a double-buffered pipeline
 //!   (compute overlapped with DRAM + per-stream crypto engines) and
 //!   reports a latency that the analytical bound must match up to
 //!   fill/drain effects.

@@ -348,7 +348,7 @@ fn push_attention_block(net: &mut Network, prefix: &str, seq: u64, d_model: u64)
 }
 
 /// One transformer encoder block over `seq` tokens of width `d_model`
-/// (six projection layers; see [`push_attention_block`] for the
+/// (six projection layers; see `push_attention_block` for the
 /// boundary structure). `attention(128, 512)` is a BERT-base-shaped
 /// block at half width.
 pub fn attention(seq: u64, d_model: u64) -> Network {
