@@ -4,19 +4,22 @@
 //! The state is one retained schedule index per layer of a segment;
 //! `GetNeighbor` re-samples one layer's index among its top-k
 //! candidates; the cost is the segment's total secure latency under the
-//! optimal AuthBlock assignment. Temperature decreases linearly and the
-//! best-seen state is kept, so fine-tuning can never end up worse than
-//! its initialisation.
+//! optimal AuthBlock assignment. One chain runs per segment, starting
+//! from the all-best state (index 0 everywhere); its temperature falls
+//! linearly from `T_INIT` to `T_FINAL` of the start state's cost,
+//! and the best-seen state is kept, so fine-tuning can never end up
+//! worse than its initialisation.
 //!
-//! # Checkpoint/resume
+//! # Determinism and deadlines
 //!
-//! Each iteration draws from its own seed-derived RNG, so the chain is
-//! Markovian in `(restart, iteration, current, best)`: capturing that
-//! state ([`AnnealState`]) and resuming reproduces *exactly* the run
-//! that would have happened uninterrupted. A wall-clock
-//! [`AnnealingConfig::deadline`] interrupts the chain between
-//! iterations, returning the best-seen state so far plus a resumable
-//! snapshot.
+//! Each iteration draws from its own generator, seeded from
+//! [`AnnealingConfig::seed`] and the iteration index (`iter_rng`). That
+//! derivation fixes the draw stream the committed goldens pin, so it
+//! stays although nothing resumes a chain mid-way: annealing is not
+//! resumable, and crash safety is per design point (the sweep
+//! checkpoint records finished designs). A wall-clock
+//! [`AnnealingConfig::deadline`] stops the chain between iterations and
+//! returns the best state seen so far.
 
 use std::time::{Duration, Instant};
 
@@ -31,7 +34,6 @@ use crate::candidates::CandidateSet;
 use crate::segment::{evaluate_segment, OverheadCache, SegmentEvaluation, StrategyMode};
 
 static ANNEAL_RUNS: Counter = Counter::new("anneal.runs");
-static ANNEAL_RESTARTS: Counter = Counter::new("anneal.restarts");
 static ANNEAL_TIMER: Timer = Timer::new("anneal.segment");
 /// Proposals/acceptances bucketed by temperature quartile (q0 =
 /// hottest): the acceptance-rate-vs-temperature curve is the classic
@@ -49,16 +51,10 @@ static ACCEPTED_BY_QUARTILE: [Counter; 4] = [
     Counter::new("anneal.accepted.q3"),
 ];
 
-/// Temperature schedule (Algorithm 1, line 13 — the paper decreases
-/// temperature linearly; geometric cooling is the common alternative).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Cooling {
-    /// Linear interpolation from `t_init` to `t_final` (the paper's).
-    Linear,
-    /// Geometric decay `t_init · r^n` reaching `t_final` at the last
-    /// iteration.
-    Geometric,
-}
+/// Initial temperature, as a fraction of the start state's cost.
+const T_INIT: f64 = 0.05;
+/// Final temperature fraction.
+const T_FINAL: f64 = 1e-4;
 
 /// Simulated-annealing knobs (paper Fig. 10 sweeps `k` and the
 /// iteration count; the defaults are the paper's chosen operating
@@ -69,16 +65,6 @@ pub struct AnnealingConfig {
     pub iterations: usize,
     /// Neighbourhood size: top-k candidates per layer.
     pub k: usize,
-    /// Initial temperature, as a fraction of the initial cost.
-    pub t_init: f64,
-    /// Final temperature fraction.
-    pub t_final: f64,
-    /// Temperature schedule.
-    pub cooling: Cooling,
-    /// Independent restarts (best state across restarts wins); the
-    /// paper reports the mean of 5 independent runs — restarts instead
-    /// keep the best.
-    pub restarts: usize,
     /// RNG seed.
     pub seed: u64,
     /// Optional wall-clock budget for one segment's annealing. When it
@@ -93,10 +79,6 @@ impl AnnealingConfig {
         AnnealingConfig {
             iterations: 1000,
             k: 6,
-            t_init: 0.05,
-            t_final: 1e-4,
-            cooling: Cooling::Linear,
-            restarts: 1,
             seed: 0xa11ea1,
             deadline: None,
         }
@@ -129,31 +111,10 @@ impl AnnealingConfig {
         self
     }
 
-    /// Replace the cooling schedule.
-    pub fn with_cooling(mut self, cooling: Cooling) -> Self {
-        self.cooling = cooling;
-        self
-    }
-
-    /// Replace the restart count.
-    pub fn with_restarts(mut self, restarts: usize) -> Self {
-        self.restarts = restarts.max(1);
-        self
-    }
-
     /// Set a wall-clock budget for each segment's annealing.
     pub fn with_deadline(mut self, deadline: Duration) -> Self {
         self.deadline = Some(deadline);
         self
-    }
-
-    /// Temperature fraction at iteration `it` of `n`.
-    pub fn temperature_fraction(&self, it: usize, n: usize) -> f64 {
-        let frac = it as f64 / n.max(1) as f64;
-        match self.cooling {
-            Cooling::Linear => self.t_init + (self.t_final - self.t_init) * frac,
-            Cooling::Geometric => self.t_init * (self.t_final / self.t_init).powf(frac),
-        }
     }
 }
 
@@ -175,47 +136,6 @@ pub struct AnnealOutcome {
     pub initial_latency: u64,
 }
 
-/// Resumable annealing position: everything the chain needs to continue
-/// exactly where it stopped (the per-iteration RNG derivation makes the
-/// chain Markovian in this state).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AnnealState {
-    /// Restart index the chain is in.
-    pub restart: usize,
-    /// Next iteration to execute within that restart.
-    pub iteration: usize,
-    /// Current chain state (candidate index per segment layer).
-    pub current: Vec<usize>,
-    /// Best state seen within the current restart.
-    pub best: Vec<usize>,
-    /// Best state across *completed* restarts, if any.
-    pub global_best: Option<Vec<usize>>,
-}
-
-impl AnnealState {
-    /// The starting state for a segment of `len` layers.
-    pub fn fresh(len: usize) -> Self {
-        AnnealState {
-            restart: 0,
-            iteration: 0,
-            current: vec![0; len],
-            best: vec![0; len],
-            global_best: None,
-        }
-    }
-}
-
-/// One (possibly interrupted) annealing run.
-#[derive(Debug, Clone)]
-pub struct AnnealRun {
-    /// Best outcome found so far (never worse than the initial state).
-    pub outcome: AnnealOutcome,
-    /// Snapshot to resume from if `completed` is false.
-    pub state: AnnealState,
-    /// Whether every restart ran its full iteration budget.
-    pub completed: bool,
-}
-
 fn eval_choice(
     network: &Network,
     arch: &Architecture,
@@ -233,16 +153,21 @@ fn eval_choice(
 }
 
 /// Per-iteration RNG: each iteration's draws come from an independent
-/// seed-derived generator, so the chain state alone determines the
-/// remainder of the run (the property checkpoint/resume relies on).
+/// generator derived from the seed and the iteration index.
 fn iter_rng(seed: u64, it: usize) -> StdRng {
     StdRng::seed_from_u64(seed ^ (it as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15))
 }
 
+/// Temperature fraction at iteration `it` of `n` (Algorithm 1, line 13:
+/// linear from `T_INIT` to `T_FINAL`).
+fn temperature_fraction(it: usize, n: usize) -> f64 {
+    let frac = it as f64 / n.max(1) as f64;
+    T_INIT + (T_FINAL - T_INIT) * frac
+}
+
 /// Algorithm 1: anneal the per-layer schedule choice of one segment.
-/// Runs `cfg.restarts` independent chains and keeps the best state.
-/// A configured deadline stops early with the best-so-far (use
-/// [`anneal_segment_resumable`] to also get the resumable snapshot).
+/// A configured deadline stops the chain early with the best state
+/// seen so far.
 pub fn anneal_segment(
     network: &Network,
     arch: &Architecture,
@@ -251,24 +176,8 @@ pub fn anneal_segment(
     cfg: &AnnealingConfig,
     cache: &OverheadCache,
 ) -> AnnealOutcome {
-    anneal_segment_resumable(network, arch, seg, candidates, cfg, cache, None).outcome
-}
-
-/// [`anneal_segment`] with explicit checkpoint/resume: pass the
-/// [`AnnealState`] of a previous interrupted run to continue exactly
-/// where it stopped.
-pub fn anneal_segment_resumable(
-    network: &Network,
-    arch: &Architecture,
-    seg: &[usize],
-    candidates: &CandidateSet,
-    cfg: &AnnealingConfig,
-    cache: &OverheadCache,
-    resume: Option<AnnealState>,
-) -> AnnealRun {
     let deadline = cfg.deadline.map(|d| Instant::now() + d);
     let k_of = |li: usize| candidates.per_layer[li].len().min(cfg.k).max(1);
-    let restarts = cfg.restarts.max(1);
 
     ANNEAL_RUNS.incr();
     let seg_name = match (seg.first(), seg.last()) {
@@ -284,141 +193,70 @@ pub fn anneal_segment_resumable(
     // Local tallies, flushed to the global counters once per run.
     let mut proposals = [0u64; 4];
     let mut accepted = [0u64; 4];
-    let mut restarts_run = 0u64;
 
-    // A stale snapshot (wrong segment length or exhausted budget) falls
-    // back to a fresh start rather than corrupting the chain.
-    let mut state = match resume {
-        Some(s)
-            if s.current.len() == seg.len()
-                && s.best.len() == seg.len()
-                && s.restart < restarts
-                && s.iteration <= cfg.iterations =>
-        {
-            s
-        }
-        _ => AnnealState::fresh(seg.len()),
-    };
-
-    let initial_latency =
-        eval_choice(network, arch, seg, candidates, &vec![0; seg.len()], cache).total_latency;
-    let mut global_best: Option<(Vec<usize>, SegmentEvaluation)> =
-        state.global_best.clone().map(|c| {
-            let e = eval_choice(network, arch, seg, candidates, &c, cache);
-            (c, e)
-        });
+    let mut current = vec![0; seg.len()];
+    let mut current_eval = eval_choice(network, arch, seg, candidates, &current, cache);
+    let initial_latency = current_eval.total_latency;
+    let mut best = current.clone();
+    let mut best_eval = current_eval.clone();
     let mut completed = true;
 
     let tunable = seg.iter().any(|&li| k_of(li) > 1);
     let cost0 = initial_latency.max(1) as f64;
 
-    'restarts: for r in state.restart..restarts {
-        restarts_run += 1;
-        let seed = cfg.seed.wrapping_add(r as u64);
-        let (start_it, mut current, mut best) = if r == state.restart {
-            (state.iteration, state.current.clone(), state.best.clone())
-        } else {
-            (0, vec![0; seg.len()], vec![0; seg.len()])
-        };
-        let mut current_eval = eval_choice(network, arch, seg, candidates, &current, cache);
-        let mut best_eval = eval_choice(network, arch, seg, candidates, &best, cache);
+    if tunable {
+        for it in 0..cfg.iterations {
+            if deadline.is_some_and(|dl| Instant::now() >= dl) {
+                completed = false;
+                break;
+            }
+            let mut rng = iter_rng(cfg.seed, it);
 
-        if tunable {
-            for it in start_it..cfg.iterations {
-                if let Some(dl) = deadline {
-                    if Instant::now() >= dl {
-                        state = AnnealState {
-                            restart: r,
-                            iteration: it,
-                            current,
-                            best: best.clone(),
-                            global_best: global_best.as_ref().map(|(c, _)| c.clone()),
-                        };
-                        // Count the interrupted restart's best so the
-                        // outcome reflects everything seen so far.
-                        let better = global_best
-                            .as_ref()
-                            .is_none_or(|(_, e)| best_eval.total_latency < e.total_latency);
-                        if better {
-                            global_best = Some((best, best_eval));
-                        }
-                        completed = false;
-                        break 'restarts;
-                    }
-                }
-                let mut rng = iter_rng(seed, it);
+            // Temperature decay (Algorithm 1, line 13).
+            let t = temperature_fraction(it, cfg.iterations) * cost0;
 
-                // Temperature decay (Algorithm 1, line 13).
-                let t = cfg.temperature_fraction(it, cfg.iterations) * cost0;
+            // GetNeighbor: re-sample one layer among its top-k.
+            let pos = rng.gen_range(0..seg.len());
+            let k = k_of(seg[pos]);
+            if k <= 1 {
+                continue;
+            }
+            let mut neighbor = current.clone();
+            neighbor[pos] = rng.gen_range(0..k);
+            if neighbor[pos] == current[pos] {
+                continue;
+            }
+            let neighbor_eval = eval_choice(network, arch, seg, candidates, &neighbor, cache);
+            let quartile = (it * 4 / cfg.iterations.max(1)).min(3);
+            proposals[quartile] += 1;
 
-                // GetNeighbor: re-sample one layer among its top-k.
-                let pos = rng.gen_range(0..seg.len());
-                let k = k_of(seg[pos]);
-                if k <= 1 {
-                    continue;
-                }
-                let mut neighbor = current.clone();
-                neighbor[pos] = rng.gen_range(0..k);
-                if neighbor[pos] == current[pos] {
-                    continue;
-                }
-                let neighbor_eval = eval_choice(network, arch, seg, candidates, &neighbor, cache);
-                let quartile = (it * 4 / cfg.iterations.max(1)).min(3);
-                proposals[quartile] += 1;
-
-                let cost_diff =
-                    current_eval.total_latency as f64 - neighbor_eval.total_latency as f64;
-                if (cost_diff / t).exp() > rng.gen_range(0.0..1.0) {
-                    accepted[quartile] += 1;
-                    current = neighbor;
-                    current_eval = neighbor_eval;
-                    if current_eval.total_latency < best_eval.total_latency {
-                        best = current.clone();
-                        best_eval = current_eval.clone();
-                    }
+            let cost_diff = current_eval.total_latency as f64 - neighbor_eval.total_latency as f64;
+            if (cost_diff / t).exp() > rng.gen_range(0.0..1.0) {
+                accepted[quartile] += 1;
+                current = neighbor;
+                current_eval = neighbor_eval;
+                if current_eval.total_latency < best_eval.total_latency {
+                    best = current.clone();
+                    best_eval = current_eval.clone();
                 }
             }
         }
-
-        let better = global_best
-            .as_ref()
-            .is_none_or(|(_, e)| best_eval.total_latency < e.total_latency);
-        if better {
-            global_best = Some((best, best_eval));
-        }
-    }
-
-    if completed {
-        state = AnnealState {
-            restart: restarts,
-            iteration: cfg.iterations,
-            current: vec![0; seg.len()],
-            best: vec![0; seg.len()],
-            global_best: global_best.as_ref().map(|(c, _)| c.clone()),
-        };
     }
 
     for q in 0..4 {
         PROPOSALS_BY_QUARTILE[q].add(proposals[q]);
         ACCEPTED_BY_QUARTILE[q].add(accepted[q]);
     }
-    ANNEAL_RESTARTS.add(restarts_run);
 
-    let (choice, eval) = global_best.expect("at least one restart contributed a state");
     span.add_field("proposals", proposals.iter().sum::<u64>());
     span.add_field("accepted", accepted.iter().sum::<u64>());
-    span.add_field("restarts", restarts_run);
     span.add_field("completed", completed);
     span.add_field("initial_latency", initial_latency);
-    span.add_field("final_latency", eval.total_latency);
-    AnnealRun {
-        outcome: AnnealOutcome {
-            choice,
-            eval,
-            initial_latency,
-        },
-        state,
-        completed,
+    span.add_field("final_latency", best_eval.total_latency);
+    AnnealOutcome {
+        choice: best,
+        eval: best_eval,
+        initial_latency,
     }
 }
 
@@ -486,102 +324,7 @@ mod tests {
     }
 
     #[test]
-    fn cooling_schedules_interpolate_correctly() {
-        let lin = AnnealingConfig::paper_default();
-        assert!((lin.temperature_fraction(0, 100) - 0.05).abs() < 1e-12);
-        assert!((lin.temperature_fraction(100, 100) - 1e-4).abs() < 1e-12);
-        let geo = lin.with_cooling(Cooling::Geometric);
-        assert!((geo.temperature_fraction(0, 100) - 0.05).abs() < 1e-12);
-        assert!((geo.temperature_fraction(100, 100) - 1e-4).abs() < 1e-10);
-        // Geometric drops faster in the middle.
-        assert!(geo.temperature_fraction(50, 100) < lin.temperature_fraction(50, 100));
-    }
-
-    #[test]
-    fn restarts_only_improve() {
-        let (net, arch, cands) = setup();
-        let seg = &net.segments()[2].layers;
-        let cache = OverheadCache::new();
-        let one = anneal_segment(&net, &arch, seg, &cands, &AnnealingConfig::quick(), &cache);
-        let five = anneal_segment(
-            &net,
-            &arch,
-            seg,
-            &cands,
-            &AnnealingConfig::quick().with_restarts(5),
-            &cache,
-        );
-        assert!(five.eval.total_latency <= one.eval.total_latency);
-    }
-
-    #[test]
-    fn resume_reproduces_the_uninterrupted_run() {
-        // The chain is Markovian in AnnealState: interrupting at any
-        // iteration and resuming must land on the exact same answer as
-        // running straight through.
-        let (net, arch, cands) = setup();
-        let seg = &net.segments()[2].layers;
-        let cfg = AnnealingConfig::quick().with_iterations(80).with_seed(11);
-        let c1 = OverheadCache::new();
-        let full = anneal_segment(&net, &arch, seg, &cands, &cfg, &c1);
-
-        let c2 = OverheadCache::new();
-        let mut run = anneal_segment_resumable(
-            &net,
-            &arch,
-            seg,
-            &cands,
-            &cfg.with_deadline(Duration::from_micros(200)),
-            &c2,
-            None,
-        );
-        let mut resumes = 0;
-        while !run.completed {
-            resumes += 1;
-            assert!(resumes < 1000, "resume loop must terminate");
-            run = anneal_segment_resumable(&net, &arch, seg, &cands, &cfg, &c2, Some(run.state));
-        }
-        assert_eq!(run.outcome.choice, full.choice);
-        assert_eq!(run.outcome.eval.total_latency, full.eval.total_latency);
-    }
-
-    #[test]
     fn zero_deadline_keeps_the_initial_floor() {
-        let (net, arch, cands) = setup();
-        let seg = &net.segments()[2].layers;
-        let cache = OverheadCache::new();
-        let run = anneal_segment_resumable(
-            &net,
-            &arch,
-            seg,
-            &cands,
-            &AnnealingConfig::quick().with_deadline(Duration::ZERO),
-            &cache,
-            None,
-        );
-        assert!(!run.completed);
-        assert!(run.outcome.eval.total_latency <= run.outcome.initial_latency);
-        assert_eq!(run.state.restart, 0);
-        assert_eq!(run.state.iteration, 0);
-    }
-
-    #[test]
-    fn stale_snapshot_falls_back_to_fresh() {
-        let (net, arch, cands) = setup();
-        let seg = &net.segments()[2].layers;
-        let cfg = AnnealingConfig::quick();
-        let c1 = OverheadCache::new();
-        let clean = anneal_segment(&net, &arch, seg, &cands, &cfg, &c1);
-        // A snapshot from a different (wrong-length) segment is ignored.
-        let stale = AnnealState::fresh(seg.len() + 3);
-        let c2 = OverheadCache::new();
-        let run = anneal_segment_resumable(&net, &arch, seg, &cands, &cfg, &c2, Some(stale));
-        assert!(run.completed);
-        assert_eq!(run.outcome.choice, clean.choice);
-    }
-
-    #[test]
-    fn geometric_cooling_still_never_regresses() {
         let (net, arch, cands) = setup();
         let seg = &net.segments()[2].layers;
         let cache = OverheadCache::new();
@@ -590,10 +333,13 @@ mod tests {
             &arch,
             seg,
             &cands,
-            &AnnealingConfig::quick().with_cooling(Cooling::Geometric),
+            &AnnealingConfig::quick().with_deadline(Duration::ZERO),
             &cache,
         );
-        assert!(out.eval.total_latency <= out.initial_latency);
+        // The chain stops before its first iteration: the outcome is
+        // the all-best start state.
+        assert_eq!(out.choice, vec![0; seg.len()]);
+        assert_eq!(out.eval.total_latency, out.initial_latency);
     }
 
     #[test]

@@ -410,9 +410,10 @@ impl SweepOptions {
     }
 }
 
-/// Evaluate a set of designs on one workload. Design points that fail
-/// entirely are skipped (see [`SweepRun::skipped`] via
-/// [`evaluate_designs_resumable`] for the full accounting).
+/// Evaluate a set of designs on one workload, sequentially and without
+/// a candidate cache. Design points that fail entirely are skipped (see
+/// [`SweepRun::skipped`] via [`evaluate_designs_sweep`] for the full
+/// accounting).
 pub fn evaluate_designs(
     network: &Network,
     designs: &[Architecture],
@@ -420,44 +421,13 @@ pub fn evaluate_designs(
     search: &SearchConfig,
     annealing: &AnnealingConfig,
 ) -> Vec<DseResult> {
-    evaluate_designs_resumable(network, designs, algorithm, search, annealing, None, false)
-        .map(|run| run.results)
-        .unwrap_or_default()
-}
-
-/// [`evaluate_designs`] with checkpoint/resume.
-///
-/// With `checkpoint_path` set, every finished design point is written
-/// (atomically) to that file; with `resume` also set, design points
-/// already present in a matching checkpoint are restored instead of
-/// re-evaluated. A checkpoint written for a different workload or
-/// algorithm is ignored, not trusted.
-///
-/// # Errors
-///
-/// [`SecureLoopError::Checkpoint`] when `resume` is set but the
-/// checkpoint file exists and cannot be read or parsed, or when a
-/// checkpoint write fails. Individual design-point failures do *not*
-/// error — they land in [`SweepRun::skipped`].
-pub fn evaluate_designs_resumable(
-    network: &Network,
-    designs: &[Architecture],
-    algorithm: Algorithm,
-    search: &SearchConfig,
-    annealing: &AnnealingConfig,
-    checkpoint_path: Option<&Path>,
-    resume: bool,
-) -> Result<SweepRun, SecureLoopError> {
-    // Legacy entry point: sequential and cache-less, exactly the
-    // pre-incremental behaviour (no sibling cache file appears next to
-    // the caller's checkpoint).
     let opts = SweepOptions {
-        checkpoint_path: checkpoint_path.map(Path::to_path_buf),
-        resume,
         workers: 1,
         ..SweepOptions::default()
     };
     evaluate_designs_sweep(network, designs, algorithm, search, annealing, &opts)
+        .map(|run| run.results)
+        .unwrap_or_default()
 }
 
 /// How one design point resolved within a sweep.
@@ -505,8 +475,8 @@ fn load_warm<T: Persistent>(
     }
 }
 
-/// The incremental DSE engine: [`evaluate_designs_resumable`] plus a
-/// cross-design candidate cache and a worker pool.
+/// The incremental DSE engine: design points evaluated by a worker
+/// pool, with checkpoint/resume and a cross-design candidate cache.
 ///
 /// Design points are assigned fixed result slots up front; workers pull
 /// indices from one queue ([`cancel::run_ordered`]) and the finished
@@ -515,6 +485,13 @@ fn load_warm<T: Persistent>(
 /// [`SweepOptions::workers`] value and for any cache state (a cache hit
 /// returns exactly what the search it memoised computed — see
 /// `secureloop_mapper::cache`).
+///
+/// With [`SweepOptions::checkpoint_path`] set, every finished design
+/// point is written (atomically) to that file; with
+/// [`SweepOptions::resume`] also set, design points already present in
+/// a matching checkpoint are restored instead of re-evaluated. A
+/// checkpoint written for a different workload or algorithm is ignored,
+/// not trusted.
 ///
 /// A corrupted or mismatched on-disk cache is ignored with an entry in
 /// [`SweepRun::warnings`], never an error: it only costs recomputation.
@@ -878,14 +855,19 @@ mod tests {
         let _ = std::fs::remove_file(&path);
 
         // "Interrupted" run: only the first two design points finish.
-        let partial = evaluate_designs_resumable(
+        let sequential = |resume: bool| SweepOptions {
+            checkpoint_path: Some(path.clone()),
+            resume,
+            workers: 1,
+            ..SweepOptions::default()
+        };
+        let partial = evaluate_designs_sweep(
             &net,
             &designs[..2],
             Algorithm::CryptOptSingle,
             &SearchConfig::quick(),
             &AnnealingConfig::quick(),
-            Some(&path),
-            false,
+            &sequential(false),
         )
         .unwrap();
         assert_eq!(partial.evaluated, 2);
@@ -894,14 +876,13 @@ mod tests {
 
         // Re-invocation with --resume semantics: finished points are
         // restored, only the remaining one runs.
-        let resumed = evaluate_designs_resumable(
+        let resumed = evaluate_designs_sweep(
             &net,
             &designs,
             Algorithm::CryptOptSingle,
             &SearchConfig::quick(),
             &AnnealingConfig::quick(),
-            Some(&path),
-            true,
+            &sequential(true),
         )
         .unwrap();
         assert_eq!(resumed.reused, 2);
@@ -918,14 +899,13 @@ mod tests {
 
         // A checkpoint for a different workload is ignored, not trusted.
         let other = zoo::resnet18();
-        let fresh = evaluate_designs_resumable(
+        let fresh = evaluate_designs_sweep(
             &other,
             &designs[..1],
             Algorithm::CryptOptSingle,
             &SearchConfig::quick(),
             &AnnealingConfig::quick(),
-            Some(&path),
-            true,
+            &sequential(true),
         )
         .unwrap();
         assert_eq!(fresh.reused, 0);

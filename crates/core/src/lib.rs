@@ -66,7 +66,7 @@ pub mod suite;
 pub mod supervisor;
 pub mod tensors;
 
-pub use annealing::{AnnealState, AnnealingConfig, Cooling};
+pub use annealing::AnnealingConfig;
 pub use candidates::{CandidateSet, LayerCandidates};
 pub use checkpoint::SweepCheckpoint;
 pub use error::SecureLoopError;

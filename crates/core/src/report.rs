@@ -330,9 +330,12 @@ pub fn telemetry_summary_json(snap: &Snapshot) -> Json {
         .zip(&acc_q)
         .map(|(&p, &a)| Json::from(rate(a, p)))
         .collect();
+    // Each run is one chain, so `restarts` (kept for the JSON shape)
+    // equals `runs`.
+    let runs = snap.counter("anneal.runs");
     let annealing = Json::obj()
-        .field("runs", snap.counter("anneal.runs"))
-        .field("restarts", snap.counter("anneal.restarts"))
+        .field("runs", runs)
+        .field("restarts", runs)
         .field("proposals", proposals)
         .field("accepted", accepted)
         .field("acceptance_rate", rate(accepted, proposals))

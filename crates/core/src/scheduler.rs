@@ -16,8 +16,8 @@ use std::sync::Arc;
 
 use secureloop_arch::Architecture;
 use secureloop_authblock::OverheadBreakdown;
-use secureloop_loopnest::{EnergyBreakdown, Evaluation, Mapping, SearchSpaceKey};
-use secureloop_mapper::{CandidateCache, FeedbackStore, SearchConfig, SearchMode, SearchTier};
+use secureloop_loopnest::{EnergyBreakdown, Evaluation, Mapping};
+use secureloop_mapper::{CandidateCache, SearchConfig, SearchTier};
 use secureloop_telemetry::{self as telemetry, Counter, Timer};
 use secureloop_workload::Network;
 
@@ -247,7 +247,6 @@ pub struct Scheduler {
     annealing: AnnealingConfig,
     cache: Option<Arc<CandidateCache>>,
     siblings: Arc<[Architecture]>,
-    feedback: Arc<FeedbackStore>,
     overheads: Arc<OverheadCache>,
 }
 
@@ -261,7 +260,6 @@ impl Scheduler {
             annealing: AnnealingConfig::paper_default(),
             cache: None,
             siblings: Arc::new([]),
-            feedback: Arc::new(FeedbackStore::new()),
             overheads: Arc::new(OverheadCache::new()),
         }
     }
@@ -297,18 +295,6 @@ impl Scheduler {
         self
     }
 
-    /// Share an annealing-feedback store with this scheduler. Under
-    /// [`SearchMode::Guided`] the scheduler records which candidate each
-    /// cross-layer annealing run chose and re-ranks later candidate
-    /// lists for the same search space so proven survivors sort first.
-    /// One store may serve many schedulers (a whole DSE sweep), letting
-    /// feedback transfer between design points that share search
-    /// spaces. Schedulers built without this carry a private store.
-    pub fn with_feedback(mut self, feedback: Arc<FeedbackStore>) -> Self {
-        self.feedback = feedback;
-        self
-    }
-
     /// Share a per-tensor AuthBlock overhead memo with this scheduler.
     /// Its key fully determines its value, so one memo may serve every
     /// design point of a sweep (see [`OverheadCache`]). Schedulers
@@ -323,11 +309,6 @@ impl Scheduler {
         &self.arch
     }
 
-    /// The annealing-feedback store consulted under guided search.
-    pub fn feedback(&self) -> &Arc<FeedbackStore> {
-        &self.feedback
-    }
-
     /// Step 1 only: the per-layer top-k candidates for `algorithm`
     /// (the unsecure baseline searches without the crypto throttle).
     pub fn candidates(&self, network: &Network, algorithm: Algorithm) -> CandidateSet {
@@ -337,31 +318,13 @@ impl Scheduler {
             .iter()
             .map(|a| for_algorithm(a, algorithm))
             .collect();
-        let mut set = find_candidates_cached(
+        find_candidates_cached(
             network,
             &arch,
             &siblings,
             &self.search,
             self.cache.as_deref(),
-        );
-        self.apply_feedback(network, &arch, &mut set);
-        set
-    }
-
-    /// Re-rank each layer's candidate list by recorded annealing wins
-    /// (guided mode only). Runs *after* the candidate-cache lookup, so
-    /// cached entries stay feedback-free and the cache key need not
-    /// encode feedback state.
-    fn apply_feedback(&self, network: &Network, arch: &Architecture, set: &mut CandidateSet) {
-        if self.search.mode != SearchMode::Guided || self.feedback.is_empty() {
-            return;
-        }
-        for (layer, c) in network.layers().iter().zip(set.per_layer.iter_mut()) {
-            if c.options.len() > 1 {
-                let key = SearchSpaceKey::of(layer, arch);
-                self.feedback.rerank(&key, &mut c.options);
-            }
-        }
+        )
     }
 
     fn arch_for(&self, algorithm: Algorithm) -> Architecture {
@@ -382,26 +345,6 @@ impl Scheduler {
     ) -> Result<NetworkSchedule, SecureLoopError> {
         let candidates = self.candidates(network, algorithm);
         self.schedule_with_candidates(network, algorithm, &candidates)
-    }
-
-    /// Schedule every algorithm (the unsecure baseline plus Table 1's
-    /// three), sharing the step-1 mapper output within each family —
-    /// the secure algorithms reuse one candidate set; the unsecure
-    /// baseline searches without the crypto throttle.
-    ///
-    /// # Errors
-    ///
-    /// Fails when any algorithm schedules zero layers (see
-    /// [`Scheduler::schedule`]).
-    pub fn schedule_all(&self, network: &Network) -> Result<[NetworkSchedule; 4], SecureLoopError> {
-        let unsec_c = self.candidates(network, Algorithm::Unsecure);
-        let sec_c = self.candidates(network, Algorithm::CryptOptCross);
-        Ok([
-            self.schedule_with_candidates(network, Algorithm::Unsecure, &unsec_c)?,
-            self.schedule_with_candidates(network, Algorithm::CryptTileSingle, &sec_c)?,
-            self.schedule_with_candidates(network, Algorithm::CryptOptSingle, &sec_c)?,
-            self.schedule_with_candidates(network, Algorithm::CryptOptCross, &sec_c)?,
-        ])
     }
 
     /// Schedule with precomputed step-1 candidates (reuses the mapper
@@ -613,18 +556,6 @@ impl Scheduler {
             Algorithm::CryptOptCross => {
                 let out = anneal_segment(network, arch, run, candidates, &self.annealing, cache);
                 if out.eval.total_energy.is_finite() {
-                    if self.search.mode == SearchMode::Guided {
-                        // Close the loop: the mappings annealing settled
-                        // on are the ones that survive AuthBlock
-                        // coupling — promote them in future candidate
-                        // lists for the same search spaces.
-                        for (pos, &li) in run.iter().enumerate() {
-                            let layer = &network.layers()[li];
-                            let key = SearchSpaceKey::of(layer, arch);
-                            let winner = &candidates.per_layer[li].options[out.choice[pos]].0;
-                            self.feedback.record_win(&key, winner);
-                        }
-                    }
                     (out.choice, out.eval, false)
                 } else {
                     let picks = best_picks(run);
@@ -715,21 +646,6 @@ mod tests {
     }
 
     #[test]
-    fn schedule_all_matches_individual_runs() {
-        let net = zoo::alexnet_conv();
-        let s = quick_scheduler(true);
-        let [u, t, o, c] = s.schedule_all(&net).expect("schedules");
-        assert_eq!(u.algorithm, Algorithm::Unsecure);
-        assert_eq!(
-            t.total_latency_cycles,
-            s.schedule(&net, Algorithm::CryptTileSingle)
-                .expect("schedules")
-                .total_latency_cycles
-        );
-        assert!(c.total_latency_cycles <= o.total_latency_cycles);
-    }
-
-    #[test]
     fn unsecure_baseline_strips_crypto() {
         let net = zoo::alexnet_conv();
         let s = quick_scheduler(true);
@@ -806,74 +722,25 @@ mod tests {
     }
 
     #[test]
-    fn guided_cross_runs_record_feedback_and_rerank() {
+    fn guided_schedules_depend_only_on_config_and_inputs() {
+        // Scheduling twice on one guided scheduler gives the same
+        // schedule: nothing a run learns carries over to the next.
         let net = zoo::alexnet_conv();
         let arch =
             Architecture::eyeriss_base().with_crypto(CryptoConfig::new(EngineClass::Parallel, 3));
         let s = Scheduler::new(arch)
             .with_search(SearchConfig::quick().with_mode(secureloop_mapper::SearchMode::Guided))
             .with_annealing(AnnealingConfig::quick());
-        assert!(s.feedback().is_empty());
-        let r = s
+        let first = s
             .schedule(&net, Algorithm::CryptOptCross)
             .expect("schedules");
-        assert!(r.is_complete());
-        assert!(
-            !s.feedback().is_empty(),
-            "cross-layer annealing must record its winners"
-        );
-        // On the next pass the recorded winner heads each layer's
-        // candidate list: no retained option has strictly more wins
-        // than the one that sorts first.
-        let set = s.candidates(&net, Algorithm::CryptOptCross);
-        let arch = s.arch().clone();
-        for (li, layer) in net.layers().iter().enumerate() {
-            let key = SearchSpaceKey::of(layer, &arch);
-            let opts = &set.per_layer[li].options;
-            assert!(!opts.is_empty(), "layer {li}");
-            let first = s.feedback().wins(&key, &opts[0].0);
-            let max = opts
-                .iter()
-                .map(|(m, _)| s.feedback().wins(&key, m))
-                .max()
-                .unwrap();
-            assert_eq!(first, max, "layer {li}: winner must sort first");
-        }
-    }
-
-    #[test]
-    fn random_mode_records_no_feedback() {
-        let net = zoo::alexnet_conv();
-        let s = quick_scheduler(true); // SearchConfig::quick() is Random
-        s.schedule(&net, Algorithm::CryptOptCross)
+        let second = s
+            .schedule(&net, Algorithm::CryptOptCross)
             .expect("schedules");
-        assert!(
-            s.feedback().is_empty(),
-            "random mode must leave the feedback loop closed"
-        );
-    }
-
-    #[test]
-    fn shared_feedback_transfers_between_schedulers() {
-        let net = zoo::alexnet_conv();
-        let arch =
-            Architecture::eyeriss_base().with_crypto(CryptoConfig::new(EngineClass::Parallel, 3));
-        let store = Arc::new(FeedbackStore::new());
-        let guided = SearchConfig::quick().with_mode(secureloop_mapper::SearchMode::Guided);
-        let a = Scheduler::new(arch.clone())
-            .with_search(guided)
-            .with_annealing(AnnealingConfig::quick())
-            .with_feedback(Arc::clone(&store));
-        a.schedule(&net, Algorithm::CryptOptCross)
-            .expect("schedules");
-        assert!(!store.is_empty());
-        let b = Scheduler::new(arch)
-            .with_search(guided)
-            .with_annealing(AnnealingConfig::quick())
-            .with_feedback(Arc::clone(&store));
-        assert!(
-            !b.feedback().is_empty(),
-            "second scheduler sees the first one's wins"
+        assert!(first.is_complete());
+        assert_eq!(
+            crate::checkpoint::schedule_to_json(&first).pretty(),
+            crate::checkpoint::schedule_to_json(&second).pretty()
         );
     }
 

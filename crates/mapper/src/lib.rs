@@ -111,7 +111,7 @@ pub use error::MapperError;
 pub use exhaustive::{exhaustive_search, space_upper_bound, ExhaustiveResult};
 pub use fault::{FaultPlan, FaultScope};
 pub use greedy::greedy_mapping;
-pub use pareto::{dominates, hypervolume, FeedbackStore, FrontInsert, ParetoFront, ParetoPoint};
+pub use pareto::{dominates, hypervolume, FrontInsert, ParetoFront, ParetoPoint};
 pub use sampler::{GuidedSampler, MappingSampler};
 
 /// How the sampled rung explores the factorisation space.

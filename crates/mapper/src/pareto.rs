@@ -1,4 +1,4 @@
-//! Pareto-front bookkeeping and annealing feedback for guided search.
+//! Pareto-front bookkeeping for guided search.
 //!
 //! Guided mode (see the crate docs) maintains, per search space, the
 //! set of mutually non-dominated mappings over three objectives:
@@ -9,20 +9,8 @@
 //! is idempotent, the surviving point set is independent of insertion
 //! order, and no retained point dominates another — properties pinned
 //! by `tests/proptest_pareto.rs` against a brute-force oracle.
-//!
-//! [`FeedbackStore`] closes the outer loop: the scheduler records which
-//! candidate each cross-layer annealing run actually chose, and later
-//! candidate lists for the same search space are re-ranked so proven
-//! survivors of AuthBlock coupling sort first (counted by the
-//! `mapper.guided_promotions` telemetry counter).
 
-use std::collections::HashMap;
-use std::sync::Mutex;
-
-use secureloop_loopnest::{CompactMapping, Evaluation, Mapping, SearchSpaceKey};
-use secureloop_telemetry::Counter;
-
-static GUIDED_PROMOTIONS: Counter = Counter::new("mapper.guided_promotions");
+use secureloop_loopnest::{Evaluation, Mapping};
 
 /// One mapping's position in objective space.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -235,104 +223,10 @@ fn staircase_area(points: &[(f64, f64)], ref_e: f64, ref_c: f64) -> f64 {
     area
 }
 
-/// Cross-layer feedback: per search space, how often each candidate
-/// mapping was the one a cross-layer annealing run actually chose.
-/// Thread-safe; shared across schedules via `Arc`. Keys are canonical
-/// ([`SearchSpaceKey`] string × compact mapping text), so feedback
-/// transfers between layers and designs that share a search space —
-/// exactly the pairs whose candidate lists are interchangeable.
-#[derive(Debug, Default)]
-pub struct FeedbackStore {
-    inner: Mutex<HashMap<String, HashMap<String, u64>>>,
-}
-
-impl FeedbackStore {
-    /// An empty store.
-    pub fn new() -> Self {
-        FeedbackStore::default()
-    }
-
-    /// Record that `mapping` won (was chosen by annealing) for `space`.
-    pub fn record_win(&self, space: &SearchSpaceKey, mapping: &Mapping) {
-        let mut inner = self.inner.lock().expect("feedback lock");
-        *inner
-            .entry(space.as_str().to_string())
-            .or_default()
-            .entry(CompactMapping(mapping).to_string())
-            .or_insert(0) += 1;
-    }
-
-    /// How many recorded wins `mapping` has for `space`.
-    pub fn wins(&self, space: &SearchSpaceKey, mapping: &Mapping) -> u64 {
-        self.inner
-            .lock()
-            .expect("feedback lock")
-            .get(space.as_str())
-            .and_then(|m| m.get(&CompactMapping(mapping).to_string()))
-            .copied()
-            .unwrap_or(0)
-    }
-
-    /// Number of search spaces with recorded feedback.
-    pub fn len(&self) -> usize {
-        self.inner.lock().expect("feedback lock").len()
-    }
-
-    /// Whether no feedback has been recorded yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Stable-sort `options` so candidates with more recorded wins for
-    /// `space` come first (zero-win candidates keep their relative
-    /// cost order). Returns how many candidates moved up, and adds
-    /// that to the `mapper.guided_promotions` counter. Applied *after*
-    /// any cache lookup, so cached entries stay feedback-free and the
-    /// cache key need not encode feedback state.
-    pub fn rerank(&self, space: &SearchSpaceKey, options: &mut [(Mapping, Evaluation)]) -> usize {
-        if options.len() < 2 {
-            return 0;
-        }
-        let wins: Vec<u64> = {
-            let inner = self.inner.lock().expect("feedback lock");
-            let Some(per_mapping) = inner.get(space.as_str()) else {
-                return 0;
-            };
-            options
-                .iter()
-                .map(|(m, _)| {
-                    per_mapping
-                        .get(&CompactMapping(m).to_string())
-                        .copied()
-                        .unwrap_or(0)
-                })
-                .collect()
-        };
-        if wins.iter().all(|&w| w == 0) {
-            return 0;
-        }
-        let mut order: Vec<usize> = (0..options.len()).collect();
-        order.sort_by_key(|&i| std::cmp::Reverse(wins[i]));
-        let promotions = order
-            .iter()
-            .enumerate()
-            .filter(|&(new_pos, &old_pos)| new_pos < old_pos && wins[old_pos] > 0)
-            .count();
-        let reordered: Vec<(Mapping, Evaluation)> =
-            order.iter().map(|&i| options[i].clone()).collect();
-        options.clone_from_slice(&reordered);
-        if promotions > 0 {
-            GUIDED_PROMOTIONS.add(promotions as u64);
-        }
-        promotions
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use secureloop_arch::Architecture;
-    use secureloop_loopnest::evaluate;
     use secureloop_workload::zoo;
 
     fn pt(l: u64, e: f64, c: f64) -> ParetoPoint {
@@ -415,35 +309,5 @@ mod tests {
         assert_eq!(hypervolume(&with_dupes, &reference), hv_base);
         // Points beyond the reference contribute nothing.
         assert_eq!(hypervolume(&[pt(200, 1.0, 1.0)], &reference), 0.0);
-    }
-
-    #[test]
-    fn feedback_reranks_winners_first() {
-        let net = zoo::alexnet_conv();
-        let arch = Architecture::eyeriss_base();
-        let layer = &net.layers()[2];
-        let space = SearchSpaceKey::of(layer, &arch);
-        let mut sampler = crate::MappingSampler::new(layer, &arch, 7);
-        let mut options: Vec<(Mapping, Evaluation)> = Vec::new();
-        while options.len() < 3 {
-            let m = sampler.sample();
-            if options.iter().any(|(o, _)| *o == m) {
-                continue;
-            }
-            if let Ok(e) = evaluate(layer, &arch, &m) {
-                options.push((m, e));
-            }
-        }
-        let store = FeedbackStore::new();
-        assert_eq!(store.rerank(&space, &mut options), 0, "no feedback yet");
-        let winner = options[2].0.clone();
-        store.record_win(&space, &winner);
-        store.record_win(&space, &winner);
-        assert_eq!(store.wins(&space, &winner), 2);
-        let promoted = store.rerank(&space, &mut options);
-        assert_eq!(promoted, 1);
-        assert_eq!(options[0].0, winner, "winner sorts first");
-        // Idempotent once in place.
-        assert_eq!(store.rerank(&space, &mut options), 0);
     }
 }
