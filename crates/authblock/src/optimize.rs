@@ -1,7 +1,7 @@
 //! AuthBlock assignment strategies and the exhaustive
 //! orientation × size optimiser (paper §4.2).
 
-use secureloop_telemetry::{self as telemetry, Counter, Timer};
+use secureloop_telemetry::{self as telemetry, Counter};
 
 use crate::count::count_blocks;
 use crate::grid::TileGrid;
@@ -10,7 +10,6 @@ use crate::lattice::{BlockAssignment, Orientation, Region, TileRect};
 static OPTIMIZE_RUNS: Counter = Counter::new("authblock.optimize_runs");
 static CANDIDATES_CONSIDERED: Counter = Counter::new("authblock.candidates_considered");
 static CHOSEN_REDUNDANT_BITS: Counter = Counter::new("authblock.chosen_redundant_bits");
-static OPTIMIZE_TIMER: Timer = Timer::new("authblock.optimize");
 
 fn strategy_name(s: Strategy) -> &'static str {
     match s {
@@ -343,8 +342,7 @@ pub fn optimize(problem: &AssignmentProblem) -> AssignmentChoice {
     let mut span = telemetry::span(
         "authblock",
         format!("{}x{}", problem.region.h, problem.region.w),
-    )
-    .with_timer(&OPTIMIZE_TIMER);
+    );
     // Strategies evaluated this run, flushed to the global counter once.
     let mut considered = 2u64; // tile-as-AuthBlock + rehash baselines
 

@@ -273,11 +273,12 @@ fn annealing(m: &mut Micro) {
 }
 
 /// Cost of telemetry on the mapper's hot path: the same search with
-/// telemetry on (null sink, the default) and off (`set_enabled(false)`
+/// telemetry on (no sink, the default) and off (`set_enabled(false)`
 /// short-circuits every counter and span), in interleaved rounds so
-/// thermal drift hits both sides. The budget is 5%, but it is reported,
-/// not gated: six runs on one machine read −4.9% to +6.7%, so a hard
-/// gate at 5% would flake.
+/// thermal drift hits both sides. With no sink the spans are inert, so
+/// the "on" side measures the counters only. The budget is 5%, but it
+/// is reported, not gated: six runs on one machine read −4.9% to
+/// +6.7%, so a hard gate at 5% would flake.
 fn telemetry_overhead(m: &mut Micro) {
     let search = search_1k();
     let time_one = |enabled: bool| {

@@ -27,14 +27,13 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use secureloop_arch::Architecture;
-use secureloop_telemetry::{self as telemetry, Counter, Timer};
+use secureloop_telemetry::{self as telemetry, Counter};
 use secureloop_workload::Network;
 
 use crate::candidates::CandidateSet;
 use crate::segment::{evaluate_segment, OverheadCache, SegmentEvaluation, StrategyMode};
 
 static ANNEAL_RUNS: Counter = Counter::new("anneal.runs");
-static ANNEAL_TIMER: Timer = Timer::new("anneal.segment");
 /// Proposals/acceptances bucketed by temperature quartile (q0 =
 /// hottest): the acceptance-rate-vs-temperature curve is the classic
 /// health check for an annealing schedule.
@@ -189,7 +188,7 @@ pub fn anneal_segment(
         (Some(&a), _) => network.layers()[a].name().to_string(),
         _ => String::from("empty"),
     };
-    let mut span = telemetry::span("anneal", seg_name).with_timer(&ANNEAL_TIMER);
+    let mut span = telemetry::span("anneal", seg_name);
     // Local tallies, flushed to the global counters once per run.
     let mut proposals = [0u64; 4];
     let mut accepted = [0u64; 4];

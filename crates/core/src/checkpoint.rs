@@ -32,6 +32,9 @@ pub const CHECKPOINT_VERSION: u64 = 2;
 /// Oldest checkpoint schema version a load still understands.
 pub const CHECKPOINT_MIN_VERSION: u64 = 1;
 
+/// Times [`SweepCheckpoint::save_with`]. perfbench counts a sweep's
+/// artifact writes from this timer's `count`; it can become a counter
+/// once a benchmark change reads one instead.
 static SAVE_TIMER: Timer = Timer::new("checkpoint.save");
 
 fn field_err(field: &str) -> String {

@@ -51,7 +51,7 @@ use secureloop_artifact::{self as artifact, ArtifactError, DurabilityPolicy, Per
 use secureloop_crypto::{CryptoConfig, EngineClass, SchemeId};
 use secureloop_energy::AreaModel;
 use secureloop_mapper::{cancel, CancelToken, CandidateCache, SearchConfig};
-use secureloop_telemetry::{self as telemetry, Counter, Timer};
+use secureloop_telemetry::{self as telemetry, Counter};
 use secureloop_workload::Network;
 
 use crate::annealing::AnnealingConfig;
@@ -66,8 +66,6 @@ static DESIGNS_REUSED: Counter = Counter::new("dse.designs_reused");
 static DESIGNS_SKIPPED: Counter = Counter::new("dse.designs_skipped");
 static DESIGNS_POISONED: Counter = Counter::new("dse.designs_poisoned");
 static SWEEP_INTERRUPTED: Counter = Counter::new("dse.interrupted");
-static DESIGN_TIMER: Timer = Timer::new("dse.design");
-static CHECKPOINT_LOAD: Timer = Timer::new("checkpoint.load");
 
 /// One evaluated design point.
 #[derive(Debug, Clone)]
@@ -530,9 +528,7 @@ pub fn evaluate_designs_sweep(
     let fresh = || SweepCheckpoint::new(network.name(), algorithm);
     let ckpt = match (&opts.checkpoint_path, opts.resume) {
         (Some(path), true) if path.exists() => {
-            let loaded = CHECKPOINT_LOAD
-                .time(|| load_warm::<SweepCheckpoint>(path, "checkpoint", &mut run.warnings));
-            match loaded {
+            match load_warm::<SweepCheckpoint>(path, "checkpoint", &mut run.warnings) {
                 Ok(Some(c)) if c.matches(network.name(), algorithm) => c,
                 Ok(_) => fresh(),
                 Err(e) => {
@@ -617,7 +613,7 @@ pub fn evaluate_designs_sweep(
     let evaluate_one = |idx: usize| -> (usize, Option<DesignOutcome>) {
         let arch = &designs[idx];
         let label = arch.name().to_string();
-        let mut span = telemetry::span("dse", label.clone()).with_timer(&DESIGN_TIMER);
+        let mut span = telemetry::span("dse", label.clone());
         // Tag every search with its protection scheme so traces from a
         // scheme-matrix run can be sliced per backend.
         let scheme = arch

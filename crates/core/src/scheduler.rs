@@ -18,7 +18,7 @@ use secureloop_arch::Architecture;
 use secureloop_authblock::OverheadBreakdown;
 use secureloop_loopnest::{EnergyBreakdown, Evaluation, Mapping};
 use secureloop_mapper::{CandidateCache, SearchConfig, SearchTier};
-use secureloop_telemetry::{self as telemetry, Counter, Timer};
+use secureloop_telemetry::{self as telemetry, Counter};
 use secureloop_workload::Network;
 
 use crate::annealing::{anneal_segment, AnnealingConfig};
@@ -30,7 +30,6 @@ static SCHEDULES: Counter = Counter::new("scheduler.schedules");
 static LAYERS_SCHEDULED: Counter = Counter::new("scheduler.layers_scheduled");
 static LAYERS_DEGRADED: Counter = Counter::new("scheduler.layers_degraded");
 static LAYERS_FAILED: Counter = Counter::new("scheduler.layers_failed");
-static SCHEDULE_TIMER: Timer = Timer::new("scheduler.schedule");
 
 /// The scheduling algorithms of paper Table 1, plus the unsecure
 /// baseline used for normalisation in Figs. 11, 13–15.
@@ -366,8 +365,7 @@ impl Scheduler {
         let mut span = telemetry::span(
             "scheduler",
             format!("{}/{}", network.name(), algorithm.name()),
-        )
-        .with_timer(&SCHEDULE_TIMER);
+        );
         let arch = self.arch_for(algorithm);
         // Tag the schedule (and thus every search under it) with its
         // protection scheme so traces can be sliced per backend.

@@ -39,7 +39,7 @@ use std::time::Duration;
 
 use secureloop_mapper::cancel::{self, CancelToken, TaskContext, TaskScope};
 use secureloop_mapper::MapperError;
-use secureloop_telemetry::{self as telemetry, Counter, Timer};
+use secureloop_telemetry::{self as telemetry, Counter};
 
 use crate::error::SecureLoopError;
 
@@ -48,7 +48,6 @@ static PANICS: Counter = Counter::new("supervisor.panics");
 static TIMEOUTS: Counter = Counter::new("supervisor.timeouts");
 static POISONED: Counter = Counter::new("supervisor.poisoned");
 static CANCELLED: Counter = Counter::new("supervisor.cancelled");
-static TASK_TIMER: Timer = Timer::new("supervisor.task");
 
 /// Retry/timeout policy for supervised tasks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -235,7 +234,7 @@ where
     T: Send + 'static,
     F: FnOnce() -> Result<T, SecureLoopError> + Clone + Send + 'static,
 {
-    let mut span = telemetry::span("supervisor", label.to_string()).with_timer(&TASK_TIMER);
+    let mut span = telemetry::span("supervisor", label.to_string());
     let job_cancelled = || job_token.is_some_and(CancelToken::is_cancelled);
     let total_attempts = cfg.max_retries.saturating_add(1);
     let mut last: Option<AttemptError> = None;

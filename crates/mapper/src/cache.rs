@@ -46,7 +46,6 @@ use crate::{
 
 static CACHE_HIT: Counter = Counter::new("dse.cache_hit");
 static CACHE_MISS: Counter = Counter::new("dse.cache_miss");
-static CACHE_EVICTED: Counter = Counter::new("dse.cache_evicted");
 
 /// Current cache-file schema version; bumped on incompatible changes.
 /// Version 2 added the search-mode component to entry keys, so version-1
@@ -318,7 +317,6 @@ impl CandidateCache {
     fn note_evictions(&self, n: u64) {
         if n > 0 {
             self.evictions.fetch_add(n, Ordering::Relaxed);
-            CACHE_EVICTED.add(n);
         }
     }
 

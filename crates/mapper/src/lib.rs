@@ -63,11 +63,12 @@
 //! `mapper.draws` per sampled mapping, `mapper.samples_evaluated` /
 //! `mapper.samples_valid` per sampled mapping and design,
 //! reject causes bucketed under `mapper.reject.*`, ladder-tier
-//! transitions under `mapper.tier.*`, and per-chunk timing
-//! (`mapper.chunk` timer, `mapper.chunk_us` histogram, per-chunk sink
-//! events tagged with the worker that ran them). Hot loops accumulate
-//! locally and flush once per chunk, so the null-sink overhead stays
-//! within the 5% budget enforced by the `telemetry_overhead` bench.
+//! transitions under `mapper.tier.*`, and, when a sink is installed,
+//! one `chunk` event per chunk with its time, tagged with the worker
+//! that ran it. Hot loops accumulate locally and flush once per chunk,
+//! so the sink-less overhead stays within the 5% budget of the
+//! `mapper_search_1k_telemetry_on_vs_off` row of `secureloop-bench
+//! micro`.
 //!
 //! # Example
 //!
@@ -102,7 +103,7 @@ use std::time::{Duration, Instant};
 use secureloop_arch::Architecture;
 use secureloop_json::Json;
 use secureloop_loopnest::{evaluate, traffic, DrawIdentity, Evaluation, Mapping, Pricing};
-use secureloop_telemetry::{self as telemetry, Counter, Histogram, Timer};
+use secureloop_telemetry::{self as telemetry, Counter};
 use secureloop_workload::ConvLayer;
 
 pub use cache::{cache_key, search_cached, CandidateCache};
@@ -439,8 +440,7 @@ fn chunk_seed(base: u64, chunk: usize) -> u64 {
 // (`SearchConfig::threads` parallelises only the random rung). After each
 // chunk the Pareto front absorbs the chunk's finds, so the guides a chunk
 // sees are a pure function of the chunks before it, and the search stops
-// once the merged top-k and front go stale for a couple of chunks. Each
-// chunk is one guided round: `mapper.guided_rounds` counts the chunks run.
+// once the merged top-k and front go stale for a couple of chunks.
 
 /// Consecutive chunks without a top-k or front insertion before guided
 /// search stops drawing (the budget's `samples` is only a cap).
@@ -476,12 +476,6 @@ static TIER_EXHAUSTIVE: Counter = Counter::new("mapper.tier.exhaustive");
 static TIER_SAMPLED: Counter = Counter::new("mapper.tier.sampled");
 static TIER_GREEDY: Counter = Counter::new("mapper.tier.greedy");
 static TRUNCATED: Counter = Counter::new("mapper.truncated");
-static SEARCH_TIMER: Timer = Timer::new("mapper.search");
-static CHUNK_TIMER: Timer = Timer::new("mapper.chunk");
-static CHUNK_US: Histogram = Histogram::new("mapper.chunk_us");
-static GUIDED_ROUNDS: Counter = Counter::new("mapper.guided_rounds");
-static GUIDED_NEIGHBOURHOOD_HITS: Counter = Counter::new("mapper.guided_neighbourhood_hits");
-static SAMPLES_TO_BEST: Histogram = Histogram::new("mapper.samples_to_best");
 
 /// Per-chunk reject tallies, accumulated on the stack and flushed to
 /// the global counters once per chunk (hot-path discipline: the sample
@@ -534,8 +528,8 @@ impl ChunkRunner<'_> {
     /// deadline every [`DEADLINE_STRIDE`] samples. `draw` records into
     /// `tallies` and ends the chunk early by returning `false` before it
     /// draws. Then flush the draws and `tallies` to the counters and
-    /// record the chunk's time and `chunk` event (which in random mode
-    /// names the number of designs, one tally each).
+    /// emit the chunk's `chunk` event with its time (which in random
+    /// mode names the number of designs, one tally each).
     fn run(
         &self,
         worker: usize,
@@ -565,9 +559,6 @@ impl ChunkRunner<'_> {
         }
         DRAWS.add(draws);
         tallies.iter().for_each(ChunkTally::flush);
-        let elapsed = start.elapsed();
-        CHUNK_TIMER.record(elapsed);
-        CHUNK_US.record(elapsed.as_micros() as u64);
         telemetry::emit(|| {
             let event = Json::obj()
                 .field("event", "chunk")
@@ -582,7 +573,7 @@ impl ChunkRunner<'_> {
             event
                 .field("samples", tallies.iter().map(|t| t.drawn).sum::<u64>())
                 .field("valid", tallies.iter().map(|t| t.valid).sum::<u64>())
-                .field("us", elapsed.as_micros() as u64)
+                .field("us", start.elapsed().as_micros() as u64)
         });
         end
     }
@@ -677,7 +668,7 @@ pub fn search_group(
         return designs.iter().map(|a| search(layer, a, cfg)).collect();
     }
 
-    let mut search_span = telemetry::span("mapper", layer.name()).with_timer(&SEARCH_TIMER);
+    let mut search_span = telemetry::span("mapper", layer.name());
     search_span.add_field("designs", designs.len() as u64);
     SEARCHES.add(designs.len() as u64);
 
@@ -1005,12 +996,6 @@ fn run_guided_rung(
     // One divisor table per search, shared by every chunk's sampler.
     let base = MappingSampler::new(layer, arch, 0);
     let mut stall = 0usize;
-    let mut rounds = 0u64;
-    let mut neigh_hits = 0u64;
-    // (latency, energy bits) of the best candidate, to date the chunk
-    // where the optimum last improved.
-    let mut best_key: Option<(u64, u64)> = None;
-    let mut samples_to_best = 0usize;
 
     for chunk in 0..max_chunks {
         if stall >= GUIDED_STALL_ROUNDS {
@@ -1042,7 +1027,6 @@ fn run_guided_rung(
         let mut local_front = pareto::ParetoFront::new();
         let mut explore: Vec<(Mapping, Evaluation)> = Vec::new();
         let mut tally = [ChunkTally::default()];
-        let mut hits = 0u64;
         let mut patience = 0usize;
         let end = chunks.run(0, chunk, &mut tally, |tally| {
             let tally = &mut tally[0];
@@ -1081,12 +1065,7 @@ fn run_guided_rung(
                 );
             }
             match insert_candidate_distinct(&mut keep, cfg.top_k, &mapping, eval) {
-                InsertOutcome::Inserted => {
-                    patience = 0;
-                    if from_neighbourhood {
-                        hits += 1;
-                    }
-                }
+                InsertOutcome::Inserted => patience = 0,
                 InsertOutcome::RejectedNonFinite => {
                     tally.nonfinite += 1;
                     patience += 1;
@@ -1118,7 +1097,6 @@ fn run_guided_rung(
         merged.total_samples += tally.drawn as usize;
         merged.truncated |= end != ChunkEnd::Done;
         sampled_any |= !keep.is_empty();
-        neigh_hits += hits;
         let mut inserted = false;
         for (m, e) in keep {
             if insert_candidate_distinct(&mut merged.candidates, cfg.top_k, &m, e)
@@ -1137,15 +1115,6 @@ fn run_guided_rung(
         }
         for (m, e) in explore {
             insert_candidate_distinct(&mut explore_best, GUIDED_EXPLORE_SLOTS, &m, e);
-        }
-        rounds += 1;
-        let key = merged
-            .candidates
-            .first()
-            .map(|(_, e)| (e.latency_cycles, e.energy_pj.to_bits()));
-        if key.is_some() && key != best_key {
-            best_key = key;
-            samples_to_best = merged.total_samples;
         }
         stall = if inserted { 0 } else { stall + 1 };
         if merged.truncated {
@@ -1219,11 +1188,6 @@ fn run_guided_rung(
         merged.candidates = fin;
     }
 
-    GUIDED_ROUNDS.add(rounds);
-    GUIDED_NEIGHBOURHOOD_HITS.add(neigh_hits);
-    if best_key.is_some() {
-        SAMPLES_TO_BEST.record(samples_to_best as u64);
-    }
     Some((merged, sampled_any))
 }
 
