@@ -17,6 +17,7 @@ use std::process::ExitCode;
 
 use secureloop::cli::{run_with_status, CliError, RunStatus};
 use secureloop::shutdown;
+use secureloop_mapper::cancel;
 
 const FATAL: u8 = 1;
 const DEGRADED: u8 = 2;
@@ -59,7 +60,7 @@ fn main() -> ExitCode {
             }
             // A shutdown request that surfaced as an error (e.g. a
             // cancelled schedule) is still "interrupted", not fatal.
-            if shutdown::requested() {
+            if cancel::shutdown_requested() {
                 ExitCode::from(INTERRUPTED)
             } else {
                 ExitCode::from(FATAL)

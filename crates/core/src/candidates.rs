@@ -1,6 +1,6 @@
 //! Step 1: per-layer top-k loopnest candidates.
 //!
-//! Runs the crypt-aware mapper once per *distinct layer shape* (repeated
+//! Runs the crypt-aware mapper once per *distinct search* (repeated
 //! blocks in ResNet/MobileNetV2 share their search) and exposes the
 //! retained candidates per layer index. A failing layer does not abort
 //! the search: its [`LayerCandidates`] carries the typed error instead,
@@ -12,7 +12,7 @@ use std::collections::HashMap;
 use secureloop_arch::Architecture;
 use secureloop_loopnest::{Evaluation, Mapping};
 use secureloop_mapper::{
-    fault, search_cached, CandidateCache, MapperError, SearchConfig, SearchTier,
+    cache_key, fault, search_cached, CandidateCache, MapperError, SearchConfig, SearchTier,
 };
 use secureloop_workload::{ConvLayer, Network};
 
@@ -73,24 +73,6 @@ impl CandidateSet {
     }
 }
 
-/// Structural key for layer-shape deduplication.
-fn shape_key(layer: &ConvLayer) -> (u64, u64, u64, u64, u64, u64, u64, u64, u64, bool) {
-    let b = layer.bounds();
-    use secureloop_workload::Dim::*;
-    (
-        b[N],
-        b[M],
-        b[C],
-        b[P],
-        b[Q],
-        b[R],
-        b[S],
-        layer.stride(),
-        layer.pad(),
-        layer.depthwise(),
-    )
-}
-
 fn search_layer(
     layer: &ConvLayer,
     arch: &Architecture,
@@ -115,8 +97,8 @@ fn search_layer(
 }
 
 /// Run the step-1 search for every layer of `network`, deduplicating
-/// identical shapes. Never panics: failed layers come back with empty
-/// options and their [`MapperError`] attached.
+/// layers with the same [`cache_key`]. Never panics: failed layers come
+/// back with empty options and their [`MapperError`] attached.
 pub fn find_candidates(network: &Network, arch: &Architecture, cfg: &SearchConfig) -> CandidateSet {
     find_candidates_cached(network, arch, &[], cfg, None)
 }
@@ -135,21 +117,21 @@ pub fn find_candidates_cached(
     cfg: &SearchConfig,
     cache: Option<&CandidateCache>,
 ) -> CandidateSet {
-    // Fault plans key on layer names; the shape cache would smear one
-    // layer's injected fault over every layer of the same shape.
-    // (`search_cached` independently bypasses the cross-design cache
-    // for the same reason.)
-    let use_shape_dedup = !fault::armed();
-    let mut by_shape: HashMap<_, LayerCandidates> = HashMap::new();
+    // Fault plans key on layer names, which no search key holds: the
+    // memo would smear one layer's injected fault over every layer with
+    // the same key. (`search_cached` independently bypasses the
+    // cross-design cache for the same reason.)
+    let use_dedup = !fault::armed();
+    let mut by_key: HashMap<String, LayerCandidates> = HashMap::new();
     let per_layer = network
         .layers()
         .iter()
         .map(|layer| {
-            if !use_shape_dedup {
+            if !use_dedup {
                 return search_layer(layer, arch, siblings, cfg, cache);
             }
-            by_shape
-                .entry(shape_key(layer))
+            by_key
+                .entry(cache_key(layer, arch, cfg))
                 .or_insert_with(|| search_layer(layer, arch, siblings, cfg, cache))
                 .clone()
         })
@@ -199,6 +181,32 @@ mod tests {
             set.per_layer[l1b1c2].best().unwrap().1.latency_cycles,
             set.per_layer[l1b2c2].best().unwrap().1.latency_cycles
         );
+    }
+
+    #[test]
+    fn layers_differing_only_in_dilation_search_separately() {
+        // Equal N, M, C, P, Q, R, S, stride and pad (8x8 outputs of a
+        // 3x3 kernel), but dilation 1 vs 2: different searches.
+        let layer = |name: &str, hw: u64, dilation: u64| {
+            ConvLayer::builder(name)
+                .input_hw(hw, hw)
+                .channels(16, 16)
+                .kernel(3, 3)
+                .dilation(dilation)
+                .build()
+                .unwrap()
+        };
+        let mut net = Network::new("dilated");
+        net.push(layer("plain", 10, 1), &[]);
+        net.push(layer("dilated", 12, 2), &[]);
+        assert_eq!(net.layers()[0].bounds(), net.layers()[1].bounds());
+        let arch = Architecture::eyeriss_base();
+        let cfg = SearchConfig::quick();
+        let set = find_candidates(&net, &arch, &cfg);
+        for (layer, got) in net.layers().iter().zip(&set.per_layer) {
+            let own = secureloop_mapper::search(layer, &arch, &cfg).unwrap();
+            assert_eq!(got.options, own.candidates, "{}", layer.name());
+        }
     }
 
     #[test]

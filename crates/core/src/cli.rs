@@ -982,10 +982,10 @@ fn dispatch(opts: &Options) -> Result<CliOutput, CliError> {
             let net = network(opts)?;
             let arch = architecture(opts)?;
             let sched = scheduler(opts, arch).schedule(&net, opts.run.algorithm)?;
-            let status = if sched.degraded_count() + sched.failed_count() > 0 {
-                RunStatus::Degraded
-            } else {
+            let status = if sched.is_complete() {
                 RunStatus::Success
+            } else {
+                RunStatus::Degraded
             };
             if opts.json {
                 Ok(CliOutput {
@@ -1026,7 +1026,7 @@ fn dispatch(opts: &Options) -> Result<CliOutput, CliError> {
                         l.utilization * 100.0
                     );
                 }
-                if sched.degraded_count() > 0 || sched.failed_count() > 0 {
+                if !sched.is_complete() {
                     out.push_str(&outcome_summary(&sched));
                 }
                 out.push_str(&report::telemetry_summary_text(
@@ -1117,9 +1117,7 @@ fn dispatch(opts: &Options) -> Result<CliOutput, CliError> {
             } else if sweep.degraded_persistence
                 || !sweep.skipped.is_empty()
                 || !sweep.poisoned.is_empty()
-                || results
-                    .iter()
-                    .any(|r| r.schedule.degraded_count() + r.schedule.failed_count() > 0)
+                || results.iter().any(|r| !r.schedule.is_complete())
             {
                 RunStatus::Degraded
             } else {
@@ -1228,7 +1226,7 @@ fn dispatch(opts: &Options) -> Result<CliOutput, CliError> {
                         };
                         let area = secureloop_energy::AreaModel::of(&arch);
                         let sched = scheduler(opts, arch).schedule(&net, algorithm)?;
-                        degraded_any |= sched.degraded_count() + sched.failed_count() > 0;
+                        degraded_any |= !sched.is_complete();
                         rows.push((
                             id,
                             Ok(RowData {

@@ -15,9 +15,11 @@
 //! panicking or stalling becomes [`DesignOutcome::Poisoned`], is
 //! quarantined in the checkpoint (so `--resume` skips it instead of
 //! re-crashing), and the other design points are unaffected — their
-//! results are byte-identical to a fault-free run. A process-wide
-//! shutdown request (see [`crate::shutdown`]) stops workers between
-//! design points; the partial [`SweepRun`] comes back with
+//! results are byte-identical to a fault-free run. Cancelling
+//! [`SweepOptions::cancel`] — or a process-wide shutdown request (see
+//! [`crate::shutdown`]), which every token observes — stops workers
+//! between design points and in-flight searches at their next chunk
+//! boundary; the partial [`SweepRun`] comes back with
 //! [`SweepRun::interrupted`] set after the checkpoint and candidate
 //! cache have been flushed, so the run is resumable.
 //!
@@ -248,7 +250,7 @@ pub struct SweepRun {
     /// quarantined: they exhausted their retries panicking or timing
     /// out. Recorded in the checkpoint so a resumed sweep skips them.
     pub poisoned: Vec<(String, String)>,
-    /// Whether a shutdown request stopped the sweep before every design
+    /// Whether a cancellation stopped the sweep before every design
     /// point resolved. The checkpoint and candidate cache were flushed;
     /// re-running with resume completes the remainder.
     pub interrupted: bool,
@@ -274,7 +276,7 @@ impl SweepRun {
 }
 
 /// Knobs for [`evaluate_designs_sweep`].
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct SweepOptions {
     /// Where to checkpoint finished design points (atomic writes after
     /// every design). `None` disables checkpointing.
@@ -302,12 +304,12 @@ pub struct SweepOptions {
     /// [`SweepRun::cache_hits`]/[`SweepRun::cache_misses`] report this
     /// invocation's delta (approximate when jobs share concurrently).
     pub shared_cache: Option<Arc<CandidateCache>>,
-    /// Job-level cancellation: when this token trips, workers stop
-    /// picking up design points and in-flight searches exit at their
-    /// next chunk boundary, exactly like a process-wide shutdown but
-    /// scoped to this sweep. The run comes back
-    /// [`SweepRun::interrupted`].
-    pub cancel: Option<CancelToken>,
+    /// The sweep's cancellation token, parent of every design point's
+    /// attempt token. When it trips (its owner cancelled it, or a
+    /// process-wide shutdown was requested), workers stop picking up
+    /// design points and in-flight searches exit at their next chunk
+    /// boundary. The run comes back [`SweepRun::interrupted`].
+    pub cancel: CancelToken,
     /// How hard checkpoint/cache writes try to make it to disk (fsync,
     /// retries, backoff). When retries are exhausted the sweep keeps
     /// computing in degraded in-memory mode instead of aborting — see
@@ -315,14 +317,28 @@ pub struct SweepOptions {
     pub durability: DurabilityPolicy,
 }
 
-impl SweepOptions {
+impl Default for SweepOptions {
     /// Cache on, sequential, no checkpoint — the default for plain
     /// sweeps.
-    pub fn new() -> Self {
+    fn default() -> Self {
         SweepOptions {
+            checkpoint_path: None,
+            resume: false,
             use_cache: true,
-            ..SweepOptions::default()
+            cache_path: None,
+            workers: 0,
+            supervisor: SupervisorConfig::default(),
+            shared_cache: None,
+            cancel: CancelToken::new(),
+            durability: DurabilityPolicy::default(),
         }
+    }
+}
+
+impl SweepOptions {
+    /// The [`Default`] options.
+    pub fn new() -> Self {
+        SweepOptions::default()
     }
 
     /// Set the checkpoint path.
@@ -381,9 +397,9 @@ impl SweepOptions {
         self
     }
 
-    /// Attach a job-level cancellation token.
+    /// Replace the sweep's cancellation token.
     pub fn with_cancel(mut self, token: CancelToken) -> Self {
-        self.cancel = Some(token);
+        self.cancel = token;
         self
     }
 
@@ -421,6 +437,7 @@ pub fn evaluate_designs(
 ) -> Vec<DseResult> {
     let opts = SweepOptions {
         workers: 1,
+        use_cache: false,
         ..SweepOptions::default()
     };
     evaluate_designs_sweep(network, designs, algorithm, search, annealing, &opts)
@@ -607,7 +624,7 @@ pub fn evaluate_designs_sweep(
     let siblings: Arc<[Architecture]> = pending.iter().map(|&i| designs[i].clone()).collect();
 
     let ckpt_state: Mutex<(SweepCheckpoint, Option<SecureLoopError>)> = Mutex::new((ckpt, None));
-    // `None` from `evaluate_one` means a shutdown request stopped the
+    // `None` from `evaluate_one` means a cancellation stopped the
     // design point before it resolved: the slot stays unfilled and the
     // merge marks the run interrupted.
     let evaluate_one = |idx: usize| -> (usize, Option<DesignOutcome>) {
@@ -645,12 +662,7 @@ pub fn evaluate_designs_sweep(
                 scheduler.schedule(&network, algorithm)
             }
         };
-        match supervisor::run_supervised_cancellable(
-            &label,
-            &opts.supervisor,
-            opts.cancel.as_ref(),
-            task,
-        ) {
+        match supervisor::run_supervised(&label, &opts.supervisor, &opts.cancel, task) {
             SupervisedOutcome::Completed { value: s, attempts } => {
                 DESIGNS_EVALUATED.incr();
                 span.add_field("outcome", "evaluated");
@@ -697,11 +709,9 @@ pub fn evaluate_designs_sweep(
             }
         }
     };
-    let sweep_cancelled = || opts.cancel.as_ref().is_some_and(CancelToken::is_cancelled);
-    // A shutdown or sweep cancellation stops each worker before its next
-    // design point.
+    // A cancelled sweep stops each worker before its next design point.
     let finished = cancel::run_ordered(pending.len(), opts.workers, |_, k| {
-        if cancel::shutdown_requested() || sweep_cancelled() {
+        if opts.cancel.is_cancelled() {
             return ((pending[k], None), true);
         }
         (evaluate_one(pending[k]), false)
@@ -724,9 +734,9 @@ pub fn evaluate_designs_sweep(
     }
 
     // Merge in design order — the determinism contract. An unfilled
-    // slot means a shutdown request stopped the sweep early: the run
+    // slot means a cancellation stopped the sweep early: the run
     // is reported interrupted (and resumable), never half-merged.
-    let mut interrupted = cancel::shutdown_requested() || sweep_cancelled();
+    let mut interrupted = opts.cancel.is_cancelled();
     for (arch, slot) in designs.iter().zip(slots) {
         match slot {
             Some(DesignOutcome::Evaluated(schedule)) => run.results.push(DseResult {
@@ -855,6 +865,7 @@ mod tests {
             checkpoint_path: Some(path.clone()),
             resume,
             workers: 1,
+            use_cache: false,
             ..SweepOptions::default()
         };
         let partial = evaluate_designs_sweep(

@@ -31,8 +31,8 @@ pub enum SecureLoopError {
 
 impl SecureLoopError {
     /// Whether this error is a cooperative-cancellation artefact (a
-    /// shutdown request or a watchdog stopping a mapper search) rather
-    /// than a genuine failure. Interrupted runs report the distinct
+    /// cancelled token — shutdown, job or watchdog — stopping a mapper
+    /// search) rather than a genuine failure. Interrupted runs report the distinct
     /// "interrupted, resumable" exit code instead of a fatal one.
     pub fn is_interruption(&self) -> bool {
         matches!(self, SecureLoopError::Mapper(MapperError::Cancelled { .. }))

@@ -495,7 +495,7 @@ pub fn layer_stats_text(schedule: &NetworkSchedule) -> String {
         schedule.total_energy_pj / 1e6,
         schedule.edp()
     );
-    if schedule.degraded_count() > 0 || schedule.failed_count() > 0 {
+    if !schedule.is_complete() {
         let _ = writeln!(
             out,
             "=== outcomes: {} scheduled, {} degraded, {} failed ===",

@@ -203,7 +203,7 @@ impl NetworkSchedule {
 
     /// Whether every layer was scheduled at full quality.
     pub fn is_complete(&self) -> bool {
-        self.failed_count() == 0
+        self.degraded_count() + self.failed_count() == 0
     }
 
     /// Component-wise energy summed over layers.
@@ -641,6 +641,22 @@ mod tests {
         assert_eq!(r.total_macs(), net.total_macs());
         assert!(r.edp() > 0.0);
         assert!(r.total_dram_bits() > 0);
+    }
+
+    #[test]
+    fn degraded_layers_make_a_schedule_incomplete() {
+        // A zero deadline leaves every layer on the greedy floor:
+        // scheduled, none failed, but not at full quality.
+        let r = quick_scheduler(true)
+            .with_search(SearchConfig {
+                deadline: Some(std::time::Duration::ZERO),
+                ..SearchConfig::quick()
+            })
+            .schedule(&zoo::alexnet_conv(), Algorithm::CryptOptSingle)
+            .expect("greedy floor still schedules");
+        assert_eq!(r.failed_count(), 0);
+        assert!(r.degraded_count() > 0, "{:?}", r.outcomes);
+        assert!(!r.is_complete());
     }
 
     #[test]

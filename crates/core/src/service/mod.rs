@@ -16,10 +16,12 @@
 //!   whose sample, design-count, or deadline budgets exceed the
 //!   server's caps before they consume a queue slot.
 //! * **Per-job supervision and isolation** — every design point runs
-//!   under [`crate::supervisor::run_supervised_cancellable`]; one
-//!   tenant's panicking or stalling design is quarantined (reported
-//!   `poisoned` with its cause) without disturbing other tenants, whose
-//!   results stay byte-identical to running alone.
+//!   under [`crate::supervisor::run_supervised`] with the job's
+//!   [`secureloop_mapper::CancelToken`] as parent, so a client `cancel`
+//!   stops exactly that job; one tenant's panicking or stalling design
+//!   is quarantined (reported `poisoned` with its cause) without
+//!   disturbing other tenants, whose results stay byte-identical to
+//!   running alone.
 //! * **Crash-safe lifecycle** — the `Queued → Running →
 //!   Completed/Failed/Poisoned/Cancelled` state machine (plus the
 //!   out-of-band `Shed`) is journalled to `<state_dir>/service.json`
@@ -31,8 +33,9 @@
 //!   eviction is shared across every job and persisted across
 //!   restarts.
 //! * **Graceful drain** — SIGINT/SIGTERM stops admission, lets running
-//!   jobs finish or checkpoint (via the process-wide shutdown flag the
-//!   mapper polls at chunk boundaries), flushes the cache, journal and
+//!   jobs finish or checkpoint (the process-wide shutdown flag is the
+//!   root every job token observes, and the mapper polls its token at
+//!   chunk boundaries), flushes the cache, journal and
 //!   telemetry sink, and exits with code 3. Client EOF instead drains
 //!   the queue *fully* (every queued job runs) before a clean exit.
 

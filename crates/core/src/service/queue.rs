@@ -143,11 +143,6 @@ impl JobQueue {
         self.lock().draining = true;
         self.ready.notify_all();
     }
-
-    /// Whether the queue has stopped admitting.
-    pub fn is_draining(&self) -> bool {
-        self.lock().draining
-    }
 }
 
 #[cfg(test)]

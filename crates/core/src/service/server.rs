@@ -147,9 +147,12 @@ impl ServiceConfig {
 
 struct JobEntry {
     record: JobRecord,
-    /// Trips on client cancellation; every in-flight search belonging
-    /// to the job observes it at its next chunk boundary.
+    /// The job's sweep token, tripped by a client cancellation (and,
+    /// like every token, by a process-wide shutdown).
     token: CancelToken,
+    /// Whether a client cancelled the job: it settles `Cancelled`, not
+    /// back to `Queued` as a shutdown drain would.
+    client_cancelled: bool,
 }
 
 #[derive(Default)]
@@ -315,6 +318,7 @@ impl Server {
                     JobEntry {
                         record,
                         token: CancelToken::new(),
+                        client_cancelled: false,
                     },
                 );
             }
@@ -560,6 +564,7 @@ impl Server {
                 JobEntry {
                     record: JobRecord::queued(spec),
                     token: CancelToken::new(),
+                    client_cancelled: false,
                 },
             );
         }
@@ -597,6 +602,7 @@ impl Server {
             // Queued-but-not-in-queue means a worker grabbed it between
             // journal state and pop — treat as running.
             JobState::Queued | JobState::Running => {
+                e.client_cancelled = true;
                 e.token.cancel();
                 drop(t);
                 out.send(Json::obj().field("event", "cancelling").field("id", id));
@@ -708,7 +714,7 @@ impl Server {
             .with_workers(self.cfg.job_workers)
             .with_supervisor(self.cfg.supervisor)
             .with_shared_cache(Arc::clone(&self.cache))
-            .with_cancel(token.clone())
+            .with_cancel(token)
             .with_durability(self.cfg.durability);
 
         // Chaos hook: a planned fault stays scoped to this job's
@@ -741,7 +747,8 @@ impl Server {
             }
         }
         if sweep.interrupted {
-            if token.is_cancelled() {
+            let client_cancelled = self.table().map.get(id).is_some_and(|e| e.client_cancelled);
+            if client_cancelled {
                 let cause = "cancelled by client".to_string();
                 self.settle(id, JobState::Cancelled, Some(cause.clone()), out);
                 out.send(protocol::result(id, "cancelled", Json::Null, Some(&cause)));

@@ -3,20 +3,17 @@
 //! [`install_handlers`] registers SIGINT/SIGTERM handlers that do
 //! exactly one async-signal-safe thing: store `true` into the
 //! process-wide shutdown flag owned by `secureloop_mapper::cancel`.
-//! The sweep engine polls that flag between design points and the
-//! mapper polls it at chunk boundaries, so a Ctrl-C drains the current
-//! design point, flushes the checkpoint and candidate cache, and exits
-//! with the distinct "interrupted, resumable" code instead of killing
-//! the run mid-write.
+//! That flag is the root of every
+//! [`CancelToken`](secureloop_mapper::CancelToken): the sweep engine
+//! polls its token between design points and the mapper at chunk
+//! boundaries, so a Ctrl-C drains the current design point, flushes
+//! the checkpoint and candidate cache, and exits with the distinct
+//! "interrupted, resumable" code instead of killing the run mid-write.
 //!
 //! No external crates: on Unix the handler is registered through a
 //! direct `signal(2)` FFI declaration; elsewhere [`install_handlers`]
 //! is a no-op (the flag can still be flipped programmatically via
-//! [`request`]).
-
-pub use secureloop_mapper::cancel::{
-    request_shutdown as request, reset_shutdown as reset, shutdown_requested as requested,
-};
+//! `secureloop_mapper::cancel::request_shutdown`).
 
 #[cfg(unix)]
 mod imp {
@@ -55,7 +52,8 @@ mod imp {
 ///
 /// Call once, from the binary's `main` — library users (and the test
 /// suite) keep their default signal disposition and drive the flag
-/// through [`request`]/[`reset`] instead.
+/// through `secureloop_mapper::cancel::{request_shutdown,
+/// reset_shutdown}` instead.
 pub fn install_handlers() {
     imp::install();
 }
@@ -72,6 +70,9 @@ mod tests {
     #[test]
     fn handlers_install_without_crashing() {
         install_handlers();
-        assert!(!requested(), "installing handlers must not request one");
+        assert!(
+            !secureloop_mapper::cancel::shutdown_requested(),
+            "installing handlers must not request one"
+        );
     }
 }

@@ -568,9 +568,8 @@ pub fn run_suite(
             Some(r) => {
                 let sched = &r.schedule;
                 let violations = sc.expect.violations(sched);
-                let below_quality = sched.degraded_count() + sched.failed_count() > 0
-                    || !sweep.skipped.is_empty()
-                    || !sweep.poisoned.is_empty();
+                let below_quality =
+                    !sched.is_complete() || !sweep.skipped.is_empty() || !sweep.poisoned.is_empty();
                 let status = if !violations.is_empty() || !sweep.skipped.is_empty() {
                     ScenarioStatus::Fail
                 } else if below_quality {

@@ -9,8 +9,8 @@
 //!   take down the worker pool;
 //! * **watchdog timeout** — with
 //!   [`SupervisorConfig::task_timeout`] set, the attempt runs on a
-//!   dedicated thread and is abandoned (its
-//!   [`secureloop_mapper::cancel::CancelToken`] tripped, so it exits at
+//!   dedicated thread and is abandoned (its attempt token, a
+//!   [`CancelToken::child`] of the caller's, tripped, so it exits at
 //!   the next chunk boundary) when the wall clock expires;
 //! * **retry with exponential backoff** — panics, timeouts and typed
 //!   errors are retried up to [`SupervisorConfig::max_retries`] times,
@@ -23,9 +23,10 @@
 //!   [`SupervisedOutcome::Poisoned`] with the captured panic payload
 //!   or timeout cause, distinct from an ordinary typed-error
 //!   [`SupervisedOutcome::Failed`];
-//! * **cancellation** — a process-wide shutdown request (see
-//!   [`crate::shutdown`]) short-circuits to
-//!   [`SupervisedOutcome::Cancelled`] without burning retries.
+//! * **cancellation** — once the caller's token is cancelled (by its
+//!   job, or by a process-wide shutdown, which every token observes)
+//!   the task short-circuits to [`SupervisedOutcome::Cancelled`]
+//!   without burning retries.
 //!
 //! Everything is observable through `secureloop-telemetry`: a
 //! `supervisor` span per task plus the `supervisor.retries`,
@@ -37,8 +38,7 @@ use std::sync::mpsc;
 use std::thread;
 use std::time::Duration;
 
-use secureloop_mapper::cancel::{self, CancelToken, TaskContext, TaskScope};
-use secureloop_mapper::MapperError;
+use secureloop_mapper::cancel::{CancelToken, TaskContext, TaskScope};
 use secureloop_telemetry::{self as telemetry, Counter};
 
 use crate::error::SecureLoopError;
@@ -122,8 +122,9 @@ pub enum SupervisedOutcome<T> {
         /// Attempts spent.
         attempts: u32,
     },
-    /// A process-wide shutdown request stopped the task; it is neither
-    /// failed nor poisoned and will be re-run on resume.
+    /// The caller's token (its job, or a process-wide shutdown) stopped
+    /// the task; it is neither failed nor poisoned and will be re-run on
+    /// resume.
     Cancelled,
 }
 
@@ -141,24 +142,19 @@ fn panic_payload(e: Box<dyn std::any::Any + Send>) -> String {
         .unwrap_or_else(|| "non-string panic payload".to_string())
 }
 
-fn is_cancelled_error(e: &SecureLoopError) -> bool {
-    matches!(e, SecureLoopError::Mapper(MapperError::Cancelled { .. }))
-}
-
 fn run_attempt<T, F>(
     timeout: Option<Duration>,
     bypass_cache: bool,
-    job_token: Option<&CancelToken>,
+    parent: &CancelToken,
     task: F,
 ) -> Result<T, AttemptError>
 where
     T: Send + 'static,
     F: FnOnce() -> Result<T, SecureLoopError> + Send + 'static,
 {
-    let token = CancelToken::new();
+    let token = parent.child();
     let ctx = TaskContext {
-        token: Some(token.clone()),
-        job_token: job_token.cloned(),
+        token: token.clone(),
         bypass_cache,
     };
     match timeout {
@@ -207,27 +203,18 @@ where
 
 /// Run `task` under the supervisor's panic/timeout/retry policy.
 ///
+/// Each attempt runs under a [`CancelToken::child`] of `parent`: a
+/// cancelled `parent` resolves the task [`SupervisedOutcome::Cancelled`]
+/// without burning retries; the watchdog stops one attempt only.
+///
 /// `task` must be `Clone` because each retry needs a fresh callable,
 /// and `'static + Send` because a watchdogged attempt runs on its own
 /// thread. Design-point tasks clone their (cheap, `Arc`-heavy) inputs
 /// up front.
-pub fn run_supervised<T, F>(label: &str, cfg: &SupervisorConfig, task: F) -> SupervisedOutcome<T>
-where
-    T: Send + 'static,
-    F: FnOnce() -> Result<T, SecureLoopError> + Clone + Send + 'static,
-{
-    run_supervised_cancellable(label, cfg, None, task)
-}
-
-/// [`run_supervised`] with an additional job-level [`CancelToken`]:
-/// when the token trips — a service client cancelled its job — the task
-/// resolves [`SupervisedOutcome::Cancelled`] at the next chunk boundary
-/// without burning retries, exactly like a process-wide shutdown, but
-/// scoped to this one job.
-pub fn run_supervised_cancellable<T, F>(
+pub fn run_supervised<T, F>(
     label: &str,
     cfg: &SupervisorConfig,
-    job_token: Option<&CancelToken>,
+    parent: &CancelToken,
     task: F,
 ) -> SupervisedOutcome<T>
 where
@@ -235,12 +222,11 @@ where
     F: FnOnce() -> Result<T, SecureLoopError> + Clone + Send + 'static,
 {
     let mut span = telemetry::span("supervisor", label.to_string());
-    let job_cancelled = || job_token.is_some_and(CancelToken::is_cancelled);
     let total_attempts = cfg.max_retries.saturating_add(1);
     let mut last: Option<AttemptError> = None;
     let mut attempts = 0u32;
     for attempt in 0..total_attempts {
-        if cancel::shutdown_requested() || job_cancelled() {
+        if parent.is_cancelled() {
             CANCELLED.incr();
             span.add_field("outcome", "cancelled");
             return SupervisedOutcome::Cancelled;
@@ -256,15 +242,13 @@ where
             Some(AttemptError::Panic(_)) | Some(AttemptError::Timeout(_))
         );
         attempts = attempt + 1;
-        match run_attempt(cfg.task_timeout, bypass_cache, job_token, task.clone()) {
+        match run_attempt(cfg.task_timeout, bypass_cache, parent, task.clone()) {
             Ok(value) => {
                 span.add_field("outcome", "completed");
                 span.add_field("attempts", u64::from(attempts));
                 return SupervisedOutcome::Completed { value, attempts };
             }
-            Err(AttemptError::Engine(e))
-                if is_cancelled_error(&e) || cancel::shutdown_requested() || job_cancelled() =>
-            {
+            Err(AttemptError::Engine(e)) if e.is_interruption() || parent.is_cancelled() => {
                 CANCELLED.incr();
                 span.add_field("outcome", "cancelled");
                 return SupervisedOutcome::Cancelled;
@@ -307,6 +291,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use secureloop_mapper::cancel;
     use std::sync::atomic::{AtomicU32, Ordering};
     use std::sync::Arc;
 
@@ -316,7 +301,9 @@ mod tests {
 
     #[test]
     fn success_passes_through() {
-        let out = run_supervised("t", &quick(), || Ok::<_, SecureLoopError>(42));
+        let out = run_supervised("t", &quick(), &CancelToken::new(), || {
+            Ok::<_, SecureLoopError>(42)
+        });
         match out {
             SupervisedOutcome::Completed { value, attempts } => {
                 assert_eq!(value, 42);
@@ -330,10 +317,15 @@ mod tests {
     fn typed_errors_retry_then_fail() {
         let calls = Arc::new(AtomicU32::new(0));
         let c = calls.clone();
-        let out = run_supervised("t", &quick().with_max_retries(2), move || {
-            c.fetch_add(1, Ordering::SeqCst);
-            Err::<(), _>(SecureLoopError::Schedule("boom".into()))
-        });
+        let out = run_supervised(
+            "t",
+            &quick().with_max_retries(2),
+            &CancelToken::new(),
+            move || {
+                c.fetch_add(1, Ordering::SeqCst);
+                Err::<(), _>(SecureLoopError::Schedule("boom".into()))
+            },
+        );
         match out {
             SupervisedOutcome::Failed { error, attempts } => {
                 assert!(error.to_string().contains("boom"));
@@ -348,13 +340,18 @@ mod tests {
     fn transient_errors_recover_within_the_retry_budget() {
         let calls = Arc::new(AtomicU32::new(0));
         let c = calls.clone();
-        let out = run_supervised("t", &quick().with_max_retries(2), move || {
-            if c.fetch_add(1, Ordering::SeqCst) < 2 {
-                Err(SecureLoopError::Schedule("transient".into()))
-            } else {
-                Ok(7)
-            }
-        });
+        let out = run_supervised(
+            "t",
+            &quick().with_max_retries(2),
+            &CancelToken::new(),
+            move || {
+                if c.fetch_add(1, Ordering::SeqCst) < 2 {
+                    Err(SecureLoopError::Schedule("transient".into()))
+                } else {
+                    Ok(7)
+                }
+            },
+        );
         match out {
             SupervisedOutcome::Completed { value, attempts } => {
                 assert_eq!(value, 7);
@@ -369,6 +366,7 @@ mod tests {
         let out = run_supervised(
             "t",
             &quick().with_max_retries(1),
+            &CancelToken::new(),
             || -> Result<(), SecureLoopError> {
                 panic!("injected chaos");
             },
@@ -387,11 +385,12 @@ mod tests {
         let cfg = quick()
             .with_max_retries(0)
             .with_task_timeout(Duration::from_millis(20));
-        let out = run_supervised("t", &cfg, || -> Result<(), SecureLoopError> {
+        let job = CancelToken::new();
+        let out = run_supervised("t", &cfg, &job, || -> Result<(), SecureLoopError> {
             // Cooperative stall: wake up early if cancelled.
-            let ctx = cancel::current_context();
+            let token = cancel::current_context().token;
             for _ in 0..200 {
-                if cancel::cancelled(&ctx) {
+                if token.is_cancelled() {
                     break;
                 }
                 thread::sleep(Duration::from_millis(5));
@@ -405,12 +404,18 @@ mod tests {
             }
             other => panic!("expected timeout poison, got {other:?}"),
         }
+        assert!(
+            !job.is_cancelled(),
+            "the watchdog stops the attempt, not the job"
+        );
     }
 
     #[test]
     fn fast_tasks_pass_under_a_watchdog() {
         let cfg = quick().with_task_timeout(Duration::from_secs(30));
-        let out = run_supervised("t", &cfg, || Ok::<_, SecureLoopError>("ok"));
+        let out = run_supervised("t", &cfg, &CancelToken::new(), || {
+            Ok::<_, SecureLoopError>("ok")
+        });
         assert!(matches!(
             out,
             SupervisedOutcome::Completed { value: "ok", .. }
@@ -423,34 +428,31 @@ mod tests {
         token.cancel();
         let calls = Arc::new(AtomicU32::new(0));
         let c = calls.clone();
-        let out = run_supervised_cancellable(
-            "t",
-            &quick().with_max_retries(5),
-            Some(&token),
-            move || {
-                c.fetch_add(1, Ordering::SeqCst);
-                Ok::<_, SecureLoopError>(1)
-            },
-        );
+        let out = run_supervised("t", &quick().with_max_retries(5), &token, move || {
+            c.fetch_add(1, Ordering::SeqCst);
+            Ok::<_, SecureLoopError>(1)
+        });
         assert!(matches!(out, SupervisedOutcome::Cancelled));
         assert_eq!(calls.load(Ordering::SeqCst), 0, "no attempt runs");
     }
 
     #[test]
     fn job_token_reaches_the_task_context() {
-        let token = CancelToken::new();
-        let out = run_supervised_cancellable(
-            "t",
-            &quick().with_max_retries(0),
-            Some(&token),
-            move || {
-                let ctx = cancel::current_context();
-                Ok::<_, SecureLoopError>(ctx.job_token.is_some())
-            },
-        );
+        let job = CancelToken::new();
+        let in_task = job.clone();
+        let out = run_supervised("t", &quick().with_max_retries(0), &job, move || {
+            let token = cancel::current_context().token;
+            let before = token.is_cancelled();
+            in_task.cancel();
+            Ok::<_, SecureLoopError>((before, token.is_cancelled()))
+        });
         match out {
             SupervisedOutcome::Completed { value, .. } => {
-                assert!(value, "task sees its job token");
+                assert_eq!(
+                    value,
+                    (false, true),
+                    "the attempt token is a child of the job's"
+                );
             }
             other => panic!("expected success, got {other:?}"),
         }

@@ -24,9 +24,9 @@ use secureloop::cli::RunStatus;
 use secureloop::dse::{evaluate_designs_sweep, fig16_design_space, pareto_front, SweepOptions};
 use secureloop::report;
 use secureloop::service::{AdmissionPolicy, Server, ServiceConfig};
-use secureloop::{shutdown, Algorithm, AnnealingConfig, SupervisorConfig};
+use secureloop::{Algorithm, AnnealingConfig, SupervisorConfig};
 use secureloop_json::Json;
-use secureloop_mapper::{SearchConfig, SearchMode};
+use secureloop_mapper::{cancel, SearchConfig, SearchMode};
 use secureloop_telemetry as telemetry;
 use secureloop_workload::zoo;
 
@@ -42,7 +42,7 @@ struct ShutdownReset;
 
 impl Drop for ShutdownReset {
     fn drop(&mut self) {
-        shutdown::reset();
+        cancel::reset_shutdown();
     }
 }
 
@@ -531,7 +531,7 @@ fn signal_drain_checkpoints_and_restart_resumes_with_zero_recompute() {
 
     // SIGINT/SIGTERM handlers store exactly this flag; flip it directly
     // (the test keeps its default signal disposition).
-    shutdown::request();
+    cancel::request_shutdown();
 
     let (status, events) = h.finish();
     assert_eq!(
@@ -550,7 +550,7 @@ fn signal_drain_checkpoints_and_restart_resumes_with_zero_recompute() {
     assert_eq!(last["event"].as_str(), Some("shutdown"));
     assert_eq!(last["resumable"].as_u64(), Some(1));
 
-    shutdown::reset();
+    cancel::reset_shutdown();
 
     // Restart on the same state dir: the journalled job is re-enqueued
     // automatically and completes from its checkpoint.
@@ -610,7 +610,7 @@ fn drain_flushes_the_wrapped_trace_sink() {
     }));
 
     let h = Harness::start(quick_cfg(&dir));
-    shutdown::request();
+    cancel::request_shutdown();
     let (status, _) = h.finish();
     assert_eq!(status, RunStatus::Interrupted);
     assert!(

@@ -15,10 +15,10 @@ use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
 use secureloop::dse::{evaluate_designs_sweep, DseResult, SweepOptions, SweepRun};
-use secureloop::{shutdown, Algorithm, AnnealingConfig, SupervisorConfig};
+use secureloop::{Algorithm, AnnealingConfig, SupervisorConfig};
 use secureloop_arch::Architecture;
 use secureloop_crypto::{CryptoConfig, EngineClass};
-use secureloop_mapper::{FaultPlan, FaultScope, SearchConfig};
+use secureloop_mapper::{cancel, CancelToken, FaultPlan, FaultScope, SearchConfig};
 use secureloop_telemetry as telemetry;
 use secureloop_workload::zoo;
 
@@ -34,7 +34,7 @@ struct ShutdownReset;
 
 impl Drop for ShutdownReset {
     fn drop(&mut self) {
-        shutdown::reset();
+        cancel::reset_shutdown();
     }
 }
 
@@ -231,14 +231,14 @@ fn shutdown_request_drains_and_resume_completes() {
         .with_checkpoint(&ckpt);
     let interrupted = {
         let _reset = ShutdownReset;
-        shutdown::request();
+        cancel::request_shutdown();
         sweep(&designs, &opts)
     };
     assert!(interrupted.interrupted, "the run reports the interruption");
     assert_eq!(interrupted.evaluated, 0);
     assert!(interrupted.results.is_empty());
     assert!(
-        !shutdown::requested(),
+        !cancel::shutdown_requested(),
         "the reset guard cleared the flag for the resume"
     );
 
@@ -250,6 +250,22 @@ fn shutdown_request_drains_and_resume_completes() {
         transcript(golden.results.iter()),
         "the resumed sweep must match a never-interrupted one"
     );
+}
+
+/// The shutdown flag is the root of the cancellation tree: every token,
+/// a fresh one or a deep child, observes it without its own flag being
+/// set, so clearing the flag leaves them all uncancelled.
+#[test]
+fn every_token_observes_a_shutdown_request() {
+    let _guard = serial();
+    let job = CancelToken::new();
+    let tokens = [job.clone(), job.child().child(), CancelToken::new()];
+    {
+        let _reset = ShutdownReset;
+        cancel::request_shutdown();
+        assert!(tokens.iter().all(CancelToken::is_cancelled));
+    }
+    assert!(!tokens.iter().any(CancelToken::is_cancelled));
 }
 
 /// A design that exhausted its retries is quarantined in the

@@ -34,12 +34,6 @@ impl AccessCounts {
     pub fn glb_total_words(&self) -> u64 {
         self.glb_read_words.iter().sum::<u64>() + self.glb_write_words.iter().sum::<u64>()
     }
-
-    /// DRAM words moved for one datatype (reads + writes).
-    pub fn dram_words(&self, dt: Datatype) -> u64 {
-        let i = dt.index();
-        self.dram_read_words[i] + self.dram_write_words[i]
-    }
 }
 
 /// Component-wise energy of one layer execution, in pJ.

@@ -272,12 +272,6 @@ impl Mapping {
             bytes_needed: 2 * glb_words * word_bytes,
         })
     }
-
-    /// Tensor-coordinate extents of the DRAM→GLB tile of each dimension
-    /// (what the AuthBlock engine calls "the tile").
-    pub fn dram_tile_dims(&self) -> DimMap<u64> {
-        inner_products(self, Boundary::BelowDram)
-    }
 }
 
 /// The footprints of a mapping's GLB-resident tile, as

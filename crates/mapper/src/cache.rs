@@ -81,15 +81,6 @@ enum Entry {
     Frozen(FrozenEntry),
 }
 
-fn tier_from_name(name: &str) -> Option<SearchTier> {
-    match name {
-        "exhaustive" => Some(SearchTier::Exhaustive),
-        "sampled" => Some(SearchTier::Sampled),
-        "greedy" => Some(SearchTier::Greedy),
-        _ => None,
-    }
-}
-
 impl Entry {
     /// Approximate heap footprint of this entry (plus its key), used
     /// for the eviction budget.
@@ -348,10 +339,10 @@ impl CandidateCache {
         arch: &Architecture,
         siblings: impl FnOnce() -> Vec<(String, &'a Architecture)>,
     ) -> Result<Lookup<'a>, MapperError> {
-        let ctx = cancel::current_context();
+        let token = cancel::current_context().token;
         let mut inner = self.inner.lock().expect("cache lock");
         while inner.in_flight.contains(key) {
-            if cancel::cancelled(&ctx) {
+            if token.is_cancelled() {
                 return Err(MapperError::Cancelled {
                     layer: layer.name().to_string(),
                 });
@@ -477,7 +468,7 @@ fn entry_from_json(e: &Json) -> Result<(String, FrozenEntry), String> {
         .to_string();
     let tier = e["tier"]
         .as_str()
-        .and_then(tier_from_name)
+        .and_then(SearchTier::from_name)
         .ok_or_else(|| "missing or invalid field 'tier'".to_string())?;
     let valid_samples = e["valid_samples"]
         .as_usize()
@@ -747,7 +738,7 @@ mod tests {
         token.cancel();
         {
             let _task = crate::TaskScope::enter(crate::TaskContext {
-                token: Some(token),
+                token,
                 ..crate::TaskContext::default()
             });
             let err = search_cached(&layer(), &arch, &[], &cfg, Some(&cache)).unwrap_err();

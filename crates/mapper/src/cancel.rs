@@ -1,16 +1,19 @@
 //! Cooperative cancellation for mapper searches.
 //!
-//! Two layers compose here:
+//! One stop signal, shaped as a tree of [`CancelToken`]s:
 //!
-//! * a **process-wide shutdown flag** — flipped by a signal handler (or
-//!   a test) via [`request_shutdown`]; setting an atomic is
-//!   async-signal-safe, so this is the only thing a handler does;
-//! * a **per-task [`CancelToken`]** — handed to one supervised task
-//!   (one design-point evaluation) so a watchdog can abandon exactly
-//!   that task when it stalls past its timeout, without touching its
-//!   siblings.
+//! * the root is the **process-wide shutdown flag** — flipped by a
+//!   signal handler (or a test) via [`request_shutdown`]; setting an
+//!   atomic is async-signal-safe, so this is the only thing a handler
+//!   does. Every token observes it;
+//! * [`CancelToken::new`] makes a token under that root (a service job,
+//!   a sweep), and [`CancelToken::child`] one under another token (the
+//!   supervisor's per-attempt token under its sweep's). A token is
+//!   cancelled when its own flag, an ancestor's flag or the shutdown
+//!   flag is set; cancelling it never touches its parent or siblings,
+//!   so a watchdog abandons exactly one stalled attempt.
 //!
-//! Both are checked together by [`cancelled`] at the mapper's chunk
+//! The mapper polls [`CancelToken::is_cancelled`] at its chunk
 //! boundaries (the same stride that polls the search deadline), so a
 //! cancelled search stops within one [`crate::CHUNK_SAMPLES`] chunk and
 //! returns [`crate::MapperError::Cancelled`] instead of partial
@@ -50,25 +53,44 @@ pub fn reset_shutdown() {
     SHUTDOWN.store(false, Ordering::SeqCst);
 }
 
-/// A cloneable cancellation flag shared between a supervised task and
-/// its watchdog.
+/// A node in the cancellation tree: cloneable, and clones share state.
+///
+/// A fresh token observes only the process shutdown flag; a
+/// [`CancelToken::child`] also observes every ancestor.
 #[derive(Debug, Clone, Default)]
-pub struct CancelToken(Arc<AtomicBool>);
+pub struct CancelToken(Arc<Node>);
+
+#[derive(Debug, Default)]
+struct Node {
+    cancelled: AtomicBool,
+    parent: Option<CancelToken>,
+}
 
 impl CancelToken {
-    /// A fresh, uncancelled token.
+    /// A fresh, uncancelled token under the shutdown flag.
     pub fn new() -> Self {
         CancelToken::default()
     }
 
-    /// Cancel the task holding this token (idempotent).
-    pub fn cancel(&self) {
-        self.0.store(true, Ordering::SeqCst);
+    /// A fresh token that is also cancelled whenever `self` is.
+    pub fn child(&self) -> Self {
+        CancelToken(Arc::new(Node {
+            cancelled: AtomicBool::new(false),
+            parent: Some(self.clone()),
+        }))
     }
 
-    /// Whether [`CancelToken::cancel`] has been called.
+    /// Cancel this token and its descendants (idempotent).
+    pub fn cancel(&self) {
+        self.0.cancelled.store(true, Ordering::SeqCst);
+    }
+
+    /// Whether this token, an ancestor or the process was asked to stop.
     pub fn is_cancelled(&self) -> bool {
-        self.0.load(Ordering::SeqCst)
+        let Node { cancelled, parent } = &*self.0;
+        shutdown_requested()
+            || cancelled.load(Ordering::SeqCst)
+            || parent.as_ref().is_some_and(CancelToken::is_cancelled)
     }
 }
 
@@ -76,12 +98,9 @@ impl CancelToken {
 /// supervised attempt.
 #[derive(Debug, Clone, Default)]
 pub struct TaskContext {
-    /// Cancellation token the watchdog may trip.
-    pub token: Option<CancelToken>,
-    /// Job-level cancellation token, shared by every task a service
-    /// job runs. Tripped by a client `cancel` request; cancels all of
-    /// the job's in-flight searches without touching its siblings'.
-    pub job_token: Option<CancelToken>,
+    /// The attempt's token: a child of its job's token, which the
+    /// watchdog cancels on timeout.
+    pub token: CancelToken,
     /// Bypass the candidate cache for this attempt. Set on retries
     /// after a panic or timeout: a key whose computation just crashed
     /// must not be answered from (or written into) shared state.
@@ -121,17 +140,6 @@ pub fn current_context() -> TaskContext {
 /// cache (see [`TaskContext::bypass_cache`]).
 pub fn cache_bypassed() -> bool {
     TASK.with(|t| t.borrow().bypass_cache)
-}
-
-/// Whether `ctx`'s task should stop: either its own token was cancelled
-/// or a process-wide shutdown is in flight.
-pub fn cancelled(ctx: &TaskContext) -> bool {
-    shutdown_requested()
-        || ctx.token.as_ref().is_some_and(CancelToken::is_cancelled)
-        || ctx
-            .job_token
-            .as_ref()
-            .is_some_and(CancelToken::is_cancelled)
 }
 
 /// Run `task(worker, index)` for every index in `0..count` on
@@ -208,40 +216,44 @@ mod tests {
     }
 
     #[test]
+    fn job_token_cancels_every_task_in_the_job() {
+        let job = CancelToken::new();
+        let task = job.child();
+        let nested = task.child();
+        assert!(!nested.is_cancelled());
+        job.cancel();
+        assert!(task.is_cancelled(), "job token trips the whole job");
+        assert!(nested.is_cancelled(), "every ancestor is observed");
+    }
+
+    #[test]
+    fn cancelling_a_child_leaves_parent_and_siblings_alone() {
+        let parent = CancelToken::new();
+        let child = parent.child();
+        let sibling = parent.child();
+        child.cancel();
+        assert!(child.is_cancelled());
+        assert!(!parent.is_cancelled(), "the parent is untouched");
+        assert!(!sibling.is_cancelled(), "siblings are untouched");
+    }
+
+    #[test]
     fn task_scope_installs_and_restores() {
         assert!(!cache_bypassed());
         let token = CancelToken::new();
         {
             let _scope = TaskScope::enter(TaskContext {
-                token: Some(token.clone()),
-                job_token: None,
+                token: token.clone(),
                 bypass_cache: true,
             });
             assert!(cache_bypassed());
             let ctx = current_context();
-            assert!(!cancelled(&ctx));
+            assert!(!ctx.token.is_cancelled());
             token.cancel();
-            assert!(cancelled(&ctx));
+            assert!(ctx.token.is_cancelled());
         }
         assert!(!cache_bypassed(), "scope restores the previous context");
-        assert!(!cancelled(&current_context()));
-    }
-
-    #[test]
-    fn job_token_cancels_every_task_in_the_job() {
-        let job = CancelToken::new();
-        let ctx = TaskContext {
-            token: Some(CancelToken::new()),
-            job_token: Some(job.clone()),
-            bypass_cache: false,
-        };
-        assert!(!cancelled(&ctx));
-        job.cancel();
-        assert!(cancelled(&ctx), "job token trips the whole job");
-        assert!(
-            !ctx.token.as_ref().unwrap().is_cancelled(),
-            "per-task token is left alone"
-        );
+        assert!(!current_context().token.is_cancelled());
     }
 
     #[test]

@@ -41,9 +41,10 @@ pub enum MapperError {
         /// Layer name the injected fault matched.
         layer: String,
     },
-    /// The search was cancelled cooperatively — a process-wide shutdown
-    /// or the task's watchdog tripped its [`crate::cancel::CancelToken`]
-    /// (checked at chunk boundaries alongside the deadline).
+    /// The search was cancelled cooperatively — its task's
+    /// [`crate::cancel::CancelToken`] was tripped by a process-wide
+    /// shutdown, its job or its watchdog (checked at chunk boundaries
+    /// alongside the deadline).
     Cancelled {
         /// Layer name the cancelled search ran on.
         layer: String,

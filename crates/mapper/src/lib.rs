@@ -280,6 +280,16 @@ impl SearchTier {
             SearchTier::Greedy => "greedy",
         }
     }
+
+    /// Parse a rung name written by [`SearchTier::name`].
+    pub fn from_name(name: &str) -> Option<Self> {
+        match name {
+            "exhaustive" => Some(SearchTier::Exhaustive),
+            "sampled" => Some(SearchTier::Sampled),
+            "greedy" => Some(SearchTier::Greedy),
+            _ => None,
+        }
+    }
 }
 
 impl std::fmt::Display for SearchTier {
@@ -543,7 +553,7 @@ impl ChunkRunner<'_> {
         let mut end = ChunkEnd::Done;
         for i in 0..samples {
             if i % DEADLINE_STRIDE == 0 {
-                if cancel::cancelled(self.ctx) {
+                if self.ctx.token.is_cancelled() {
                     end = ChunkEnd::Cancelled;
                     break;
                 }
@@ -686,7 +696,7 @@ pub fn search_group(
             })
             .collect()
     };
-    if cancel::cancelled(&ctx) {
+    if ctx.token.is_cancelled() {
         return cancelled(&mut search_span);
     }
 
@@ -724,7 +734,7 @@ pub fn search_group(
                     if now >= end {
                         break;
                     }
-                    if cancel::cancelled(&ctx) {
+                    if ctx.token.is_cancelled() {
                         return cancelled(&mut search_span);
                     }
                     std::thread::sleep((end - now).min(Duration::from_millis(5)));
