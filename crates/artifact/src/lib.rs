@@ -24,9 +24,9 @@
 //!   instead of discarding state. Salvage recovers intact records from
 //!   a torn tail without trusting the damaged region.
 //! * **Failure injection** — [`crash_point`] hooks let tests abort the
-//!   process between any two steps of the write path, and [`fault`]
-//!   injects deterministic I/O errors with a budget (transient) or
-//!   without one (ENOSPC-style persistent failure).
+//!   process between any two steps of the write path, and a
+//!   [`DurabilityPolicy`] can carry a budget of injected I/O errors
+//!   (transient), or an endless one (ENOSPC-style persistent failure).
 //!
 //! The crate depends only on `secureloop-json`, which has no
 //! dependencies of its own, so every persistence site can use it.
@@ -37,7 +37,7 @@ use std::io::Write as _;
 use std::ops::RangeInclusive;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use secureloop_json::Json;
@@ -267,7 +267,7 @@ fn parse_footer(line: &str) -> Option<(usize, u64)> {
 // ---------------------------------------------------------------------------
 
 /// How hard [`write_durable`] tries to make a write stick.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct DurabilityPolicy {
     /// fsync the temp file and the parent directory (`full`). Turning
     /// this off (`fast`) keeps the atomic-rename + checksum + backup
@@ -277,19 +277,35 @@ pub struct DurabilityPolicy {
     pub retries: u32,
     /// Base backoff; attempt `n` sleeps `backoff << n` before retrying.
     pub backoff: Duration,
+    /// Injected write failures left to spend, shared by every clone of
+    /// the policy: each write attempt spends one and fails, and
+    /// [`DurabilityPolicy::FAIL_EVERY_WRITE`] never runs out (a full or
+    /// read-only disk). `None` injects nothing. A policy built by
+    /// [`Default`] takes its budget from `SECURELOOP_ARTIFACT_IO_FAIL=<n|all>`,
+    /// so subprocess tests can inject failures into the binary.
+    pub injected_failures: Option<Arc<AtomicU64>>,
 }
 
 impl Default for DurabilityPolicy {
     fn default() -> Self {
+        let injected = match std::env::var("SECURELOOP_ARTIFACT_IO_FAIL").as_deref() {
+            Ok("all") => Some(DurabilityPolicy::FAIL_EVERY_WRITE),
+            Ok(n) => n.parse().ok(),
+            Err(_) => None,
+        };
         DurabilityPolicy {
             fsync: true,
             retries: 3,
             backoff: Duration::from_millis(10),
+            injected_failures: injected.map(|n| Arc::new(AtomicU64::new(n))),
         }
     }
 }
 
 impl DurabilityPolicy {
+    /// An injected-failure budget that never runs out.
+    pub const FAIL_EVERY_WRITE: u64 = u64::MAX;
+
     /// The `full` policy: fsync on (default).
     pub fn full() -> Self {
         DurabilityPolicy::default()
@@ -301,6 +317,25 @@ impl DurabilityPolicy {
             fsync: false,
             ..DurabilityPolicy::default()
         }
+    }
+
+    /// Fail the next `budget` write attempts made under this policy or
+    /// its clones ([`DurabilityPolicy::FAIL_EVERY_WRITE`]: all of them).
+    pub fn with_injected_failures(mut self, budget: u64) -> Self {
+        self.injected_failures = Some(Arc::new(AtomicU64::new(budget)));
+        self
+    }
+
+    /// Spend one injected failure, if any is left.
+    fn take_injected_failure(&self) -> bool {
+        self.injected_failures.as_ref().is_some_and(|left| {
+            left.fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| match n {
+                0 => None,
+                DurabilityPolicy::FAIL_EVERY_WRITE => Some(n),
+                n => Some(n - 1),
+            })
+            .is_ok()
+        })
     }
 }
 
@@ -344,70 +379,6 @@ pub fn crash_point(name: &str) {
         if plan.point == name && CRASH_HITS.fetch_add(1, Ordering::SeqCst) + 1 == plan.nth {
             eprintln!("secureloop-artifact: crash point '{name}' hit, aborting");
             std::process::abort();
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Fault injection
-// ---------------------------------------------------------------------------
-
-/// Deterministic I/O fault injection for the durable write path.
-///
-/// Faults can be armed programmatically ([`fault::arm`], used by the
-/// mapper's `FaultScope` under its process-wide lock) or via
-/// `SECURELOOP_ARTIFACT_IO_FAIL=<n|all>` for subprocess tests. A finite
-/// budget models transient errors (retries eventually succeed);
-/// [`fault::arm_all`] models a persistently full or read-only disk.
-pub mod fault {
-    use std::sync::atomic::{AtomicI64, Ordering};
-    use std::sync::OnceLock;
-
-    /// Remaining injected-failure budget.
-    /// -1 = disarmed, i64::MAX = unlimited ("all").
-    static BUDGET: AtomicI64 = AtomicI64::new(-1);
-    static ENV_ARMED: OnceLock<()> = OnceLock::new();
-
-    fn arm_from_env() {
-        ENV_ARMED.get_or_init(|| {
-            if let Ok(spec) = std::env::var("SECURELOOP_ARTIFACT_IO_FAIL") {
-                if spec == "all" {
-                    BUDGET.store(i64::MAX, Ordering::SeqCst);
-                } else if let Ok(n) = spec.parse::<i64>() {
-                    BUDGET.store(n.max(0), Ordering::SeqCst);
-                }
-            }
-        });
-    }
-
-    /// Arm a finite budget of injected write failures.
-    pub fn arm(budget: u64) {
-        BUDGET.store(i64::try_from(budget).unwrap_or(i64::MAX), Ordering::SeqCst);
-    }
-
-    /// Arm unlimited injected failures (persistent ENOSPC/EROFS model).
-    pub fn arm_all() {
-        BUDGET.store(i64::MAX, Ordering::SeqCst);
-    }
-
-    /// Disarm injection entirely.
-    pub fn disarm() {
-        BUDGET.store(-1, Ordering::SeqCst);
-    }
-
-    /// Consume one fault if armed with budget remaining.
-    pub(crate) fn take() -> bool {
-        arm_from_env();
-        let mut cur = BUDGET.load(Ordering::SeqCst);
-        loop {
-            if cur <= 0 {
-                return false;
-            }
-            let next = if cur == i64::MAX { cur } else { cur - 1 };
-            match BUDGET.compare_exchange(cur, next, Ordering::SeqCst, Ordering::SeqCst) {
-                Ok(_) => return true,
-                Err(v) => cur = v,
-            }
         }
     }
 }
@@ -478,7 +449,7 @@ fn write_once_inner(
     sealed: &str,
     policy: &DurabilityPolicy,
 ) -> Result<(), ArtifactError> {
-    if fault::take() {
+    if policy.take_injected_failure() {
         return Err(io_err(path, "write", "injected I/O fault"));
     }
     let mut f = File::create(tmp).map_err(|e| io_err(path, "create", e))?;
@@ -964,13 +935,6 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicU32;
 
-    /// Held by every test that writes: the injected-fault budget is
-    /// process-wide, so a test arming it must not race another's writes.
-    fn io_lock() -> std::sync::MutexGuard<'static, ()> {
-        static IO: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        IO.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
     fn tmpdir(tag: &str) -> PathBuf {
         static N: AtomicU32 = AtomicU32::new(0);
         let n = N.fetch_add(1, Ordering::SeqCst);
@@ -1047,7 +1011,6 @@ mod tests {
 
     #[test]
     fn write_durable_keeps_a_backup_generation() {
-        let _io = io_lock();
         let dir = tmpdir("bak");
         let path = dir.join("state.json");
         let policy = DurabilityPolicy::fast();
@@ -1064,17 +1027,15 @@ mod tests {
 
     #[test]
     fn transient_faults_are_retried_within_budget() {
-        let _io = io_lock();
         let dir = tmpdir("retry");
         let path = dir.join("state.json");
         let policy = DurabilityPolicy {
-            fsync: false,
             retries: 3,
             backoff: Duration::from_millis(1),
-        };
-        fault::arm(2);
+            ..DurabilityPolicy::fast()
+        }
+        .with_injected_failures(2);
         let res = write_durable(&path, "{\"ok\": true}", &policy);
-        fault::disarm();
         assert!(res.is_ok(), "got {res:?}");
         let (payload, integrity) = read_verified(&path).unwrap();
         assert_eq!(payload, "{\"ok\": true}");
@@ -1082,18 +1043,37 @@ mod tests {
     }
 
     #[test]
+    fn injected_failures_belong_to_a_policy_and_its_clones() {
+        let dir = tmpdir("budget");
+        let path = dir.join("state.json");
+        let failing = DurabilityPolicy {
+            retries: 0,
+            ..DurabilityPolicy::fast()
+        }
+        .with_injected_failures(1);
+        let clone = failing.clone();
+        assert!(
+            write_durable(&path, "{}", &DurabilityPolicy::fast()).is_ok(),
+            "another policy's writes never spend the budget"
+        );
+        assert!(
+            write_durable(&path, "{}", &clone).is_err(),
+            "a clone spends it"
+        );
+        assert!(write_durable(&path, "{}", &failing).is_ok(), "it is spent");
+    }
+
+    #[test]
     fn persistent_faults_exhaust_retries_with_typed_error() {
-        let _io = io_lock();
         let dir = tmpdir("enospc");
         let path = dir.join("state.json");
         let policy = DurabilityPolicy {
-            fsync: false,
             retries: 2,
             backoff: Duration::from_millis(1),
-        };
-        fault::arm_all();
+            ..DurabilityPolicy::fast()
+        }
+        .with_injected_failures(DurabilityPolicy::FAIL_EVERY_WRITE);
         let res = write_durable(&path, "{}", &policy);
-        fault::disarm();
         match res {
             Err(ArtifactError::Io {
                 ref path,
@@ -1180,7 +1160,6 @@ mod tests {
 
     #[test]
     fn clean_primary_loads_strictly_without_warnings() {
-        let _io = io_lock();
         let path = tmpdir("clean").join("ledger.json");
         save(&ledger(&[5, 7]), &path, &DurabilityPolicy::fast()).unwrap();
         let rec = load::<Ledger>(&path).unwrap();
@@ -1246,7 +1225,6 @@ mod tests {
 
     #[test]
     fn load_falls_back_to_backup_on_corruption() {
-        let _io = io_lock();
         let path = tmpdir("ladder").join("ledger.json");
         let policy = DurabilityPolicy::fast();
         save(&ledger(&[1]), &path, &policy).unwrap();
@@ -1286,7 +1264,6 @@ mod tests {
 
     #[test]
     fn stale_tmp_orphans_are_cleaned_up_and_real_files_kept() {
-        let _io = io_lock();
         let path = tmpdir("tmp-orphan").join("ledger.json");
         let tmp = temp_path(&path);
         // A write that died mid-flight: a torn temp next to a good

@@ -18,7 +18,7 @@ use crate::lattice::{BlockAssignment, Region, TileRect};
 
 /// How many times the closed-form congruence solver ran — the unit the
 /// optimiser's `OPTIMIZE_BUDGET` is denominated in.
-static CONGRUENCE_CALLS: Counter = Counter::new("authblock.congruence_calls");
+pub(crate) static CONGRUENCE_CALLS: Counter = Counter::new("authblock.congruence_calls");
 
 /// The outcome of overlapping one tile against one block lattice.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -129,6 +129,17 @@ pub fn count_blocks_rows(region: Region, tile: TileRect, assign: BlockAssignment
 /// widened to `i128`.
 pub fn count_blocks(region: Region, tile: TileRect, assign: BlockAssignment) -> BlockCount {
     CONGRUENCE_CALLS.incr();
+    count_blocks_uncounted(region, tile, assign)
+}
+
+/// [`count_blocks`] without the `authblock.congruence_calls` increment:
+/// a caller counting many tiles tallies its calls and adds them to the
+/// counter once.
+pub(crate) fn count_blocks_uncounted(
+    region: Region,
+    tile: TileRect,
+    assign: BlockAssignment,
+) -> BlockCount {
     let (region, tile) = assign.to_row_major(region, tile);
     assert_tile_fits(region, tile);
     let u = assign.size;

@@ -3,7 +3,7 @@
 
 use secureloop_telemetry::{self as telemetry, Counter};
 
-use crate::count::count_blocks;
+use crate::count::{count_blocks_uncounted, CONGRUENCE_CALLS};
 use crate::grid::TileGrid;
 use crate::lattice::{BlockAssignment, Orientation, Region, TileRect};
 
@@ -155,11 +155,13 @@ fn producer_tiles(problem: &AssignmentProblem) -> Vec<TileRect> {
 }
 
 /// Count blocks/fetched for `reader_tile` against per-producer-tile
-/// lattices with assignment `assign` (`None` = tile-as-AuthBlock).
+/// lattices with assignment `assign` (`None` = tile-as-AuthBlock),
+/// adding the closed-form counts it runs to `calls`.
 fn reader_tile_cost(
     producers: &[TileRect],
     reader_tile: TileRect,
     assign: Option<BlockAssignment>,
+    calls: &mut u64,
 ) -> (u64, u64) {
     let mut blocks = 0u64;
     let mut fetched = 0u64;
@@ -178,7 +180,8 @@ fn reader_tile_cost(
                 let local_region = Region::new(p.rows, p.cols);
                 let local_tile =
                     TileRect::new(sub.row0 - p.row0, sub.col0 - p.col0, sub.rows, sub.cols);
-                let c = count_blocks(local_region, local_tile, a);
+                let c = count_blocks_uncounted(local_region, local_tile, a);
+                *calls += 1;
                 blocks += c.blocks;
                 fetched += c.fetched_elems;
             }
@@ -212,12 +215,18 @@ pub fn evaluate_assignment(problem: &AssignmentProblem, strategy: Strategy) -> S
                 .sum();
             out.producer.hash_bits += producer_blocks * tag * problem.producer_write_sweeps;
 
+            // Closed-form counts, added to the counter once per
+            // evaluation rather than once per tile.
+            let mut calls = 0u64;
             for reader in &problem.readers {
                 for t in reader.grid.tiles(problem.region) {
-                    let (blocks, fetched) = reader_tile_cost(&producers, t, assign);
+                    let (blocks, fetched) = reader_tile_cost(&producers, t, assign, &mut calls);
                     out.consumer.hash_bits += blocks * tag * reader.sweeps;
                     out.consumer.redundant_bits += (fetched - t.elems()) * word * reader.sweeps;
                 }
+            }
+            if calls > 0 {
+                CONGRUENCE_CALLS.add(calls);
             }
         }
         Strategy::ReaderAligned => {
@@ -339,10 +348,9 @@ const OPTIMIZE_BUDGET: u64 = 200_000;
 /// with the least total additional off-chip traffic.
 pub fn optimize(problem: &AssignmentProblem) -> AssignmentChoice {
     OPTIMIZE_RUNS.incr();
-    let mut span = telemetry::span(
-        "authblock",
-        format!("{}x{}", problem.region.h, problem.region.w),
-    );
+    let mut span = telemetry::span_with("authblock", || {
+        format!("{}x{}", problem.region.h, problem.region.w)
+    });
     // Strategies evaluated this run, flushed to the global counter once.
     let mut considered = 2u64; // tile-as-AuthBlock + rehash baselines
 

@@ -12,7 +12,7 @@ use std::collections::HashMap;
 use secureloop_arch::Architecture;
 use secureloop_loopnest::{Evaluation, Mapping};
 use secureloop_mapper::{
-    cache_key, fault, search_cached, CandidateCache, MapperError, SearchConfig, SearchTier,
+    cache_key, cancel, search_cached, CandidateCache, MapperError, SearchConfig, SearchTier,
 };
 use secureloop_workload::{ConvLayer, Network};
 
@@ -120,8 +120,8 @@ pub fn find_candidates_cached(
     // Fault plans key on layer names, which no search key holds: the
     // memo would smear one layer's injected fault over every layer with
     // the same key. (`search_cached` independently bypasses the
-    // cross-design cache for the same reason.)
-    let use_dedup = !fault::armed();
+    // cross-design cache for a task carrying a plan.)
+    let use_dedup = cancel::current_context().fault.is_none();
     let mut by_key: HashMap<String, LayerCandidates> = HashMap::new();
     let per_layer = network
         .layers()
@@ -212,7 +212,6 @@ mod tests {
     #[test]
     fn injected_failure_isolates_to_the_named_layer() {
         let net = zoo::alexnet_conv();
-        // A design of its own, so the fault cannot reach other tests.
         let arch = Architecture::eyeriss_base().with_name("fault-target");
         let _scope = FaultScope::inject(FaultPlan::fail(["conv2"]).for_arch("fault-target"));
         let set = find_candidates(&net, &arch, &SearchConfig::quick());

@@ -203,7 +203,8 @@ pub struct SweepCheckpoint {
     pub workload: String,
     /// Scheduling algorithm of the sweep.
     pub algorithm: Algorithm,
-    /// `(design label, finished schedule)` in completion order.
+    /// `(design label, finished schedule)`; a sweep saves them in
+    /// design order.
     pub entries: Vec<(String, NetworkSchedule)>,
     /// `(design label, cause)` poison quarantine: design points that
     /// exhausted their supervised retries panicking or timing out. A
@@ -252,6 +253,13 @@ impl SweepCheckpoint {
         self.entries.retain(|(l, _)| *l != label);
         self.poisoned.retain(|(l, _)| *l != label);
         self.poisoned.push((label, cause.into()));
+    }
+
+    /// Sort the entries and the quarantine by `rank` of their design
+    /// label (stable: equal ranks keep their order).
+    pub(crate) fn order_by(&mut self, rank: impl Fn(&str) -> usize) {
+        self.entries.sort_by_key(|(label, _)| rank(label));
+        self.poisoned.sort_by_key(|(label, _)| rank(label));
     }
 
     /// The quarantine cause for a design label, if it is poisoned.
@@ -379,7 +387,6 @@ mod tests {
 
     #[test]
     fn degraded_and_failed_outcomes_survive_the_round_trip() {
-        // A design of its own, so the fault cannot reach other tests.
         let arch = Architecture::eyeriss_base()
             .with_crypto(CryptoConfig::new(EngineClass::Parallel, 3))
             .with_name("fault-target");

@@ -202,7 +202,7 @@ fn arch_err(field: impl Into<String>, message: impl Into<String>) -> CliError {
 }
 
 /// Parsed command line.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct Options {
     /// Subcommand: `schedule`, `dse` or `workloads`.
     pub command: String,
@@ -948,7 +948,7 @@ fn dispatch(opts: &Options) -> Result<CliOutput, CliError> {
                 .with_job_workers(opts.job_workers)
                 .with_search_mode(opts.search_mode)
                 .with_default_scheme(opts.run.scheme)
-                .with_durability(opts.durability);
+                .with_durability(opts.durability.clone());
             if let Some(mb) = opts.cache_budget_mb {
                 cfg = cfg.with_cache_budget_bytes(mb.saturating_mul(1024 * 1024));
             }
@@ -1083,7 +1083,7 @@ fn dispatch(opts: &Options) -> Result<CliOutput, CliError> {
                 .with_cache(opts.cache)
                 .with_resume(opts.resume)
                 .with_workers(opts.workers)
-                .with_durability(opts.durability);
+                .with_durability(opts.durability.clone());
             if let Some(retries) = opts.max_retries {
                 sweep_opts = sweep_opts.with_max_retries(retries);
             }

@@ -45,6 +45,7 @@
 //! order, so the [`SweepRun`] is byte-identical for any worker count
 //! and any cache state.
 
+use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
@@ -624,6 +625,26 @@ pub fn evaluate_designs_sweep(
     let siblings: Arc<[Architecture]> = pending.iter().map(|&i| designs[i].clone()).collect();
 
     let ckpt_state: Mutex<(SweepCheckpoint, Option<SecureLoopError>)> = Mutex::new((ckpt, None));
+    // Records are written in design order, so the checkpoint's bytes do
+    // not depend on which worker finished first. After the first
+    // exhausted-retries failure the disk is presumed gone (full,
+    // read-only): stop paying retry backoff per design and keep
+    // computing in-memory. The run is reported degraded.
+    let rank: HashMap<&str, usize> = designs
+        .iter()
+        .enumerate()
+        .map(|(i, a)| (a.name(), i))
+        .collect();
+    let save = |state: &mut (SweepCheckpoint, Option<SecureLoopError>)| {
+        if let (Some(path), None) = (&opts.checkpoint_path, &state.1) {
+            state
+                .0
+                .order_by(|label| rank.get(label).copied().unwrap_or(usize::MAX));
+            if let Err(e) = state.0.save_with(path, &opts.durability) {
+                state.1 = Some(e);
+            }
+        }
+    };
     // `None` from `evaluate_one` means a cancellation stopped the
     // design point before it resolved: the slot stays unfilled and the
     // merge marks the run interrupted.
@@ -671,17 +692,7 @@ pub fn evaluate_designs_sweep(
                 }
                 let mut state = ckpt_state.lock().expect("checkpoint lock");
                 state.0.insert(label, s.clone());
-                if let Some(path) = &opts.checkpoint_path {
-                    // After the first exhausted-retries failure the disk
-                    // is presumed gone (full, read-only): stop paying
-                    // retry backoff per design and keep computing
-                    // in-memory. The run is reported degraded.
-                    if state.1.is_none() {
-                        if let Err(e) = state.0.save_with(path, &opts.durability) {
-                            state.1.get_or_insert(e);
-                        }
-                    }
-                }
+                save(&mut state);
                 (idx, Some(DesignOutcome::Evaluated(s)))
             }
             SupervisedOutcome::Failed { error, .. } => {
@@ -694,13 +705,7 @@ pub fn evaluate_designs_sweep(
                 span.add_field("outcome", "poisoned");
                 let mut state = ckpt_state.lock().expect("checkpoint lock");
                 state.0.insert_poisoned(label, cause.clone());
-                if let Some(path) = &opts.checkpoint_path {
-                    if state.1.is_none() {
-                        if let Err(e) = state.0.save_with(path, &opts.durability) {
-                            state.1.get_or_insert(e);
-                        }
-                    }
-                }
+                save(&mut state);
                 (idx, Some(DesignOutcome::Poisoned { cause, attempts }))
             }
             SupervisedOutcome::Cancelled => {

@@ -682,9 +682,8 @@ mod tests {
         assert_eq!(Algorithm::from_name("nonsense"), None);
     }
 
-    /// A secure quick scheduler on an architecture of its own, so the
-    /// fault plans the tests below scope to it cannot reach the other
-    /// tests scheduling AlexNet at the same time.
+    /// A secure quick scheduler on an architecture of its own, which
+    /// the fault plans of the tests below are scoped to.
     fn faulty_scheduler() -> Scheduler {
         let arch = Architecture::eyeriss_base()
             .with_crypto(CryptoConfig::new(EngineClass::Parallel, 3))

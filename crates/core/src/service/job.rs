@@ -22,16 +22,16 @@ pub fn valid_job_id(id: &str) -> bool {
 }
 
 /// An injected fault a test client attaches to its job (a chaos hook:
-/// the soak suite uses it to plan poison jobs). Scoped to one
-/// architecture so it cannot leak into other tenants' searches.
+/// the soak suite uses it to plan poison jobs). It is armed for this
+/// job's sweep only and scoped to one of its designs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultSpec {
     /// `fail` | `nan` | `panic` | `stall` | `io_error`.
     pub kind: String,
     /// Layers the fault applies to.
     pub layers: Vec<String>,
-    /// Design label the fault is scoped to (required: an unscoped
-    /// fault would sabotage other tenants running the same layers).
+    /// Design label the fault is scoped to (required: the fault
+    /// sabotages exactly one design point of the job).
     pub arch: String,
     /// Stall duration in milliseconds (`stall` only).
     pub stall_ms: u64,
@@ -90,7 +90,7 @@ impl FaultSpec {
             .collect::<Result<Vec<_>, _>>()?;
         let arch = v["arch"]
             .as_str()
-            .ok_or("fault needs an 'arch' design label (unscoped faults would hit other tenants)")?
+            .ok_or("fault needs an 'arch' design label naming the design point it sabotages")?
             .to_string();
         let stall_ms = v["stall_ms"].as_u64().unwrap_or(50);
         let spec = FaultSpec {

@@ -715,11 +715,12 @@ impl Server {
             .with_supervisor(self.cfg.supervisor)
             .with_shared_cache(Arc::clone(&self.cache))
             .with_cancel(token)
-            .with_durability(self.cfg.durability);
+            .with_durability(self.cfg.durability.clone());
 
-        // Chaos hook: a planned fault stays scoped to this job's
-        // designated architecture; while armed, other jobs bypass the
-        // cache (results unchanged) rather than risk poisoned entries.
+        // Chaos hook: a planned fault is armed for this job's sweep
+        // only, scoped to its designated architecture. The job's
+        // searches bypass the shared cache; other jobs never see the
+        // plan and keep using it.
         let armed = match spec.fault.as_ref().map(|f| f.to_plan()) {
             None => None,
             Some(Ok(plan)) => Some(FaultScope::inject(plan)),

@@ -38,7 +38,7 @@ use std::sync::mpsc;
 use std::thread;
 use std::time::Duration;
 
-use secureloop_mapper::cancel::{CancelToken, TaskContext, TaskScope};
+use secureloop_mapper::cancel::{self, CancelToken, TaskContext, TaskScope};
 use secureloop_telemetry::{self as telemetry, Counter};
 
 use crate::error::SecureLoopError;
@@ -144,19 +144,14 @@ fn panic_payload(e: Box<dyn std::any::Any + Send>) -> String {
 
 fn run_attempt<T, F>(
     timeout: Option<Duration>,
-    bypass_cache: bool,
-    parent: &CancelToken,
+    ctx: TaskContext,
     task: F,
 ) -> Result<T, AttemptError>
 where
     T: Send + 'static,
     F: FnOnce() -> Result<T, SecureLoopError> + Send + 'static,
 {
-    let token = parent.child();
-    let ctx = TaskContext {
-        token: token.clone(),
-        bypass_cache,
-    };
+    let token = ctx.token.clone();
     match timeout {
         None => {
             let _scope = TaskScope::enter(ctx);
@@ -205,7 +200,8 @@ where
 ///
 /// Each attempt runs under a [`CancelToken::child`] of `parent`: a
 /// cancelled `parent` resolves the task [`SupervisedOutcome::Cancelled`]
-/// without burning retries; the watchdog stops one attempt only.
+/// without burning retries; the watchdog stops one attempt only. Every
+/// attempt also carries the calling task's fault plan, if it has one.
 ///
 /// `task` must be `Clone` because each retry needs a fresh callable,
 /// and `'static + Send` because a watchdogged attempt runs on its own
@@ -222,6 +218,7 @@ where
     F: FnOnce() -> Result<T, SecureLoopError> + Clone + Send + 'static,
 {
     let mut span = telemetry::span("supervisor", label.to_string());
+    let fault = cancel::current_context().fault;
     let total_attempts = cfg.max_retries.saturating_add(1);
     let mut last: Option<AttemptError> = None;
     let mut attempts = 0u32;
@@ -242,7 +239,12 @@ where
             Some(AttemptError::Panic(_)) | Some(AttemptError::Timeout(_))
         );
         attempts = attempt + 1;
-        match run_attempt(cfg.task_timeout, bypass_cache, parent, task.clone()) {
+        let ctx = TaskContext {
+            token: parent.child(),
+            bypass_cache,
+            fault: fault.clone(),
+        };
+        match run_attempt(cfg.task_timeout, ctx, task.clone()) {
             Ok(value) => {
                 span.add_field("outcome", "completed");
                 span.add_field("attempts", u64::from(attempts));

@@ -13,8 +13,9 @@
 //!
 //! The subprocess tests drive the real binary through the
 //! `SECURELOOP_CRASH_POINT` / `SECURELOOP_ARTIFACT_IO_FAIL` hooks; the
-//! in-process tests use [`FaultScope`] for the deterministic
-//! transient-vs-persistent retry behaviour. `scripts/crash_soak.sh`
+//! in-process tests give their sweep's [`DurabilityPolicy`] a budget of
+//! injected failures for the deterministic transient-vs-persistent
+//! retry behaviour. `scripts/crash_soak.sh`
 //! extends the same checks to randomized SIGKILLs of `secureloop
 //! serve`.
 
@@ -29,7 +30,7 @@ use secureloop::{Algorithm, AnnealingConfig};
 use secureloop_arch::Architecture;
 use secureloop_crypto::{CryptoConfig, EngineClass};
 use secureloop_json::Json;
-use secureloop_mapper::{FaultPlan, FaultScope, SearchConfig};
+use secureloop_mapper::SearchConfig;
 use secureloop_workload::zoo;
 
 fn bin() -> Command {
@@ -199,17 +200,19 @@ fn transient_write_failures_are_outlasted_by_retries() {
 
     // Two injected failures against a three-retry budget: the first
     // checkpoint write fails twice, then sticks. Nothing degrades.
-    let _scope = FaultScope::inject(FaultPlan::artifact_io(2));
     let run = sweep(
         &designs(2),
         &SweepOptions::new()
             .with_cache(false)
             .with_checkpoint(&ckpt)
-            .with_durability(DurabilityPolicy {
-                fsync: false,
-                retries: 3,
-                backoff: Duration::from_millis(1),
-            }),
+            .with_durability(
+                DurabilityPolicy {
+                    retries: 3,
+                    backoff: Duration::from_millis(1),
+                    ..DurabilityPolicy::fast()
+                }
+                .with_injected_failures(2),
+            ),
     );
     assert!(!run.degraded_persistence, "warnings: {:?}", run.warnings);
     assert_eq!(run.results.len(), 2);
@@ -225,17 +228,19 @@ fn exhausted_retries_degrade_in_memory_and_keep_computing() {
     let ckpt = dir.join("exhausted.ckpt.json");
     let _ = std::fs::remove_file(&ckpt);
 
-    let _scope = FaultScope::inject(FaultPlan::artifact_io(FaultPlan::ARTIFACT_IO_ALL));
     let run = sweep(
         &designs(2),
         &SweepOptions::new()
             .with_cache(false)
             .with_checkpoint(&ckpt)
-            .with_durability(DurabilityPolicy {
-                fsync: false,
-                retries: 0,
-                backoff: Duration::ZERO,
-            }),
+            .with_durability(
+                DurabilityPolicy {
+                    retries: 0,
+                    backoff: Duration::ZERO,
+                    ..DurabilityPolicy::fast()
+                }
+                .with_injected_failures(DurabilityPolicy::FAIL_EVERY_WRITE),
+            ),
     );
     assert!(run.degraded_persistence);
     assert_eq!(run.results.len(), 2, "the sweep keeps computing");

@@ -92,9 +92,6 @@ fn expired_deadline_degrades_instead_of_hanging() {
     // A zero wall-clock budget forces the sampler to give up
     // immediately; the greedy floor must still produce a full schedule,
     // flagged as degraded rather than silently passed off as optimal.
-    // An empty plan holds the fault lock, so the unscoped faults the
-    // other tests here inject cannot fail this run's layers.
-    let _scope = FaultScope::inject(FaultPlan::default());
     let arch =
         Architecture::eyeriss_base().with_crypto(CryptoConfig::new(EngineClass::Parallel, 3));
     let s = Scheduler::new(arch)

@@ -9,8 +9,9 @@
 //! `Read`/`Write` exactly so these tests need no subprocess.
 //!
 //! Several tests flip process-global state (the shutdown flag, the
-//! telemetry sink, the fault plan), so every test serialises on a
-//! file-level mutex, and this file is its own test binary.
+//! telemetry sink), so every test serialises on a file-level mutex, and
+//! this file is its own test binary. A job's fault plan is not such
+//! state: it belongs to the job, which the neighbour tests check.
 
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
@@ -192,6 +193,22 @@ impl Harness {
             |v| v["event"].as_str() == Some(event) && v["id"].as_str() == Some(id),
             secs,
         )
+    }
+
+    /// Whether job `id` has sent its `result` yet.
+    fn settled(&self, id: &str) -> bool {
+        self.lines.lock().unwrap().iter().any(|l| {
+            Json::parse(l).is_ok_and(|v| {
+                v["event"].as_str() == Some("result") && v["id"].as_str() == Some(id)
+            })
+        })
+    }
+
+    /// Cancel job `id` and wait for it to settle as cancelled.
+    fn cancel(&self, id: &str) {
+        self.send(&format!("{{\"op\":\"cancel\",\"id\":\"{id}\"}}"));
+        let result = self.wait_event("result", id, 60);
+        assert_eq!(result["status"].as_str(), Some("cancelled"), "{result}");
     }
 
     /// Close the input (EOF drain: every queued job still completes)
@@ -505,6 +522,114 @@ fn warm_cache_reruns_are_byte_identical_and_traced_per_job() {
         !server.cache().is_empty(),
         "restored a warm cache from disk"
     );
+}
+
+// ---------------------------------------------------------------------------
+// Fault plans belong to their job
+// ---------------------------------------------------------------------------
+
+/// A stall far longer than any wait below: a job that waited on it
+/// could not settle in time. Each test cancels its stalled jobs, which
+/// wakes them at once.
+const LONG_STALL_MS: u64 = 120_000;
+
+#[test]
+fn healthy_job_on_the_chaos_design_never_sees_the_plan() {
+    let _guard = serial();
+    let dir = fresh_dir("overlap");
+    let h = Harness::start(quick_cfg(&dir).with_workers(2));
+
+    h.send(&submit_line(
+        "chaos",
+        &[DESIGN_A],
+        Some(&stall_fault(DESIGN_A, LONG_STALL_MS)),
+    ));
+    h.wait_event("started", "chaos", 30);
+
+    // The neighbour searches the very design the plan targets, on the
+    // other worker: it settles without stalling, byte-identical to a
+    // one-shot run.
+    h.send(&submit_line("healthy", &[DESIGN_A, DESIGN_B], None));
+    let result = h.wait_event("result", "healthy", 60);
+    assert_eq!(result["status"].as_str(), Some("completed"));
+    assert_eq!(
+        result["report"]["designs"].to_string(),
+        reference_designs_json(&[DESIGN_A, DESIGN_B]),
+        "a chaos job's plan must not reach its neighbour"
+    );
+    assert!(!h.settled("chaos"), "the chaos job is still stalled");
+
+    h.cancel("chaos");
+    let (status, _) = h.finish();
+    assert_eq!(status, RunStatus::Success);
+}
+
+#[test]
+fn chaos_jobs_run_side_by_side() {
+    let _guard = serial();
+    let dir = fresh_dir("side-by-side");
+    let h = Harness::start(quick_cfg(&dir).with_workers(2));
+
+    h.send(&submit_line(
+        "chaos-a",
+        &[DESIGN_A],
+        Some(&stall_fault(DESIGN_A, LONG_STALL_MS)),
+    ));
+    h.wait_event("started", "chaos-a", 30);
+
+    // A second chaos job finishes its first design while the first
+    // chaos job is still stalled: neither waits for the other's plan.
+    h.send(&submit_line(
+        "chaos-b",
+        &[DESIGN_C, DESIGN_B],
+        Some(&stall_fault(DESIGN_B, LONG_STALL_MS)),
+    ));
+    let progress = h.wait_event("progress", "chaos-b", 60);
+    assert_eq!(progress["design"].as_str(), Some(DESIGN_C));
+    assert!(
+        !h.settled("chaos-a"),
+        "the first chaos job is still stalled"
+    );
+
+    h.cancel("chaos-a");
+    h.cancel("chaos-b");
+    let (status, _) = h.finish();
+    assert_eq!(status, RunStatus::Success);
+}
+
+#[test]
+fn healthy_job_beside_a_chaos_job_still_hits_the_cache() {
+    let _guard = serial();
+    let dir = fresh_dir("cache-beside-chaos");
+    let h = Harness::start(quick_cfg(&dir).with_workers(2));
+
+    h.send(&submit_line("cold", &[DESIGN_A], None));
+    let cold = h.wait_event("result", "cold", 240);
+    assert_eq!(cold["status"].as_str(), Some("completed"));
+
+    h.send(&submit_line(
+        "chaos",
+        &[DESIGN_B],
+        Some(&stall_fault(DESIGN_B, LONG_STALL_MS)),
+    ));
+    h.wait_event("started", "chaos", 30);
+
+    // Only the chaos job bypasses the shared cache.
+    h.send(&submit_line("warm", &[DESIGN_A], None));
+    let warm = h.wait_event("result", "warm", 60);
+    assert_eq!(warm["status"].as_str(), Some("completed"));
+    assert!(
+        warm["report"]["cache_hits"].as_u64().unwrap() > 0,
+        "the healthy job hit the shared cache: {warm}"
+    );
+    assert_eq!(
+        warm["report"]["designs"].to_string(),
+        cold["report"]["designs"].to_string()
+    );
+
+    h.cancel("chaos");
+    let (status, _) = h.finish();
+    assert_eq!(status, RunStatus::Success);
 }
 
 // ---------------------------------------------------------------------------

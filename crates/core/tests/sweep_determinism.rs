@@ -180,3 +180,37 @@ fn cold_random_sweep_counts_the_same_hits_for_any_worker_count() {
         assert_eq!(t, &seen[0].1, "{workers}-worker schedules diverge");
     }
 }
+
+#[test]
+fn checkpoint_bytes_do_not_depend_on_the_worker_count() {
+    // Three workers finish the design points in whatever order the
+    // threads run; the checkpoint still lists them in design order.
+    let net = zoo::mlp(4, 4096);
+    let designs: Vec<Architecture> = fig16_design_space().into_iter().take(6).collect();
+    let dir = std::env::temp_dir().join(format!("secureloop-ckpt-order-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let bytes = |workers: usize| {
+        let path = dir.join(format!("{workers}-workers.ckpt.json"));
+        let _ = std::fs::remove_file(&path);
+        let opts = SweepOptions::new()
+            .with_cache(false)
+            .with_workers(workers)
+            .with_checkpoint(&path);
+        let run = evaluate_designs_sweep(
+            &net,
+            &designs,
+            Algorithm::CryptOptCross,
+            &SearchConfig::quick(),
+            &AnnealingConfig::quick(),
+            &opts,
+        )
+        .expect("sweep succeeds");
+        assert_eq!(run.evaluated, designs.len());
+        std::fs::read(&path).expect("checkpoint written")
+    };
+    assert!(
+        bytes(1) == bytes(3),
+        "a 3-worker sweep must write the 1-worker checkpoint byte for byte"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}

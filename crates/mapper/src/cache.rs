@@ -22,8 +22,9 @@
 //!
 //! Lookups are bypassed — never consulted, never populated — when the
 //! search carries a wall-clock deadline (truncated results are
-//! non-deterministic) or a fault plan is armed (fault injection keys on
-//! layer *names*, which the canonical key deliberately omits).
+//! non-deterministic) or its task carries a fault plan (fault injection
+//! keys on layer *names*, which the canonical key deliberately omits).
+//! Other tasks sharing the cache keep using it.
 
 use std::collections::{HashMap, HashSet};
 use std::ops::RangeInclusive;
@@ -40,8 +41,7 @@ use secureloop_telemetry::Counter;
 use secureloop_workload::ConvLayer;
 
 use crate::{
-    cancel, fault, search, search_group, MapperError, MapperResult, SearchConfig, SearchMode,
-    SearchTier,
+    cancel, search, search_group, MapperError, MapperResult, SearchConfig, SearchMode, SearchTier,
 };
 
 static CACHE_HIT: Counter = Counter::new("dse.cache_hit");
@@ -531,9 +531,10 @@ impl Drop for Claim<'_> {
 
 /// [`search`] with a shared memo: consult `cache` first, populate it on
 /// a miss. Falls back to a plain search (no lookup, no insert) when
-/// `cache` is `None`, when the config carries a deadline, or when a
-/// fault plan is armed — all three would break the "key determines the
-/// outcome" contract.
+/// `cache` is `None`, when the config carries a deadline, or when the
+/// current task bypasses the cache ([`cancel::cache_bypassed`]: it
+/// retries after a crash, or carries a fault plan) — each would break
+/// the "key determines the outcome" contract.
 ///
 /// On a miss in [`SearchMode::Random`], the search also covers every
 /// design of `siblings` that shares `arch`'s [`DrawIdentity`] and whose
@@ -554,12 +555,12 @@ pub fn search_cached(
     cfg: &SearchConfig,
     cache: Option<&CandidateCache>,
 ) -> Result<MapperResult, MapperError> {
-    // Deadline-truncated results are not reusable, armed fault plans
-    // key on layer names a shared cache would conflate, and a task
+    // Deadline-truncated results are not reusable, a task's fault plan
+    // keys on layer names a shared cache would conflate, and a task
     // retrying after a panic/timeout must not consult (or populate)
     // shared state its previous attempt may have been corrupting.
     let cache = match cache {
-        Some(c) if cfg.deadline.is_none() && !fault::armed() && !cancel::cache_bypassed() => c,
+        Some(c) if cfg.deadline.is_none() && !cancel::cache_bypassed() => c,
         _ => return search(layer, arch, cfg),
     };
     let key = full_key(&SearchSpaceKey::of(layer, arch), cfg);
@@ -617,7 +618,6 @@ mod tests {
 
     #[test]
     fn second_search_hits_and_matches_the_first() {
-        let _quiet = fault::exclusive();
         let cache = CandidateCache::new();
         let arch = Architecture::eyeriss_base();
         let cfg = SearchConfig::quick();
@@ -635,7 +635,6 @@ mod tests {
 
     #[test]
     fn renamed_architecture_shares_the_entry() {
-        let _quiet = fault::exclusive();
         let cache = CandidateCache::new();
         let cfg = SearchConfig::quick();
         let a = Architecture::eyeriss_base();
@@ -648,7 +647,6 @@ mod tests {
 
     #[test]
     fn different_budget_is_a_different_entry() {
-        let _quiet = fault::exclusive();
         let cache = CandidateCache::new();
         let arch = Architecture::eyeriss_base();
         search_cached(&layer(), &arch, &[], &SearchConfig::quick(), Some(&cache)).unwrap();
@@ -666,7 +664,6 @@ mod tests {
 
     #[test]
     fn guided_and_random_never_share_an_entry() {
-        let _quiet = fault::exclusive();
         let cache = CandidateCache::new();
         let arch = Architecture::eyeriss_base();
         let random = SearchConfig::quick();
@@ -690,7 +687,6 @@ mod tests {
 
     #[test]
     fn a_random_miss_fills_the_entries_of_siblings_sharing_its_draws() {
-        let _quiet = fault::exclusive();
         let arch = Architecture::eyeriss_base();
         let siblings = [
             arch.clone().with_glb_kb(16),
@@ -724,7 +720,6 @@ mod tests {
 
     #[test]
     fn a_request_for_a_claimed_key_waits_for_the_claim() {
-        let _quiet = fault::exclusive();
         let cache = CandidateCache::new();
         let arch = Architecture::eyeriss_base();
         let cfg = SearchConfig::quick();
@@ -766,11 +761,21 @@ mod tests {
         let _scope = FaultScope::inject(FaultPlan::fail(["not-this-layer"]));
         search_cached(&layer(), &arch, &[], &SearchConfig::quick(), Some(&cache)).unwrap();
         assert_eq!(cache.len(), 0, "armed fault plans must bypass");
+        let elsewhere = std::thread::scope(|s| {
+            s.spawn(|| search_cached(&layer(), &arch, &[], &SearchConfig::quick(), Some(&cache)))
+                .join()
+                .unwrap()
+        });
+        elsewhere.unwrap();
+        assert_eq!(
+            cache.len(),
+            1,
+            "a task without the plan still uses the cache"
+        );
     }
 
     #[test]
     fn disk_round_trip_thaws_to_identical_results() {
-        let _quiet = fault::exclusive();
         let dir = std::env::temp_dir().join("secureloop-cache-roundtrip");
         fs::create_dir_all(&dir).unwrap();
         let path = dir.join("cache.json");
@@ -838,7 +843,6 @@ mod tests {
 
     #[test]
     fn torn_cache_salvages_intact_entries_and_never_crosses_versions() {
-        let _quiet = fault::exclusive();
         let dir = std::env::temp_dir().join("secureloop-cache-salvage");
         fs::create_dir_all(&dir).unwrap();
         let path = dir.join("cache.json");
@@ -906,7 +910,6 @@ mod tests {
 
     #[test]
     fn schemes_never_share_an_entry() {
-        let _quiet = fault::exclusive();
         use secureloop_crypto::{CryptoConfig, EngineClass, SchemeId};
         let cache = CandidateCache::new();
         let cfg = SearchConfig::quick();
@@ -936,7 +939,6 @@ mod tests {
 
     #[test]
     fn budget_evicts_least_recently_used_first() {
-        let _quiet = fault::exclusive();
         let layers: Vec<ConvLayer> = zoo::alexnet_conv().layers().to_vec();
         let arch = Architecture::eyeriss_base();
         let cfg = SearchConfig::quick();
@@ -966,7 +968,6 @@ mod tests {
 
     #[test]
     fn oversized_single_entry_still_serves() {
-        let _quiet = fault::exclusive();
         let cache = CandidateCache::new().with_budget_bytes(1);
         let arch = Architecture::eyeriss_base();
         let cfg = SearchConfig::quick();
@@ -978,7 +979,6 @@ mod tests {
 
     #[test]
     fn unbounded_cache_never_evicts() {
-        let _quiet = fault::exclusive();
         let cache = CandidateCache::new();
         let arch = Architecture::eyeriss_base();
         let cfg = SearchConfig::quick();

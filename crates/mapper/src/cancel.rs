@@ -19,11 +19,12 @@
 //! returns [`crate::MapperError::Cancelled`] instead of partial
 //! garbage.
 //!
-//! The per-task state travels through a thread-local [`TaskScope`]
-//! rather than through [`crate::SearchConfig`] (which is `Copy` and
-//! serialised into cache keys): the supervisor enters a scope on the
-//! thread that runs the task, [`crate::search`] reads it once at entry,
-//! and the worker closures it spawns capture the cloned context.
+//! The per-task state (the token, and a test's fault plan) travels
+//! through a thread-local [`TaskScope`] rather than through
+//! [`crate::SearchConfig`] (which is `Copy` and serialised into cache
+//! keys): the supervisor enters a scope on the thread that runs the
+//! task, [`crate::search`] reads it once at entry, and [`run_ordered`]
+//! re-enters the caller's context on every worker it spawns.
 //!
 //! [`run_ordered`] is the work pool that stops on these checks: the
 //! random rung's chunks and a sweep's design points run on it.
@@ -33,6 +34,8 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use secureloop_telemetry as telemetry;
+
+use crate::fault::ArmedPlan;
 
 static SHUTDOWN: AtomicBool = AtomicBool::new(false);
 
@@ -105,6 +108,9 @@ pub struct TaskContext {
     /// after a panic or timeout: a key whose computation just crashed
     /// must not be answered from (or written into) shared state.
     pub bypass_cache: bool,
+    /// The task's armed fault plan, if a test (or a chaos job) armed one
+    /// with [`crate::FaultScope::inject`].
+    pub fault: Option<Arc<ArmedPlan>>,
 }
 
 thread_local! {
@@ -136,10 +142,15 @@ pub fn current_context() -> TaskContext {
     TASK.with(|t| t.borrow().clone())
 }
 
-/// Whether the current thread's task asked to bypass the candidate
-/// cache (see [`TaskContext::bypass_cache`]).
+/// Whether the current thread's task bypasses the candidate cache: it
+/// retries after a panic or timeout ([`TaskContext::bypass_cache`]), or
+/// it carries a fault plan, whose faults key on layer names that no
+/// cache key holds.
 pub fn cache_bypassed() -> bool {
-    TASK.with(|t| t.borrow().bypass_cache)
+    TASK.with(|t| {
+        let ctx = t.borrow();
+        ctx.bypass_cache || ctx.fault.is_some()
+    })
 }
 
 /// Run `task(worker, index)` for every index in `0..count` on
@@ -149,9 +160,11 @@ pub fn cache_bypassed() -> bool {
 /// and whether its worker stops: that worker pulls no further index,
 /// the others run on, and an index no worker pulled has no result. With
 /// at most one worker every task runs on the calling thread and nothing
-/// is spawned. Spawned workers re-enter the caller's telemetry scope
-/// ([`telemetry::current_scope`]), so the events they emit carry the
-/// caller's job. A panicking task's panic resumes on the caller.
+/// is spawned. Spawned workers re-enter the caller's task context
+/// ([`current_context`]) and telemetry scope
+/// ([`telemetry::current_scope`]), so they observe the caller's token
+/// and fault plan, and the events they emit carry the caller's job. A
+/// panicking task's panic resumes on the caller.
 pub fn run_ordered<T: Send>(
     count: usize,
     workers: usize,
@@ -178,12 +191,14 @@ pub fn run_ordered<T: Send>(
         worker_loop(0)
     } else {
         let scope = telemetry::current_scope();
+        let ctx = current_context();
         std::thread::scope(|s| {
             let handles: Vec<_> = (0..workers)
                 .map(|worker| {
-                    let scope = scope.clone();
+                    let (scope, ctx) = (scope.clone(), ctx.clone());
                     s.spawn(move || {
                         let _scope = scope.map(telemetry::enter_scope);
+                        let _task = TaskScope::enter(ctx);
                         worker_loop(worker)
                     })
                 })
@@ -245,6 +260,7 @@ mod tests {
             let _scope = TaskScope::enter(TaskContext {
                 token: token.clone(),
                 bypass_cache: true,
+                ..TaskContext::default()
             });
             assert!(cache_bypassed());
             let ctx = current_context();

@@ -1,19 +1,25 @@
 //! Fault-injection hooks for the robustness test harness.
 //!
-//! Production code never arms a plan; the hooks then compile down to a
-//! mutex-guarded `None` check per layer search. Tests install a
-//! [`FaultPlan`] through [`FaultScope::inject`] to force specific layers
-//! to fail their search, poison their costs with NaN, panic, stall, or
-//! fail transiently with a simulated I/O error — exercising the
-//! scheduler's degradation ladder and the sweep supervisor end to end.
+//! Production code never arms a plan; the hooks then cost one `None`
+//! check per layer search. Tests install a [`FaultPlan`] through
+//! [`FaultScope::inject`] to force specific layers to fail their
+//! search, poison their costs with NaN, panic, stall, or fail
+//! transiently with a simulated I/O error — exercising the scheduler's
+//! degradation ladder and the sweep supervisor end to end.
 //!
-//! Scopes serialise on a process-wide lock so concurrent `cargo test`
-//! threads cannot observe each other's plans, and the plan is cleared
-//! when the scope drops (even on panic).
+//! A plan belongs to one task, like its cancellation token: it rides in
+//! the thread's [`TaskContext`], which the work pool
+//! ([`crate::cancel::run_ordered`]) and the sweep supervisor carry into
+//! every thread that works for the task. Searches of other tasks never
+//! see it, so concurrent tests, or concurrent service jobs, each see
+//! only their own plan. The plan is disarmed when its scope drops (even
+//! on panic).
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
+
+use crate::cancel::{self, TaskContext, TaskScope};
 
 /// Which layers a test wants to sabotage, by layer name.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -42,13 +48,6 @@ pub struct FaultPlan {
     /// architecture (design label). `None` applies everywhere; a sweep
     /// test uses this to sabotage exactly one design point of many.
     pub arch: Option<String>,
-    /// Budget of *artifact* write failures to inject into the durable
-    /// persistence layer (`secureloop_artifact`) while this plan is
-    /// armed: each durable-write attempt consumes one failure until the
-    /// budget is spent (transient-error model). `0` injects nothing;
-    /// [`FaultPlan::ARTIFACT_IO_ALL`] never clears (a persistently full
-    /// or read-only disk).
-    pub artifact_io_budget: u64,
 }
 
 fn names<I: IntoIterator<Item = S>, S: Into<String>>(layers: I) -> BTreeSet<String> {
@@ -107,20 +106,6 @@ impl FaultPlan {
         self.arch = Some(arch.into());
         self
     }
-
-    /// Sentinel budget meaning "every artifact write fails" — the
-    /// persistent ENOSPC/EROFS model, as opposed to a finite transient
-    /// budget that retries eventually outlast.
-    pub const ARTIFACT_IO_ALL: u64 = u64::MAX;
-
-    /// A plan injecting `budget` artifact-write failures into the
-    /// durable persistence layer (no layer searches are sabotaged).
-    pub fn artifact_io(budget: u64) -> Self {
-        FaultPlan {
-            artifact_io_budget: budget,
-            ..FaultPlan::default()
-        }
-    }
 }
 
 /// What the armed plan says about one layer.
@@ -141,41 +126,22 @@ pub(crate) enum Verdict {
     IoError,
 }
 
-static PLAN: Mutex<Option<FaultPlan>> = Mutex::new(None);
-static SCOPE_LOCK: Mutex<()> = Mutex::new(());
-/// Injected-I/O attempts observed per layer while a plan is armed.
-static IO_FIRED: Mutex<BTreeMap<String, u32>> = Mutex::new(BTreeMap::new());
-
-fn plan_slot() -> MutexGuard<'static, Option<FaultPlan>> {
-    // A panicking test poisons the mutex; the data (a plain plan) is
-    // still coherent, so recover rather than cascade the panic.
-    PLAN.lock().unwrap_or_else(|e| e.into_inner())
+/// A [`FaultPlan`] armed for one task, with the injected-I/O attempts
+/// it has fired per layer. Clones of a [`TaskContext`] share it, so
+/// retries of a task spend one `io_error` budget.
+#[derive(Debug)]
+pub struct ArmedPlan {
+    plan: FaultPlan,
+    io_fired: Mutex<BTreeMap<String, u32>>,
 }
 
-fn io_fired() -> MutexGuard<'static, BTreeMap<String, u32>> {
-    IO_FIRED.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// Hold the fault-scope lock without arming a plan. A test that counts
-/// cache hits takes it: while another test's plan is armed, every
-/// search bypasses the cache.
-#[cfg(test)]
-pub(crate) fn exclusive() -> MutexGuard<'static, ()> {
-    SCOPE_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// Whether any fault plan is currently armed. Layer-shape caches must
-/// be bypassed while one is: faults key on layer *names*, which a
-/// shape-dedup cache would conflate.
-pub fn armed() -> bool {
-    plan_slot().is_some()
-}
-
-pub(crate) fn verdict_for(layer: &str, arch: &str) -> Verdict {
-    let slot = plan_slot();
-    let Some(p) = slot.as_ref() else {
+/// What the plan armed in `ctx`, if any, says about `layer` searched
+/// against the design labelled `arch`.
+pub(crate) fn verdict_for(ctx: &TaskContext, layer: &str, arch: &str) -> Verdict {
+    let Some(armed) = &ctx.fault else {
         return Verdict::Clean;
     };
+    let p = &armed.plan;
     if p.arch.as_deref().is_some_and(|scoped| scoped != arch) {
         return Verdict::Clean;
     }
@@ -186,11 +152,11 @@ pub(crate) fn verdict_for(layer: &str, arch: &str) -> Verdict {
         return Verdict::Stall(p.stall_duration);
     }
     if p.io_error_layers.contains(layer) {
-        let budget = p.io_error_budget;
-        drop(slot);
-        let mut fired = io_fired();
+        // A panicking attempt may poison the tally's mutex; the counts
+        // are still coherent, so recover rather than cascade the panic.
+        let mut fired = armed.io_fired.lock().unwrap_or_else(|e| e.into_inner());
         let count = fired.entry(layer.to_string()).or_insert(0);
-        if *count < budget {
+        if *count < p.io_error_budget {
             *count += 1;
             return Verdict::IoError;
         }
@@ -205,37 +171,25 @@ pub(crate) fn verdict_for(layer: &str, arch: &str) -> Verdict {
     Verdict::Clean
 }
 
-/// RAII guard arming a [`FaultPlan`] for the duration of a test.
-///
-/// Holding the scope also holds a process-wide lock, so at most one
-/// fault-injecting test runs at a time.
+/// RAII guard arming a [`FaultPlan`] for the current thread's task
+/// until it drops.
 pub struct FaultScope {
-    _serialise: MutexGuard<'static, ()>,
+    _task: TaskScope,
 }
 
 impl FaultScope {
-    /// Arm `plan` until the returned scope drops. A plan carrying an
-    /// `artifact_io_budget` also arms the durable persistence layer's
-    /// fault hook; the scope's process-wide lock keeps that global
-    /// state exclusive too.
+    /// Arm `plan`, with a fresh `io_error` tally, in the current
+    /// thread's [`TaskContext`] (keeping its token) until the returned
+    /// scope drops.
     pub fn inject(plan: FaultPlan) -> FaultScope {
-        let guard = SCOPE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        io_fired().clear();
-        match plan.artifact_io_budget {
-            0 => secureloop_artifact::fault::disarm(),
-            FaultPlan::ARTIFACT_IO_ALL => secureloop_artifact::fault::arm_all(),
-            n => secureloop_artifact::fault::arm(n),
+        let mut ctx = cancel::current_context();
+        ctx.fault = Some(Arc::new(ArmedPlan {
+            plan,
+            io_fired: Mutex::default(),
+        }));
+        FaultScope {
+            _task: TaskScope::enter(ctx),
         }
-        *plan_slot() = Some(plan);
-        FaultScope { _serialise: guard }
-    }
-}
-
-impl Drop for FaultScope {
-    fn drop(&mut self) {
-        *plan_slot() = None;
-        io_fired().clear();
-        secureloop_artifact::fault::disarm();
     }
 }
 
@@ -245,15 +199,19 @@ mod tests {
 
     const ANY: &str = "any-arch";
 
+    fn verdict(layer: &str, arch: &str) -> Verdict {
+        verdict_for(&cancel::current_context(), layer, arch)
+    }
+
     #[test]
     fn plan_is_scoped_and_cleared() {
-        assert_eq!(verdict_for("conv1", ANY), Verdict::Clean);
+        assert_eq!(verdict("conv1", ANY), Verdict::Clean);
         {
             let _scope = FaultScope::inject(FaultPlan::fail(["conv1"]));
-            assert_eq!(verdict_for("conv1", ANY), Verdict::Fail);
-            assert_eq!(verdict_for("conv2", ANY), Verdict::Clean);
+            assert_eq!(verdict("conv1", ANY), Verdict::Fail);
+            assert_eq!(verdict("conv2", ANY), Verdict::Clean);
         }
-        assert_eq!(verdict_for("conv1", ANY), Verdict::Clean);
+        assert_eq!(verdict("conv1", ANY), Verdict::Clean);
     }
 
     #[test]
@@ -263,9 +221,9 @@ mod tests {
             nan_layers: ["b"].into_iter().map(String::from).collect(),
             ..FaultPlan::default()
         });
-        assert_eq!(verdict_for("a", ANY), Verdict::Fail);
-        assert_eq!(verdict_for("b", ANY), Verdict::NanCost);
-        assert_eq!(verdict_for("c", ANY), Verdict::Clean);
+        assert_eq!(verdict("a", ANY), Verdict::Fail);
+        assert_eq!(verdict("b", ANY), Verdict::NanCost);
+        assert_eq!(verdict("c", ANY), Verdict::Clean);
     }
 
     #[test]
@@ -276,26 +234,36 @@ mod tests {
             stall_duration: Duration::from_millis(7),
             ..FaultPlan::default()
         });
-        assert_eq!(verdict_for("p", ANY), Verdict::Panic);
-        assert_eq!(
-            verdict_for("s", ANY),
-            Verdict::Stall(Duration::from_millis(7))
-        );
+        assert_eq!(verdict("p", ANY), Verdict::Panic);
+        assert_eq!(verdict("s", ANY), Verdict::Stall(Duration::from_millis(7)));
     }
 
     #[test]
     fn io_errors_are_transient_within_budget() {
         let _scope = FaultScope::inject(FaultPlan::io_error(["conv1"], 2));
-        assert_eq!(verdict_for("conv1", ANY), Verdict::IoError);
-        assert_eq!(verdict_for("conv1", ANY), Verdict::IoError);
-        assert_eq!(verdict_for("conv1", ANY), Verdict::Clean, "budget spent");
-        assert_eq!(verdict_for("conv2", ANY), Verdict::Clean);
+        assert_eq!(verdict("conv1", ANY), Verdict::IoError);
+        assert_eq!(verdict("conv1", ANY), Verdict::IoError);
+        assert_eq!(verdict("conv1", ANY), Verdict::Clean, "budget spent");
+        assert_eq!(verdict("conv2", ANY), Verdict::Clean);
     }
 
     #[test]
     fn arch_scoping_targets_one_design() {
         let _scope = FaultScope::inject(FaultPlan::panic(["conv1"]).for_arch("design-7"));
-        assert_eq!(verdict_for("conv1", "design-7"), Verdict::Panic);
-        assert_eq!(verdict_for("conv1", "design-8"), Verdict::Clean);
+        assert_eq!(verdict("conv1", "design-7"), Verdict::Panic);
+        assert_eq!(verdict("conv1", "design-8"), Verdict::Clean);
+    }
+
+    #[test]
+    fn plan_travels_with_its_task_only() {
+        let _scope = FaultScope::inject(FaultPlan::fail(["conv1"]));
+        let elsewhere = std::thread::spawn(|| verdict("conv1", ANY)).join().unwrap();
+        assert_eq!(
+            elsewhere,
+            Verdict::Clean,
+            "another task never sees the plan"
+        );
+        let pooled = cancel::run_ordered(4, 2, |_, _| (verdict("conv1", ANY), false));
+        assert_eq!(pooled, [Verdict::Fail; 4], "pool workers carry the plan");
     }
 }

@@ -704,7 +704,7 @@ pub fn search_group(
     let mut out: Vec<Option<Result<MapperResult, MapperError>>> = vec![None; designs.len()];
     let mut nan = vec![false; designs.len()];
     for (i, arch) in designs.iter().enumerate() {
-        match fault::verdict_for(layer.name(), arch.name()) {
+        match fault::verdict_for(&ctx, layer.name(), arch.name()) {
             fault::Verdict::Fail => {
                 search_span.add_field("error", "injected_failure");
                 out[i] = Some(Err(MapperError::InjectedFailure {

@@ -405,11 +405,18 @@ pub struct Span {
 /// label). The span is inert — no clock read, no fields kept, no event
 /// — unless telemetry is enabled and a sink is installed when it opens.
 pub fn span(phase: &'static str, name: impl Into<String>) -> Span {
+    span_with(phase, || name.into())
+}
+
+/// [`span`] with a name built only when the span is live, so a hot
+/// caller formats no name while nothing listens.
+pub fn span_with(phase: &'static str, name: impl FnOnce() -> String) -> Span {
+    let start = listening().then(Instant::now);
     Span {
         phase,
-        name: name.into(),
+        name: start.map(|_| name()).unwrap_or_default(),
         fields: Vec::new(),
-        start: listening().then(Instant::now),
+        start,
     }
 }
 

@@ -76,8 +76,11 @@ done
 
 wait_for '"event":"overloaded"' "$WORK/soak-1.log" 30
 say "typed shedding observed"
-wait_for '"event":"result"' "$WORK/soak-1.log" 120
-sleep 1
+# Stop the server once the full-space reference job has checkpointed
+# its first design point, so the drain lands with 17 of its 18 still to
+# run and the restart must resume it. A fixed delay after the first
+# result is not enough: every admitted job can finish within a second.
+wait_for '"event":"progress","id":"j01"' "$WORK/soak-1.log" 120
 
 say "SIGTERM mid-run"
 kill -TERM "$SERVER_PID"
