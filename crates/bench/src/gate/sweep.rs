@@ -15,6 +15,11 @@
 //! shows up in the *warm* pass, which `--check` compares against the
 //! cache-disabled pass.
 //!
+//! The cache file the cold pass writes is loaded back, and its entry
+//! count and charged bytes (`cold_with_cache.cache_entries` and
+//! `cache_bytes`, see `CandidateCache::approx_bytes`) are recorded, so
+//! `--diff-against` pins the cache's footprint exactly.
+//!
 //! The warm pass must not search at all: `--check` requires it to
 //! draw no mapping (`mapper_draws`, the `mapper.draws` counter, and
 //! `mapper_samples` both 0) and to answer all 90 (layer, design)
@@ -32,9 +37,9 @@
 use std::time::Instant;
 
 use secureloop::dse::{evaluate_designs_sweep, fig16_design_space, SweepOptions, SweepRun};
-use secureloop::{Algorithm, AnnealingConfig};
+use secureloop::{artifact, Algorithm, AnnealingConfig};
 use secureloop_json::Json;
-use secureloop_mapper::{SearchConfig, SearchMode};
+use secureloop_mapper::{CandidateCache, SearchConfig, SearchMode};
 use secureloop_telemetry as telemetry;
 use secureloop_workload::zoo;
 
@@ -139,6 +144,14 @@ pub(super) fn run() -> GateRun {
     let pooled = || SweepOptions::new().with_workers(WORKERS);
     let disabled = run_phase("cache-disabled", pooled().with_cache(false));
     let cold = run_phase("cache-cold", pooled().with_cache_path(&cache_file));
+    let written = artifact::load::<CandidateCache>(&cache_file)
+        .expect("the cold pass wrote its cache")
+        .value;
+    let (cache_entries, cache_bytes) = (written.len() as u64, written.approx_bytes() as u64);
+    println!(
+        "{:<16} {cache_entries} entries, {cache_bytes} bytes charged",
+        "cache file"
+    );
     let warm = run_phase("cache-warm", pooled().with_cache_path(&cache_file));
     let _ = std::fs::remove_file(&cache_file);
     // Concurrent workers may both compute one memo key, so only a
@@ -176,7 +189,12 @@ pub(super) fn run() -> GateRun {
         .field("samples_per_search", SAMPLES as u64)
         .field("workers", WORKERS as u64)
         .field("cold_no_cache", phase_json(&disabled))
-        .field("cold_with_cache", phase_json(&cold))
+        .field(
+            "cold_with_cache",
+            phase_json(&cold)
+                .field("cache_entries", cache_entries)
+                .field("cache_bytes", cache_bytes),
+        )
         .field("warm_with_cache", phase_json(&warm))
         .field("work_one_worker", work_json(&counted))
         .field("sweep_wall_ms", disabled.wall_ms)

@@ -19,7 +19,7 @@ use secureloop_artifact::{self as artifact, DurabilityPolicy, Persistent};
 use secureloop_authblock::OverheadBreakdown;
 use secureloop_json::Json;
 use secureloop_loopnest::{CompactMapping, EnergyBreakdown};
-use secureloop_telemetry::Timer;
+use secureloop_telemetry::{Counter, Timer};
 
 use crate::error::SecureLoopError;
 use crate::scheduler::{Algorithm, LayerOutcome, LayerResult, NetworkSchedule};
@@ -33,9 +33,13 @@ pub const CHECKPOINT_VERSION: u64 = 2;
 pub const CHECKPOINT_MIN_VERSION: u64 = 1;
 
 /// Times [`SweepCheckpoint::save_with`]. perfbench counts a sweep's
-/// artifact writes from this timer's `count`; it can become a counter
-/// once a benchmark change reads one instead.
+/// artifact writes from this timer's `count`; once it reads
+/// [`SAVES`] instead, the timer can go.
 static SAVE_TIMER: Timer = Timer::new("checkpoint.save");
+
+/// Counts [`SweepCheckpoint::save_with`] calls, like [`SAVE_TIMER`]'s
+/// `count`.
+static SAVES: Counter = Counter::new("checkpoint.saves");
 
 fn field_err(field: &str) -> String {
     format!("missing or invalid field '{field}'")
@@ -286,6 +290,7 @@ impl SweepCheckpoint {
     ///
     /// [`SecureLoopError::Artifact`] on I/O failure (after retries).
     pub fn save_with(&self, path: &Path, policy: &DurabilityPolicy) -> Result<(), SecureLoopError> {
+        SAVES.incr();
         SAVE_TIMER.time(|| artifact::save(self, path, policy).map_err(SecureLoopError::Artifact))
     }
 }

@@ -169,21 +169,20 @@ impl Harness {
     fn wait(&self, pred: impl Fn(&Json) -> bool, secs: u64) -> Json {
         let deadline = Instant::now() + Duration::from_secs(secs);
         loop {
-            {
+            // Copy the transcript and release the lock before asserting:
+            // a panic while holding it would poison the server's writer.
+            let transcript = {
                 let lines = self.lines.lock().unwrap();
-                for l in lines.iter() {
-                    if let Ok(v) = Json::parse(l) {
-                        if pred(&v) {
-                            return v;
-                        }
-                    }
+                let found = lines.iter().filter_map(|l| Json::parse(l).ok()).find(&pred);
+                if let Some(v) = found {
+                    return v;
                 }
-                assert!(
-                    Instant::now() < deadline,
-                    "timed out waiting for an event; transcript:\n{}",
-                    lines.join("\n")
-                );
-            }
+                lines.join("\n")
+            };
+            assert!(
+                Instant::now() < deadline,
+                "timed out waiting for an event; transcript:\n{transcript}"
+            );
             std::thread::sleep(Duration::from_millis(25));
         }
     }

@@ -11,14 +11,20 @@
 //! dataflow) share one draw stream: a miss runs one [`search_group`]
 //! for them all and fills each one's entry (see [`search_cached`]).
 //!
+//! An entry stores only what determines its outcome beyond the key:
+//! the retained mappings, best first, plus the tier and the sample
+//! tallies. Every hit re-prices those mappings with [`evaluate`]
+//! against the hitting layer and architecture; key equality makes that
+//! exact, so a hit costs top-k evaluations (not a search) and the
+//! evaluations themselves are never stored. A mapping that fails to
+//! evaluate on a hit (a damaged file whose mappings still parse)
+//! evicts the entry and demotes the request to a miss.
+//!
 //! The cache round-trips to disk through
 //! [`secureloop_artifact::Persistent`], like `SweepCheckpoint`, so
-//! `--resume` runs start warm. On-disk entries store mappings in
-//! compact text form; a *frozen* entry is thawed on first hit by
-//! re-evaluating its mappings against the hitting layer and
-//! architecture — cheap (top-k evaluations, not a search) and
-//! self-validating: anything that fails to parse or evaluate demotes
-//! the entry to a miss instead of poisoning the sweep.
+//! `--resume` runs start warm. On disk each mapping is in compact text
+//! form; loading parses it into the same entry form, so a record whose
+//! mapping does not parse is dropped by the artifact salvage ladder.
 //!
 //! Lookups are bypassed — never consulted, never populated — when the
 //! search carries a wall-clock deadline (truncated results are
@@ -27,6 +33,7 @@
 //! Other tasks sharing the cache keep using it.
 
 use std::collections::{HashMap, HashSet};
+use std::mem::size_of;
 use std::ops::RangeInclusive;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -57,51 +64,38 @@ static CACHE_MISS: Counter = Counter::new("dse.cache_miss");
 /// bandwidth/energy numbers — are likewise rejected.
 pub const CACHE_VERSION: u64 = 3;
 
-/// Approximate heap cost charged per cached candidate mapping (the
-/// mapping itself plus its evaluation). The budget accounting is an
-/// estimate — it bounds growth, it does not audit the allocator.
-const PER_CANDIDATE_BYTES: usize = 512;
-
 /// Fixed approximate overhead charged per cache entry (key, hash-map
 /// slot, bookkeeping).
 const PER_ENTRY_BYTES: usize = 256;
 
-/// A candidate list restored from disk, not yet re-evaluated.
-#[derive(Debug, Clone)]
-struct FrozenEntry {
-    mappings: Vec<String>,
+/// One cached search outcome, less the evaluations a hit recomputes.
+#[derive(Debug)]
+struct Stored {
+    /// The retained mappings, best first (never empty).
+    mappings: Vec<Mapping>,
     tier: SearchTier,
     valid_samples: usize,
     total_samples: usize,
-}
-
-#[derive(Debug, Clone)]
-enum Entry {
-    Ready(MapperResult),
-    Frozen(FrozenEntry),
-}
-
-impl Entry {
-    /// Approximate heap footprint of this entry (plus its key), used
-    /// for the eviction budget.
-    fn cost(&self, key: &str) -> usize {
-        let candidates = match self {
-            Entry::Ready(r) => r.candidates.len(),
-            Entry::Frozen(f) => f.mappings.len(),
-        };
-        PER_ENTRY_BYTES + key.len() + candidates * PER_CANDIDATE_BYTES
-    }
-}
-
-/// One stored entry plus its LRU bookkeeping.
-#[derive(Debug)]
-struct Stored {
-    entry: Entry,
     /// Logical timestamp of the last hit (or the insert); smallest is
     /// evicted first.
     last_used: u64,
-    /// Approximate bytes charged against the budget.
-    cost: usize,
+}
+
+impl Stored {
+    fn of(result: &MapperResult) -> Stored {
+        Stored {
+            mappings: result.candidates.iter().map(|(m, _)| m.clone()).collect(),
+            tier: result.tier,
+            valid_samples: result.valid_samples,
+            total_samples: result.total_samples,
+            last_used: 0,
+        }
+    }
+
+    /// Bytes charged against the budget for this entry under `key`.
+    fn cost(&self, key: &str) -> usize {
+        PER_ENTRY_BYTES + key.len() + self.mappings.len() * size_of::<Mapping>()
+    }
 }
 
 #[derive(Debug, Default)]
@@ -109,7 +103,7 @@ struct Inner {
     map: HashMap<String, Stored>,
     /// Monotonic logical clock driving the LRU order.
     clock: u64,
-    /// Sum of every stored entry's `cost`.
+    /// Sum of every stored entry's cost.
     bytes: usize,
     /// Keys a running group search will insert; a requester of one
     /// waits for it instead of searching again.
@@ -117,84 +111,50 @@ struct Inner {
 }
 
 impl Inner {
-    fn touch(&mut self, key: &str) {
-        self.clock += 1;
-        let clock = self.clock;
-        if let Some(s) = self.map.get_mut(key) {
-            s.last_used = clock;
+    fn remove(&mut self, key: &str) {
+        if let Some(removed) = self.map.remove(key) {
+            self.bytes -= removed.cost(key);
         }
     }
 
-    fn remove(&mut self, key: &str) -> Option<Stored> {
-        let removed = self.map.remove(key)?;
-        self.bytes -= removed.cost;
-        Some(removed)
-    }
-
-    /// Look up a search outcome, thawing a frozen entry against the
-    /// hitting (layer, arch) — key equality makes the re-evaluation
-    /// exact. Returns `None` (a miss) when absent or when a frozen
-    /// entry fails to thaw. A hit refreshes the entry's LRU position.
+    /// Look up a search outcome, re-pricing its mappings against the
+    /// hitting (layer, arch) — key equality makes that exact. Returns
+    /// `None` (a miss) when absent or when a mapping fails to evaluate,
+    /// which evicts the entry. A hit refreshes the entry's LRU position.
     fn lookup(
         &mut self,
         key: &str,
         layer: &ConvLayer,
         arch: &Architecture,
     ) -> Option<MapperResult> {
-        let frozen = match &self.map.get(key)?.entry {
-            Entry::Ready(r) => {
-                let hit = r.clone();
-                self.touch(key);
-                return Some(hit);
-            }
-            Entry::Frozen(f) => f.clone(),
-        };
-        let mut candidates: Vec<(Mapping, _)> = Vec::with_capacity(frozen.mappings.len());
-        for text in &frozen.mappings {
-            let mapping: Mapping = match text.parse() {
-                Ok(m) => m,
-                Err(_) => {
-                    self.remove(key);
-                    return None;
-                }
-            };
-            match evaluate(layer, arch, &mapping) {
-                Ok(eval) => candidates.push((mapping, eval)),
-                Err(_) => {
-                    self.remove(key);
-                    return None;
-                }
-            }
-        }
-        if candidates.is_empty() {
+        let clock = self.clock + 1;
+        let entry = self.map.get_mut(key)?;
+        let priced: Result<Vec<_>, _> = entry
+            .mappings
+            .iter()
+            .map(|m| evaluate(layer, arch, m).map(|e| (m.clone(), e)))
+            .collect();
+        let Ok(candidates) = priced else {
             self.remove(key);
             return None;
-        }
-        let result = MapperResult {
-            candidates,
-            valid_samples: frozen.valid_samples,
-            total_samples: frozen.total_samples,
-            tier: frozen.tier,
-            truncated: false,
         };
-        self.insert(key.to_string(), Entry::Ready(result.clone()));
-        Some(result)
+        entry.last_used = clock;
+        self.clock = clock;
+        Some(MapperResult {
+            candidates,
+            valid_samples: entry.valid_samples,
+            total_samples: entry.total_samples,
+            tier: entry.tier,
+            truncated: false,
+        })
     }
 
-    fn insert(&mut self, key: String, entry: Entry) {
-        let cost = entry.cost(&key);
+    fn insert(&mut self, key: String, mut entry: Stored) {
+        self.remove(&key);
         self.clock += 1;
-        if let Some(old) = self.map.insert(
-            key,
-            Stored {
-                entry,
-                last_used: self.clock,
-                cost,
-            },
-        ) {
-            self.bytes -= old.cost;
-        }
-        self.bytes += cost;
+        entry.last_used = self.clock;
+        self.bytes += entry.cost(&key);
+        self.map.insert(key, entry);
     }
 
     /// Evict least-recently-used entries until the budget is met,
@@ -268,7 +228,10 @@ impl CandidateCache {
         CandidateCache::default()
     }
 
-    /// Bound the cache's approximate footprint. Once the budget is
+    /// Bound the cache's approximate footprint: each entry is charged a
+    /// fixed 256 bytes, plus its key's length, plus
+    /// `size_of::<Mapping>()` per retained mapping (evaluations are
+    /// recomputed on hit, so they are not charged). Once the budget is
     /// exceeded, least-recently-used entries are evicted (the most
     /// recent entry always survives). The budget is enforced
     /// immediately, so applying it to a freshly-loaded cache trims it
@@ -285,7 +248,9 @@ impl CandidateCache {
         self.budget
     }
 
-    /// Approximate bytes currently charged against the budget.
+    /// Bytes currently charged against the budget, summed over entries
+    /// as [`CandidateCache::with_budget_bytes`] describes. An estimate
+    /// that bounds growth; it does not audit the allocator.
     pub fn approx_bytes(&self) -> usize {
         self.inner.lock().expect("cache lock").bytes
     }
@@ -380,7 +345,7 @@ impl CandidateCache {
             return;
         }
         let mut inner = self.inner.lock().expect("cache lock");
-        inner.insert(key, Entry::Ready(result.clone()));
+        inner.insert(key, Stored::of(result));
         if let Some(budget) = self.budget {
             let evicted = inner.enforce(budget);
             drop(inner);
@@ -400,9 +365,10 @@ impl CandidateCache {
 }
 
 /// On disk, one record per entry, sorted by key, mappings in compact
-/// text form. Loaded entries come back frozen and thaw lazily on first
-/// hit. Only the current version loads: an older file's keys could
-/// alias candidates across search modes or protection schemes.
+/// text form. Loading parses every mapping, so a loaded entry has the
+/// same form as an inserted one. Only the current version loads: an
+/// older file's keys could alias candidates across search modes or
+/// protection schemes.
 impl Persistent for CandidateCache {
     const KIND: &'static str = "candidate-cache";
     const NOUN: &'static str = "cache";
@@ -420,81 +386,61 @@ impl Persistent for CandidateCache {
 
     fn write_records(&self, _: &str) -> Vec<Json> {
         let inner = self.inner.lock().expect("cache lock");
-        let entries = &inner.map;
-        let mut keys: Vec<&String> = entries.keys().collect();
-        keys.sort();
-        keys.into_iter()
-            .map(|key| {
-                let (mappings, tier, valid, total) = match &entries[key].entry {
-                    Entry::Ready(r) => (
-                        r.candidates
-                            .iter()
-                            .map(|(m, _)| Json::from(CompactMapping(m).to_string().as_str()))
-                            .collect::<Vec<_>>(),
-                        r.tier,
-                        r.valid_samples,
-                        r.total_samples,
-                    ),
-                    Entry::Frozen(f) => (
-                        f.mappings.iter().map(|m| Json::from(m.as_str())).collect(),
-                        f.tier,
-                        f.valid_samples,
-                        f.total_samples,
-                    ),
-                };
+        let mut entries: Vec<(&String, &Stored)> = inner.map.iter().collect();
+        entries.sort_by_key(|(key, _)| *key);
+        entries
+            .into_iter()
+            .map(|(key, entry)| {
+                let mappings = entry
+                    .mappings
+                    .iter()
+                    .map(|m| Json::from(CompactMapping(m).to_string().as_str()))
+                    .collect();
                 Json::obj()
                     .field("key", key.as_str())
-                    .field("tier", tier.name())
-                    .field("valid_samples", valid as u64)
-                    .field("total_samples", total as u64)
+                    .field("tier", entry.tier.name())
+                    .field("valid_samples", entry.valid_samples as u64)
+                    .field("total_samples", entry.total_samples as u64)
                     .field("mappings", Json::Arr(mappings))
             })
             .collect()
     }
 
-    fn read_record(&mut self, _: &str, record: &Json) -> Result<(), String> {
-        let (key, frozen) = entry_from_json(record)?;
-        let inner = self.inner.get_mut().expect("cache lock");
-        inner.insert(key, Entry::Frozen(frozen));
-        Ok(())
-    }
-}
-
-/// Parse one on-disk cache entry into its key and frozen form.
-fn entry_from_json(e: &Json) -> Result<(String, FrozenEntry), String> {
-    let key = e["key"]
-        .as_str()
-        .ok_or_else(|| "missing or invalid field 'key'".to_string())?
-        .to_string();
-    let tier = e["tier"]
-        .as_str()
-        .and_then(SearchTier::from_name)
-        .ok_or_else(|| "missing or invalid field 'tier'".to_string())?;
-    let valid_samples = e["valid_samples"]
-        .as_usize()
-        .ok_or_else(|| "missing or invalid field 'valid_samples'".to_string())?;
-    let total_samples = e["total_samples"]
-        .as_usize()
-        .ok_or_else(|| "missing or invalid field 'total_samples'".to_string())?;
-    let mappings = e["mappings"]
-        .as_array()
-        .ok_or_else(|| "missing or invalid field 'mappings'".to_string())?
-        .iter()
-        .map(|m| {
-            m.as_str()
-                .map(str::to_string)
-                .ok_or_else(|| "missing or invalid field 'mappings'".to_string())
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok((
-        key,
-        FrozenEntry {
+    fn read_record(&mut self, _: &str, e: &Json) -> Result<(), String> {
+        let field = |name: &str| format!("missing or invalid field '{name}'");
+        let key = e["key"].as_str().ok_or_else(|| field("key"))?;
+        let tier = e["tier"]
+            .as_str()
+            .and_then(SearchTier::from_name)
+            .ok_or_else(|| field("tier"))?;
+        let valid_samples = e["valid_samples"]
+            .as_usize()
+            .ok_or_else(|| field("valid_samples"))?;
+        let total_samples = e["total_samples"]
+            .as_usize()
+            .ok_or_else(|| field("total_samples"))?;
+        let mappings = e["mappings"]
+            .as_array()
+            .filter(|list| !list.is_empty())
+            .ok_or_else(|| field("mappings"))?
+            .iter()
+            .map(|m| {
+                let text = m.as_str().ok_or_else(|| field("mappings"))?;
+                text.parse()
+                    .map_err(|err| format!("unparseable mapping '{text}': {err}"))
+            })
+            .collect::<Result<Vec<Mapping>, _>>()?;
+        let entry = Stored {
             mappings,
             tier,
             valid_samples,
             total_samples,
-        },
-    ))
+            last_used: 0,
+        };
+        let inner = self.inner.get_mut().expect("cache lock");
+        inner.insert(key.to_string(), entry);
+        Ok(())
+    }
 }
 
 /// How [`CandidateCache::claim`] resolved a request.
@@ -685,6 +631,37 @@ mod tests {
         assert_eq!(cache.hits(), 2, "same-mode lookups still hit");
     }
 
+    /// `a` and `b` agree bit for bit: mappings, every evaluation field
+    /// (f64 fields by their bits), tallies and tier.
+    fn assert_bit_identical(a: &MapperResult, b: &MapperResult, ctx: &str) {
+        let bits = |e: &secureloop_loopnest::Evaluation| {
+            let n = &e.energy;
+            [
+                e.energy_pj,
+                e.utilization,
+                n.mac_pj,
+                n.rf_pj,
+                n.glb_pj,
+                n.noc_pj,
+                n.dram_pj,
+                n.crypto_pj,
+            ]
+            .map(f64::to_bits)
+        };
+        let tallies = |r: &MapperResult| (r.tier, r.valid_samples, r.total_samples, r.truncated);
+        assert_eq!(tallies(a), tallies(b), "{ctx}: tier and tallies");
+        assert_eq!(a.candidates.len(), b.candidates.len(), "{ctx}: candidates");
+        for (i, ((ma, ea), (mb, eb))) in a.candidates.iter().zip(&b.candidates).enumerate() {
+            assert_eq!(ma, mb, "{ctx}: mapping {i}");
+            assert_eq!(bits(ea), bits(eb), "{ctx}: f64 bits of evaluation {i}");
+            assert_eq!(
+                format!("{ea:?}"),
+                format!("{eb:?}"),
+                "{ctx}: evaluation {i}"
+            );
+        }
+    }
+
     #[test]
     fn a_random_miss_fills_the_entries_of_siblings_sharing_its_draws() {
         let arch = Architecture::eyeriss_base();
@@ -692,25 +669,34 @@ mod tests {
             arch.clone().with_glb_kb(16),
             arch.clone().with_pe_array(14, 24),
         ];
+        let tiny = ConvLayer::builder("pointwise")
+            .input_hw(1, 1)
+            .channels(4, 8)
+            .kernel(1, 1)
+            .build()
+            .unwrap();
         let random = SearchConfig::quick();
-        let cache = CandidateCache::new();
-        let own = search_cached(&layer(), &arch, &siblings, &random, Some(&cache)).unwrap();
-        // The 16 kB sibling shares the 14x12 array; the 14x24 one does not.
-        assert_eq!((cache.misses(), cache.len()), (1, 2));
-        let sibling = search_cached(&layer(), &siblings[0], &[], &random, Some(&cache)).unwrap();
-        assert_eq!(
-            cache.hits(),
-            1,
-            "the group search filled the sibling's entry"
-        );
-        assert_eq!(
-            format!("{sibling:?}"),
-            format!("{:?}", search(&layer(), &siblings[0], &random).unwrap())
-        );
-        assert_eq!(
-            format!("{own:?}"),
-            format!("{:?}", search(&layer(), &arch, &random).unwrap())
-        );
+        let inputs = [
+            (layer(), random, SearchTier::Sampled),
+            (tiny, random, SearchTier::Exhaustive),
+            (layer(), random.with_samples(0), SearchTier::Greedy),
+        ];
+        for (layer, cfg, tier) in inputs {
+            let cache = CandidateCache::new();
+            let own = search_cached(&layer, &arch, &siblings, &cfg, Some(&cache)).unwrap();
+            assert_eq!(own.tier, tier);
+            // The 16 kB sibling shares the 14x12 array; the 14x24 one does not.
+            assert_eq!((cache.misses(), cache.len()), (1, 2), "{tier:?}");
+            assert_bit_identical(&own, &search(&layer, &arch, &cfg).unwrap(), "miss");
+            // Each hit re-prices the stored mappings for its own design
+            // and must equal that design's own search.
+            for (i, design) in [&arch, &siblings[0]].into_iter().enumerate() {
+                let hit = search_cached(&layer, design, &[], &cfg, Some(&cache)).unwrap();
+                assert_eq!(cache.hits(), i as u64 + 1, "{tier:?}: the group filled it");
+                let ctx = format!("{tier:?} hit on design {i}");
+                assert_bit_identical(&hit, &search(&layer, design, &cfg).unwrap(), &ctx);
+            }
+        }
         // Guided search anchors on per-design discoveries: no group.
         let guided = SearchConfig::quick().with_mode(crate::SearchMode::Guided);
         let cache = CandidateCache::new();
@@ -942,7 +928,8 @@ mod tests {
         let layers: Vec<ConvLayer> = zoo::alexnet_conv().layers().to_vec();
         let arch = Architecture::eyeriss_base();
         let cfg = SearchConfig::quick();
-        // Room for roughly two entries: each costs ~256 + key + k*512.
+        // Too small for AlexNet's five entries: each costs 256 + key +
+        // 3 * size_of::<Mapping>() (296) bytes.
         let cache = CandidateCache::new().with_budget_bytes(6 * 1024);
         search_cached(&layers[0], &arch, &[], &cfg, Some(&cache)).unwrap();
         search_cached(&layers[1], &arch, &[], &cfg, Some(&cache)).unwrap();
@@ -992,22 +979,46 @@ mod tests {
     }
 
     #[test]
-    fn unparseable_frozen_mapping_demotes_to_a_miss() {
-        let v = Json::parse(
-            r#"{"version": 3, "kind": "candidate-cache", "entries": [
-                {"key": "k", "tier": "sampled", "valid_samples": 1,
-                 "total_samples": 1, "mappings": ["not a mapping"]}
-            ]}"#,
-        )
-        .unwrap();
-        let cache = CandidateCache::from_json(&v).unwrap();
-        assert_eq!(cache.len(), 1);
-        assert!(cache
-            .inner
-            .lock()
-            .unwrap()
-            .lookup("k", &layer(), &Architecture::eyeriss_base())
-            .is_none());
-        assert_eq!(cache.len(), 0, "bad entry must be evicted");
+    fn unparseable_mapping_drops_its_record_at_load() {
+        let dir = std::env::temp_dir().join("secureloop-cache-unparseable");
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("cache.json");
+        let _ = fs::remove_file(path.with_extension("bak"));
+        let layers: Vec<ConvLayer> = zoo::alexnet_conv().layers().to_vec();
+        let arch = Architecture::eyeriss_base();
+        let cfg = SearchConfig::quick();
+        let cold = CandidateCache::new();
+        let first = search_cached(&layers[0], &arch, &[], &cfg, Some(&cold)).unwrap();
+        let second = search_cached(&layers[1], &arch, &[], &cfg, Some(&cold)).unwrap();
+        // Replace the first mapping of layer 1's record (its key field
+        // comes first, its mappings last) with text that does not parse.
+        let text = cold.to_json().pretty();
+        let key = cache_key(&layers[1], &arch, &cfg);
+        let start = text.find(&key).unwrap();
+        let start = start + text[start..].find("\"dram[").unwrap() + 1;
+        let end = start + text[start..].find('"').unwrap();
+        let damaged = format!("{}not a mapping{}", &text[..start], &text[end..]);
+        fs::write(&path, damaged).unwrap();
+
+        let rec = artifact::load::<CandidateCache>(&path).unwrap();
+        assert_eq!(
+            rec.source,
+            LoadSource::PrimarySalvaged,
+            "strict load rejects"
+        );
+        assert!(
+            rec.warnings[0].contains("unparseable mapping")
+                && rec.warnings[0].contains("dropped 1 damaged"),
+            "{:?}",
+            rec.warnings
+        );
+        let warm = rec.value;
+        assert_eq!(warm.len(), 1, "the bad record is dropped, the other kept");
+        let hit = search_cached(&layers[0], &arch, &[], &cfg, Some(&warm)).unwrap();
+        assert_bit_identical(&hit, &first, "intact record");
+        let recomputed = search_cached(&layers[1], &arch, &[], &cfg, Some(&warm)).unwrap();
+        assert_eq!((warm.hits(), warm.misses()), (1, 1));
+        assert_bit_identical(&recomputed, &second, "dropped record");
+        let _ = fs::remove_file(&path);
     }
 }

@@ -175,8 +175,9 @@ impl Counter {
 /// A named duration accumulator: observation count and total (ns).
 ///
 /// One static uses it, `checkpoint.save`: perfbench counts a sweep's
-/// artifact writes from its `count`. It can become a [`Counter`] once a
-/// benchmark change reads one instead, and then this type can go.
+/// artifact writes from its `count`. The `checkpoint.saves`
+/// [`Counter`] counts the same writes; once a benchmark change reads it
+/// instead, this type can go.
 pub struct Timer {
     name: &'static str,
     count: AtomicU64,

@@ -1,5 +1,6 @@
 //! The telemetry that perfbench and the `sweep` gate read: a
-//! checkpointed sweep counts one `checkpoint.save` per design, and the
+//! checkpointed sweep counts one `checkpoint.save` (timer) and one
+//! `checkpoint.saves` (counter) per design, and the
 //! work counters they report are registered and non-zero.
 //!
 //! This is deliberately the only test in this binary: the registry is
@@ -41,6 +42,11 @@ fn checkpointed_sweep_feeds_the_counts_perfbench_reads() {
         snap.timer("checkpoint.save").map(|t| t.count),
         Some(3),
         "one checkpoint write per evaluated design"
+    );
+    assert_eq!(
+        snap.counter("checkpoint.saves"),
+        3,
+        "the save counter agrees with the save timer"
     );
     for name in [
         "mapper.samples_evaluated",
