@@ -712,6 +712,39 @@ pub fn load<T: Persistent>(path: &Path) -> Result<Recovered<T>, ArtifactError> {
     })
 }
 
+/// [`load`] for a warm start from a file that may be missing, or that
+/// a crash left empty: both read as `None`, the empty file with a note.
+/// Salvage and backup notes, and the empty-file note, are pushed onto
+/// `warnings`, each naming the artifact as `what`.
+///
+/// # Errors
+///
+/// As [`load`], except that [`ArtifactError::Empty`] reads as `None`.
+pub fn load_warm<T: Persistent>(
+    path: &Path,
+    what: &str,
+    warnings: &mut Vec<String>,
+) -> Result<Option<T>, ArtifactError> {
+    if !path.exists() {
+        return Ok(None);
+    }
+    match load(path) {
+        Ok(rec) => {
+            warnings.extend(rec.warnings.into_iter().map(|w| format!("{what}: {w}")));
+            Ok(Some(rec.value))
+        }
+        Err(e) if e.is_empty() => {
+            warnings.push(format!(
+                "{what} '{}' is empty (crash between create and write); \
+                 treating it as absent",
+                path.display()
+            ));
+            Ok(None)
+        }
+        Err(e) => Err(e),
+    }
+}
+
 fn try_backup<T: Persistent>(path: &Path, why: &str) -> Option<Recovered<T>> {
     let bak = backup_path(path);
     let (payload, integrity) = read_verified(&bak).ok()?;
@@ -1260,6 +1293,36 @@ mod tests {
         fs::write(&path, "").unwrap();
         let err = load::<Ledger>(&path).unwrap_err();
         assert!(err.is_empty(), "got {err:?}");
+    }
+
+    #[test]
+    fn load_warm_reads_missing_and_empty_files_as_absent() {
+        let path = tmpdir("warm").join("ledger.json");
+        let mut warnings = Vec::new();
+        let got = load_warm::<Ledger>(&path, "ledger", &mut warnings).unwrap();
+        assert!(
+            got.is_none() && warnings.is_empty(),
+            "missing: {warnings:?}"
+        );
+
+        fs::write(&path, "").unwrap();
+        let got = load_warm::<Ledger>(&path, "ledger", &mut warnings).unwrap();
+        assert!(got.is_none());
+        assert_eq!(warnings.len(), 1);
+        assert!(
+            warnings[0].starts_with("ledger '") && warnings[0].contains("is empty"),
+            "{warnings:?}"
+        );
+
+        save(&ledger(&[7]), &path, &DurabilityPolicy::fast()).unwrap();
+        let got = load_warm::<Ledger>(&path, "ledger", &mut warnings).unwrap();
+        assert_eq!(got, Some(ledger(&[7])));
+        assert_eq!(warnings.len(), 1, "a clean load adds no note");
+
+        fs::write(&path, "not json").unwrap();
+        let _ = fs::remove_file(backup_path(&path));
+        let err = load_warm::<Ledger>(&path, "ledger", &mut warnings).unwrap_err();
+        assert!(matches!(err, ArtifactError::Corrupt { .. }), "got {err:?}");
     }
 
     #[test]

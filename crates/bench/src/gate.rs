@@ -1,5 +1,5 @@
 //! The CI regression gates, `sweep` and `guided`, and the plumbing they
-//! share: the durable JSON write, the `--check` threshold verdict and
+//! share: the plain JSON write, the `--check` threshold verdict and
 //! the `--diff-against` comparison with a committed baseline.
 //!
 //! ```text
@@ -16,7 +16,7 @@ mod sweep;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use secureloop::artifact::{self, DurabilityPolicy, Integrity};
+use secureloop::artifact::{self, Integrity};
 use secureloop_json::Json;
 
 /// One regression gate.
@@ -81,7 +81,9 @@ pub fn run(gate: &Gate, args: &GateArgs) -> ExitCode {
         .clone()
         .unwrap_or_else(|| PathBuf::from(gate.default_out));
     let mut failed = false;
-    match artifact::write_durable(&out, &run.json.pretty(), &DurabilityPolicy::default()) {
+    // Plain text, no artifact envelope: the default `--out` is the
+    // committed baseline, which stays footer-less.
+    match std::fs::write(&out, run.json.pretty()) {
         Ok(_) => println!("[wrote {}]", out.display()),
         Err(e) => {
             eprintln!("FAIL: cannot write {}: {e}", out.display());
@@ -260,6 +262,42 @@ mod tests {
         let same = dir.join("same.json");
         std::fs::write(&same, artifact::seal(r#"{"n": 1}"#)).unwrap();
         assert_eq!(diff_against(&same, &fresh), Ok(()));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn written_gate_json_is_a_footer_less_baseline() {
+        let stub = Gate {
+            name: "stub",
+            about: "",
+            default_out: "",
+            run: || GateRun {
+                json: Json::parse(r#"{"n": 1, "wall_ms": 2.5}"#).unwrap(),
+                verdict: Ok("stub".into()),
+            },
+        };
+        let dir = std::env::temp_dir().join(format!("slgate_write_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let out = dir.join("BENCH_stub.json");
+        let args = GateArgs {
+            out: Some(out.clone()),
+            ..GateArgs::default()
+        };
+        assert_eq!(run(&stub, &args), ExitCode::SUCCESS);
+        // Written twice, as a regenerated baseline is: still one plain file.
+        assert_eq!(run(&stub, &args), ExitCode::SUCCESS);
+        let text = std::fs::read_to_string(&out).unwrap();
+        let (payload, integrity) = artifact::open(&text);
+        assert_eq!(integrity, Integrity::Legacy, "{text}");
+        assert_eq!(payload, text);
+        let mut names: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        names.sort();
+        assert_eq!(names, ["BENCH_stub.json"], "no .bak or .tmp sibling");
+        let fresh = (stub.run)().json;
+        assert_eq!(diff_against(&out, &fresh), Ok(()));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

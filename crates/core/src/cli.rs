@@ -529,7 +529,12 @@ pub(crate) fn workload(name: &str) -> Result<Network, CliError> {
 /// ```
 ///
 /// Omitted fields keep the Eyeriss-base defaults; `engines: 0` (or an
-/// omitted `engine`) gives the unsecure design.
+/// omitted `engine`) gives the unsecure design, which every algorithm
+/// schedules as the unsecure baseline.
+///
+/// An explicit `tag_bits` wins over any scheme's default tag width,
+/// wherever the scheme comes from: the file's `scheme`, `--scheme`, a
+/// scenario's `crypto: scheme:` or a `compare-schemes` row.
 ///
 /// Unknown fields are rejected, and values are validated on load (PE
 /// array and GLB capacity positive, bandwidth positive and finite,
@@ -553,10 +558,12 @@ pub struct ArchFile {
     pub engine: Option<String>,
     /// Engine count (0 = unsecure).
     pub engines: Option<usize>,
-    /// Truncated tag bits.
+    /// Truncated tag bits; wins over the scheme's default width.
     pub tag_bits: Option<u32>,
-    /// Protection-scheme name (`none`, `aes-gcm`, `seculator`, `seda`).
-    pub scheme: Option<String>,
+    /// Protection scheme (`none`, `aes-gcm`, `seculator`, `seda`). A
+    /// `--scheme` flag, a scenario's `crypto: scheme:` or a
+    /// `compare-schemes` row replaces it before the build.
+    pub scheme: Option<SchemeId>,
 }
 
 /// Fields accepted by [`ArchFile::parse`], for the unknown-field error.
@@ -628,7 +635,10 @@ impl ArchFile {
                             arch_err("tag_bits", "expected a small integer bit width")
                         })?);
                 }
-                "scheme" => f.scheme = Some(field_str(key, value)?),
+                "scheme" => {
+                    f.scheme =
+                        Some(parse_scheme(&field_str(key, value)?).map_err(|e| arch_err(key, e))?)
+                }
                 other => {
                     return Err(arch_err(
                         other,
@@ -683,26 +693,21 @@ impl ArchFile {
                 ));
             }
         }
-        self.scheme()?;
         Ok(())
-    }
-
-    fn scheme(&self) -> Result<Option<SchemeId>, CliError> {
-        self.scheme
-            .as_deref()
-            .map(parse_scheme)
-            .transpose()
-            .map_err(|e| arch_err("scheme", e))
     }
 }
 
 /// Validate an [`ArchFile`] (see [`ArchFile::validate`]) and build the
-/// [`Architecture`] it describes. Architecture flags, `--arch-file`
-/// and a scenario's `arch:` block all come through here.
+/// [`Architecture`] it describes. Architecture flags, `--arch-file`,
+/// a scenario's `arch:` block and every scheme override come through
+/// here: the engine configuration first, then the file's `scheme`
+/// through [`apply_scheme`], then an explicit `tag_bits`, which wins
+/// over any scheme's default.
 ///
 /// # Errors
 ///
-/// [`CliError::Arch`] naming the offending field.
+/// [`CliError::Arch`] naming the offending field; a scheme the engine
+/// configuration cannot realise names `scheme`.
 pub fn arch_from_file(f: &ArchFile) -> Result<Architecture, CliError> {
     f.validate()?;
     let mut arch = Architecture::eyeriss_base();
@@ -741,58 +746,42 @@ pub fn arch_from_file(f: &ArchFile) -> Result<Architecture, CliError> {
         Some("serial") => EngineClass::Serial,
         Some(_) => return Err(arch_err("engine", "expected pipelined | parallel | serial")),
     };
-    let scheme = f.scheme()?;
     let count = f.engines.unwrap_or(if f.engine.is_some() { 3 } else { 0 });
-    if count == 0 && scheme.is_some_and(|s| s != SchemeId::None) {
-        return Err(arch_err(
-            "scheme",
-            format!(
-                "scheme '{}' needs a crypto engine configuration (engines > 0)",
-                scheme.unwrap()
-            ),
-        ));
+    if count > 0 {
+        arch = arch.with_crypto(CryptoConfig::new(class, count));
     }
-    if count > 0 && scheme != Some(SchemeId::None) {
-        let mut cfg = CryptoConfig::new(class, count);
-        if let Some(s) = scheme {
-            if !s.model().supports(class) {
-                return Err(arch_err(
-                    "scheme",
-                    format!("scheme '{s}' does not support the {class} engine class"),
-                ));
-            }
-            // `with_scheme` adopts the scheme's default tag width; an
-            // explicit `tag_bits` below still overrides it.
-            cfg = cfg.with_scheme(s);
-        }
-        if let Some(tag) = f.tag_bits {
-            cfg.tag_bits = tag;
-        }
+    if let Some(s) = f.scheme {
+        arch = apply_scheme(&arch, s).map_err(|e| arch_err("scheme", e))?;
+    }
+    if let (Some(tag), Some(cfg)) = (f.tag_bits, arch.crypto()) {
+        let cfg = CryptoConfig {
+            tag_bits: tag,
+            ..cfg.clone()
+        };
         arch = arch.with_crypto(cfg);
     }
     Ok(arch)
 }
 
-/// Build the architecture from the arch file or the architecture
-/// flags, before any `--scheme` override (the `compare-schemes` command
-/// needs the scheme-agnostic base to re-price under every backend).
-fn architecture_base(opts: &Options) -> Result<Architecture, CliError> {
+/// The `--arch-file` document, or the architecture flags standing in
+/// for one.
+fn arch_file(opts: &Options) -> Result<ArchFile, CliError> {
     match &opts.arch_file {
         Some(path) => {
             let text = std::fs::read_to_string(path)
                 .map_err(|e| usage(format!("cannot read {path}: {e}")))?;
-            arch_from_file(&ArchFile::parse(&text)?)
+            ArchFile::parse(&text)
         }
-        None => arch_from_file(&opts.arch),
+        None => Ok(opts.arch.clone()),
     }
 }
 
+/// The command's design: a `--scheme` override takes the place of the
+/// file's own `scheme` before the one build.
 fn architecture(opts: &Options) -> Result<Architecture, CliError> {
-    let arch = architecture_base(opts)?;
-    match opts.run.scheme {
-        None => Ok(arch),
-        Some(s) => apply_scheme(&arch, s).map_err(usage),
-    }
+    let mut f = arch_file(opts)?;
+    f.scheme = opts.run.scheme.or(f.scheme);
+    arch_from_file(&f)
 }
 
 /// The command's network; `--workload` is required.
@@ -1198,7 +1187,8 @@ fn dispatch(opts: &Options) -> Result<CliOutput, CliError> {
                 ));
             }
             let net = workload(name)?;
-            let base = architecture_base(opts)?;
+            let file = arch_file(opts)?;
+            let base = arch_from_file(&file)?;
             if base.crypto().is_none() {
                 return Err(usage(
                     "compare-schemes needs a crypto engine configuration (--engines > 0)",
@@ -1214,18 +1204,20 @@ fn dispatch(opts: &Options) -> Result<CliOutput, CliError> {
             let mut degraded_any = false;
             let mut rows: Vec<(SchemeId, Result<RowData, String>)> = Vec::new();
             for id in SchemeId::ALL {
-                match apply_scheme(&base, id) {
-                    Err(reason) => rows.push((id, Err(reason))),
+                let row = ArchFile {
+                    scheme: Some(id),
+                    ..file.clone()
+                };
+                match arch_from_file(&row) {
+                    Err(CliError::Arch { field, message }) if field == "scheme" => {
+                        rows.push((id, Err(message)))
+                    }
+                    Err(e) => return Err(e),
                     Ok(arch) => {
                         let _scope =
                             secureloop_telemetry::enter_scope(format!("scheme:{}", id.name()));
-                        let algorithm = if id == SchemeId::None {
-                            Algorithm::Unsecure
-                        } else {
-                            opts.run.algorithm
-                        };
                         let area = secureloop_energy::AreaModel::of(&arch);
-                        let sched = scheduler(opts, arch).schedule(&net, algorithm)?;
+                        let sched = scheduler(opts, arch).schedule(&net, opts.run.algorithm)?;
                         degraded_any |= !sched.is_complete();
                         rows.push((
                             id,

@@ -46,11 +46,11 @@
 //! and any cache state.
 
 use std::collections::HashMap;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
 use secureloop_arch::{Architecture, DramSpec};
-use secureloop_artifact::{self as artifact, ArtifactError, DurabilityPolicy, Persistent};
+use secureloop_artifact::{self as artifact, DurabilityPolicy};
 use secureloop_crypto::{CryptoConfig, EngineClass, SchemeId};
 use secureloop_energy::AreaModel;
 use secureloop_mapper::{cancel, CancelToken, CandidateCache, SearchConfig};
@@ -466,31 +466,6 @@ pub enum DesignOutcome {
     },
 }
 
-/// [`artifact::load`] of a file a crash may have left empty: a 0-byte
-/// file reads as `None`. Salvage and backup notes, and the empty-file
-/// note, become warnings naming `what`.
-fn load_warm<T: Persistent>(
-    path: &Path,
-    what: &str,
-    warnings: &mut Vec<String>,
-) -> Result<Option<T>, ArtifactError> {
-    match artifact::load(path) {
-        Ok(rec) => {
-            warnings.extend(rec.warnings.into_iter().map(|w| format!("{what}: {w}")));
-            Ok(Some(rec.value))
-        }
-        Err(e) if e.is_empty() => {
-            warnings.push(format!(
-                "{what} '{}' is empty (crash between create and write); \
-                 treating it as absent",
-                path.display()
-            ));
-            Ok(None)
-        }
-        Err(e) => Err(e),
-    }
-}
-
 /// The incremental DSE engine: design points evaluated by a worker
 /// pool, with checkpoint/resume and a cross-design candidate cache.
 ///
@@ -545,8 +520,8 @@ pub fn evaluate_designs_sweep(
 
     let fresh = || SweepCheckpoint::new(network.name(), algorithm);
     let ckpt = match (&opts.checkpoint_path, opts.resume) {
-        (Some(path), true) if path.exists() => {
-            match load_warm::<SweepCheckpoint>(path, "checkpoint", &mut run.warnings) {
+        (Some(path), true) => {
+            match artifact::load_warm::<SweepCheckpoint>(path, "checkpoint", &mut run.warnings) {
                 Ok(Some(c)) if c.matches(network.name(), algorithm) => c,
                 Ok(_) => fresh(),
                 Err(e) => {
@@ -572,7 +547,7 @@ pub fn evaluate_designs_sweep(
         Some(Arc::clone(shared))
     } else if opts.use_cache {
         let loaded = match &cache_path {
-            Some(path) if path.exists() => load_warm(path, "candidate cache", &mut run.warnings)
+            Some(path) => artifact::load_warm(path, "candidate cache", &mut run.warnings)
                 .unwrap_or_else(|e| {
                     run.warnings.push(format!(
                         "ignoring candidate cache '{}': {e}",
@@ -580,7 +555,7 @@ pub fn evaluate_designs_sweep(
                     ));
                     None
                 }),
-            _ => None,
+            None => None,
         };
         Some(Arc::new(loaded.unwrap_or_default()))
     } else {

@@ -229,12 +229,17 @@ impl NetworkSchedule {
     }
 }
 
-/// The design `algorithm` schedules on: the unsecure baseline searches
-/// without the crypto throttle.
-fn for_algorithm(arch: &Architecture, algorithm: Algorithm) -> Architecture {
-    match algorithm {
-        Algorithm::Unsecure => arch.clone().without_crypto(),
-        _ => arch.clone(),
+/// The design and algorithm a request for `algorithm` on `arch` runs
+/// with: `Unsecure` ⇔ no crypto configuration. The unsecure baseline
+/// searches without the crypto throttle, and a design without a crypto
+/// configuration has nothing to authenticate, so it is scheduled as the
+/// unsecure baseline whichever algorithm was asked for.
+fn for_algorithm(arch: &Architecture, algorithm: Algorithm) -> (Architecture, Algorithm) {
+    match (algorithm, arch.crypto()) {
+        (Algorithm::Unsecure, _) | (_, None) => {
+            (arch.clone().without_crypto(), Algorithm::Unsecure)
+        }
+        _ => (arch.clone(), algorithm),
     }
 }
 
@@ -309,13 +314,14 @@ impl Scheduler {
     }
 
     /// Step 1 only: the per-layer top-k candidates for `algorithm`
-    /// (the unsecure baseline searches without the crypto throttle).
+    /// (the unsecure baseline, and any design without a crypto
+    /// configuration, searches without the crypto throttle).
     pub fn candidates(&self, network: &Network, algorithm: Algorithm) -> CandidateSet {
-        let arch = self.arch_for(algorithm);
+        let (arch, _) = for_algorithm(&self.arch, algorithm);
         let siblings: Vec<Architecture> = self
             .siblings
             .iter()
-            .map(|a| for_algorithm(a, algorithm))
+            .map(|a| for_algorithm(a, algorithm).0)
             .collect();
         find_candidates_cached(
             network,
@@ -326,11 +332,9 @@ impl Scheduler {
         )
     }
 
-    fn arch_for(&self, algorithm: Algorithm) -> Architecture {
-        for_algorithm(&self.arch, algorithm)
-    }
-
-    /// Schedule `network` with `algorithm`.
+    /// Schedule `network` with `algorithm`. A design without a crypto
+    /// configuration is scheduled [`Algorithm::Unsecure`] whatever
+    /// `algorithm` is, and its schedule says so.
     ///
     /// # Errors
     ///
@@ -362,11 +366,11 @@ impl Scheduler {
         candidates: &CandidateSet,
     ) -> Result<NetworkSchedule, SecureLoopError> {
         SCHEDULES.incr();
+        let (arch, algorithm) = for_algorithm(&self.arch, algorithm);
         let mut span = telemetry::span(
             "scheduler",
             format!("{}/{}", network.name(), algorithm.name()),
         );
-        let arch = self.arch_for(algorithm);
         // Tag the schedule (and thus every search under it) with its
         // protection scheme so traces can be sliced per backend.
         span.add_field(

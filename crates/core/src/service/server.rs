@@ -286,67 +286,40 @@ impl Server {
         let mut resumed = 0;
         let mut recovery_warnings = Vec::new();
         let journal_path = persist::journal_path(&cfg.state_dir);
-        if journal_path.exists() {
-            let journal = match artifact::load::<ServiceJournal>(&journal_path) {
-                Ok(rec) => {
-                    recovery_warnings.extend(rec.warnings);
-                    rec.value
-                }
-                Err(e) if e.is_empty() => {
-                    recovery_warnings.push(format!(
-                        "journal '{}' is empty (crash between create and write); \
-                         treating it as absent",
-                        journal_path.display()
-                    ));
-                    ServiceJournal::default()
-                }
-                Err(e) => return Err(e.into()),
-            };
-            for mut record in journal.jobs {
-                if record.state.is_resumable() {
-                    // `restore`, not `submit`: these jobs were already
-                    // admitted by the previous incarnation; shedding
-                    // them now would renege on that acceptance.
-                    record.state = JobState::Queued;
-                    record.cause = None;
-                    queue.restore(record.spec.id.clone());
-                    resumed += 1;
-                }
-                table.order.push(record.spec.id.clone());
-                table.map.insert(
-                    record.spec.id.clone(),
-                    JobEntry {
-                        record,
-                        token: CancelToken::new(),
-                        client_cancelled: false,
-                    },
-                );
+        let journal: Option<ServiceJournal> =
+            artifact::load_warm(&journal_path, "journal", &mut recovery_warnings)?;
+        for mut record in journal.unwrap_or_default().jobs {
+            if record.state.is_resumable() {
+                // `restore`, not `submit`: these jobs were already
+                // admitted by the previous incarnation; shedding them
+                // now would renege on that acceptance.
+                record.state = JobState::Queued;
+                record.cause = None;
+                queue.restore(record.spec.id.clone());
+                resumed += 1;
             }
+            table.order.push(record.spec.id.clone());
+            table.map.insert(
+                record.spec.id.clone(),
+                JobEntry {
+                    record,
+                    token: CancelToken::new(),
+                    client_cancelled: false,
+                },
+            );
         }
 
         let cache_path = persist::cache_path(&cfg.state_dir);
-        let mut cache = if cache_path.exists() {
-            match artifact::load::<CandidateCache>(&cache_path) {
-                Ok(rec) => {
-                    recovery_warnings.extend(rec.warnings);
-                    rec.value
-                }
-                Err(e) => {
-                    recovery_warnings.push(if e.is_empty() {
-                        format!(
-                            "candidate cache '{}' is empty (crash between create and \
-                             write); treating it as absent",
-                            cache_path.display()
-                        )
-                    } else {
-                        format!("ignoring candidate cache '{}': {e}", cache_path.display())
-                    });
-                    CandidateCache::new()
-                }
-            }
-        } else {
-            CandidateCache::new()
-        };
+        let mut cache: CandidateCache =
+            artifact::load_warm(&cache_path, "candidate cache", &mut recovery_warnings)
+                .unwrap_or_else(|e| {
+                    recovery_warnings.push(format!(
+                        "ignoring candidate cache '{}': {e}",
+                        cache_path.display()
+                    ));
+                    None
+                })
+                .unwrap_or_default();
         if let Some(bytes) = cfg.cache_budget_bytes {
             cache = cache.with_budget_bytes(bytes);
         }

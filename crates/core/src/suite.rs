@@ -68,9 +68,9 @@ use secureloop_mapper::{CandidateCache, SearchMode};
 use secureloop_workload::Network;
 
 use crate::cli::{arch_from_file, ArchFile, CliError, CliOutput, RunStatus};
-use crate::dse::{apply_scheme, evaluate_designs_sweep, SweepOptions};
+use crate::dse::{evaluate_designs_sweep, SweepOptions};
 use crate::run::{Entry, RunSpec};
-use crate::scheduler::{Algorithm, NetworkSchedule};
+use crate::scheduler::NetworkSchedule;
 
 fn scenario_err(path: &Path, message: impl Into<String>) -> CliError {
     CliError::Scenario {
@@ -168,11 +168,11 @@ pub struct Scenario {
     pub path: PathBuf,
     /// The network, with batch/word-width variants applied.
     pub network: Network,
-    /// The architecture (Eyeriss base overridden by the `arch:` block).
+    /// The architecture: the `arch:` block (the Eyeriss base without
+    /// one) built under the effective scheme — the CLI `--scheme`, else
+    /// the `crypto:` block's, else the block's own `scheme`.
     pub arch: Architecture,
-    /// The run fields. `run.scheme` is the `crypto:` block's choice;
-    /// `None` means "whatever the architecture says" (AES-GCM when the
-    /// arch carries a crypto config) — a CLI `--scheme` still overrides.
+    /// The run fields. `run.scheme` is the `crypto:` block's choice.
     pub run: RunSpec,
     /// Expected-result bounds.
     pub expect: Bounds,
@@ -245,14 +245,16 @@ fn parse_bounds(path: &Path, v: &Json) -> Result<Bounds, CliError> {
     Ok(b)
 }
 
-/// Load and validate one scenario file.
+/// Load and validate one scenario file. `scheme_override` (the CLI
+/// `--scheme`) replaces the scenario's own scheme choice.
 ///
 /// # Errors
 ///
 /// [`CliError::Scenario`] naming the file for unreadable files,
 /// malformed YAML, unknown workloads/algorithms/fields, a missing or
-/// empty `expect` block, and out-of-range values.
-pub fn load_scenario(path: &Path) -> Result<Scenario, CliError> {
+/// empty `expect` block, out-of-range values, and a scheme the
+/// architecture cannot realise.
+pub fn load_scenario(path: &Path, scheme_override: Option<SchemeId>) -> Result<Scenario, CliError> {
     let text = std::fs::read_to_string(path).map_err(|e| scenario_err(path, format!("{e}")))?;
     let doc = parse_yaml(&text).map_err(|e| scenario_err(path, e.to_string()))?;
     let fields = doc
@@ -262,7 +264,7 @@ pub fn load_scenario(path: &Path) -> Result<Scenario, CliError> {
     let mut name: Option<String> = None;
     let mut batch: Option<u64> = None;
     let mut word_bits: Option<u64> = None;
-    let mut arch = Architecture::eyeriss_base();
+    let mut arch_file = ArchFile::default();
     let mut run = RunSpec::suite_default();
     let mut expect: Option<Bounds> = None;
     // A run field, through the shared parser, with its line number.
@@ -299,8 +301,7 @@ pub fn load_scenario(path: &Path) -> Result<Scenario, CliError> {
                 word_bits = Some(n);
             }
             "arch" => {
-                arch = ArchFile::from_json(value)
-                    .and_then(|f| arch_from_file(&f))
+                arch_file = ArchFile::from_json(value)
                     .map_err(|e| scenario_err(path, format!("arch block: {e}")))?;
             }
             "search" => {
@@ -362,19 +363,25 @@ pub fn load_scenario(path: &Path) -> Result<Scenario, CliError> {
         }
     }
 
-    // Validate the declared scheme against the *final* architecture here
-    // at load time — `arch:` and `crypto:` can appear in either order,
-    // so the combo check has to wait until both are parsed. A suite
-    // with an impossible pairing fails in milliseconds, before any
-    // sweep runs, with the offending line called out.
-    if let Some(s) = run.scheme {
-        if let Err(e) = apply_scheme(&arch, s) {
-            return Err(scenario_err(
+    // The one build, once `arch:` and `crypto:` are both parsed (they
+    // may come in either order). A suite with an impossible pairing
+    // fails here, before any sweep runs; a `crypto:` choice is called
+    // out by line.
+    let chosen = scheme_override.or(run.scheme);
+    arch_file.scheme = chosen.or(arch_file.scheme);
+    let arch = arch_from_file(&arch_file).map_err(|e| match e {
+        CliError::Arch { field, message } if field == "scheme" && chosen.is_some() => {
+            let message = format!("crypto scheme: {message}");
+            scenario_err(
                 path,
-                at_line(&text, "scheme", format!("crypto scheme: {e}")),
-            ));
+                match scheme_override {
+                    Some(_) => message,
+                    None => at_line(&text, "scheme", message),
+                },
+            )
         }
-    }
+        e => scenario_err(path, format!("arch block: {e}")),
+    })?;
 
     let workload_name = run
         .workload
@@ -490,11 +497,10 @@ pub struct ScenarioResult {
 /// sharing one in-memory candidate cache, with telemetry scoped per
 /// scenario (`suite:<name>`).
 ///
-/// `scheme_override` (the CLI `--scheme` flag) re-prices *every*
-/// scenario's architecture under that protection scheme, taking
-/// precedence over any per-scenario `crypto: scheme:` declaration.
-/// An override that a scenario's engine class cannot satisfy fails
-/// that suite up front, same as a load error.
+/// `scheme_override` (the CLI `--scheme` flag) is every scenario's
+/// protection scheme, taking precedence over any per-scenario choice
+/// (see [`load_scenario`]). An override that a scenario's engine class
+/// cannot satisfy fails the suite up front, same as a load error.
 ///
 /// # Errors
 ///
@@ -509,26 +515,10 @@ pub fn run_suite(
     scheme_override: Option<SchemeId>,
 ) -> Result<CliOutput, CliError> {
     let files = discover(dir)?;
-    let mut scenarios = files
+    let scenarios = files
         .iter()
-        .map(|p| load_scenario(p))
+        .map(|p| load_scenario(p, scheme_override))
         .collect::<Result<Vec<_>, _>>()?;
-
-    // Re-price each scenario under its effective scheme before anything
-    // runs: the CLI override wins over the scenario's own `crypto:`
-    // block; an unprotected run also drops to the unsecure algorithm so
-    // the schedule carries no phantom crypto passes.
-    for sc in &mut scenarios {
-        let Some(effective) = scheme_override.or(sc.run.scheme) else {
-            continue;
-        };
-        sc.arch = apply_scheme(&sc.arch, effective)
-            .map_err(|e| scenario_err(&sc.path, format!("crypto scheme: {e}")))?;
-        if effective == SchemeId::None {
-            sc.run.algorithm = Algorithm::Unsecure;
-        }
-    }
-    let scenarios = scenarios;
 
     let cache = Arc::new(CandidateCache::new());
     let mut results: Vec<ScenarioResult> = Vec::new();

@@ -35,7 +35,7 @@ fn from_flags(flags: &str) -> Result<RunSpec, String> {
 fn from_scenario(dir: &Path, yaml: &str) -> Result<RunSpec, String> {
     let path = dir.join("s.yaml");
     std::fs::write(&path, yaml).expect("write scenario");
-    match load_scenario(&path) {
+    match load_scenario(&path, None) {
         Ok(sc) => Ok(sc.run),
         Err(CliError::Scenario { message, .. }) => Err(message),
         Err(other) => panic!("expected a scenario error, got {other:?}"),

@@ -49,13 +49,13 @@ fn malformed_yaml_is_a_typed_error() {
         "bad.yaml",
         "name: x\nexpect: {max_latency_cycles: 1}\n",
     );
-    assert_scenario_err(load_scenario(&p), "flow mappings");
+    assert_scenario_err(load_scenario(&p, None), "flow mappings");
 
     let p = write(&dir, "tabs.yaml", "name: x\n\texpect:\n");
-    assert_scenario_err(load_scenario(&p), "tab");
+    assert_scenario_err(load_scenario(&p, None), "tab");
 
     let p = write(&dir, "dup.yaml", "name: x\nname: y\n");
-    assert_scenario_err(load_scenario(&p), "duplicate");
+    assert_scenario_err(load_scenario(&p, None), "duplicate");
 }
 
 #[test]
@@ -66,7 +66,7 @@ fn unknown_workload_is_a_typed_error() {
         "s.yaml",
         "workload: not_a_network\nexpect:\n  max_latency_cycles: 1\n",
     );
-    assert_scenario_err(load_scenario(&p), "unknown workload 'not_a_network'");
+    assert_scenario_err(load_scenario(&p, None), "unknown workload 'not_a_network'");
 }
 
 #[test]
@@ -77,10 +77,10 @@ fn missing_workload_and_missing_expect_are_typed_errors() {
         "no-workload.yaml",
         "expect:\n  max_latency_cycles: 1\n",
     );
-    assert_scenario_err(load_scenario(&p), "missing required field 'workload'");
+    assert_scenario_err(load_scenario(&p, None), "missing required field 'workload'");
 
     let p = write(&dir, "no-expect.yaml", "workload: llm_decode\n");
-    assert_scenario_err(load_scenario(&p), "missing required 'expect' block");
+    assert_scenario_err(load_scenario(&p, None), "missing required 'expect' block");
 
     let p = write(
         &dir,
@@ -89,7 +89,7 @@ fn missing_workload_and_missing_expect_are_typed_errors() {
     );
     // An empty expect block is rejected one way or another (flow
     // mapping or no bounds) — either way a typed error, not a pass.
-    assert!(load_scenario(&p).is_err());
+    assert!(load_scenario(&p, None).is_err());
 }
 
 #[test]
@@ -100,21 +100,21 @@ fn unknown_fields_name_the_expected_keys() {
         "field.yaml",
         "workload: llm_decode\nbogus: 1\nexpect:\n  max_latency_cycles: 1\n",
     );
-    assert_scenario_err(load_scenario(&p), "unknown field 'bogus'");
+    assert_scenario_err(load_scenario(&p, None), "unknown field 'bogus'");
 
     let p = write(
         &dir,
         "bound.yaml",
         "workload: llm_decode\nexpect:\n  min_latency: 1\n",
     );
-    assert_scenario_err(load_scenario(&p), "unknown bound 'min_latency'");
+    assert_scenario_err(load_scenario(&p, None), "unknown bound 'min_latency'");
 
     let p = write(
         &dir,
         "budget.yaml",
         "workload: llm_decode\nsearch:\n  depth: 3\nexpect:\n  max_latency_cycles: 1\n",
     );
-    assert_scenario_err(load_scenario(&p), "unknown search budget 'depth'");
+    assert_scenario_err(load_scenario(&p, None), "unknown search budget 'depth'");
 }
 
 #[test]
@@ -125,21 +125,21 @@ fn out_of_range_values_are_typed_errors() {
         "w.yaml",
         "workload: llm_decode\nword_bits: 0\nexpect:\n  max_latency_cycles: 1\n",
     );
-    assert_scenario_err(load_scenario(&p), "'word_bits' must be in 1..=512");
+    assert_scenario_err(load_scenario(&p, None), "'word_bits' must be in 1..=512");
 
     let p = write(
         &dir,
         "b.yaml",
         "workload: llm_decode\nbatch: 0\nexpect:\n  max_latency_cycles: 1\n",
     );
-    assert_scenario_err(load_scenario(&p), "'batch' must be at least 1");
+    assert_scenario_err(load_scenario(&p, None), "'batch' must be at least 1");
 
     let p = write(
         &dir,
         "a.yaml",
         "workload: llm_decode\nalgorithm: quantum\nexpect:\n  max_latency_cycles: 1\n",
     );
-    assert_scenario_err(load_scenario(&p), "unknown algorithm 'quantum'");
+    assert_scenario_err(load_scenario(&p, None), "unknown algorithm 'quantum'");
 }
 
 #[test]
@@ -150,10 +150,10 @@ fn unknown_crypto_scheme_is_a_line_numbered_error() {
         "s.yaml",
         "workload: llm_decode\ncrypto:\n  scheme: rot13\nexpect:\n  max_latency_cycles: 1\n",
     );
-    let result = load_scenario(&p);
+    let result = load_scenario(&p, None);
     assert_scenario_err(result, "unknown scheme 'rot13'");
     // The message points at the offending line: `scheme:` is line 3.
-    match load_scenario(&p) {
+    match load_scenario(&p, None) {
         Err(CliError::Scenario { message, .. }) => {
             assert!(
                 message.contains("line 3:"),
@@ -176,7 +176,7 @@ fn unknown_crypto_field_is_a_line_numbered_error() {
         "s.yaml",
         "workload: llm_decode\ncrypto:\n  cipher: aes\nexpect:\n  max_latency_cycles: 1\n",
     );
-    match load_scenario(&p) {
+    match load_scenario(&p, None) {
         Err(CliError::Scenario { message, .. }) => {
             assert!(
                 message.contains("unknown crypto field 'cipher'") && message.contains("line 3:"),
@@ -198,7 +198,7 @@ fn invalid_scheme_engine_class_combo_fails_at_load_with_line_number() {
         "workload: llm_decode\narch:\n  engine: pipelined\n  engines: 2\n\
          crypto:\n  scheme: seda\nexpect:\n  max_latency_cycles: 1\n",
     );
-    match load_scenario(&p) {
+    match load_scenario(&p, None) {
         Err(CliError::Scenario { message, .. }) => {
             assert!(
                 message.contains("does not support the Pipelined engine class")
@@ -219,7 +219,7 @@ fn scheme_on_cryptoless_arch_fails_at_load() {
         "workload: llm_decode\narch:\n  engines: 0\n\
          crypto:\n  scheme: seculator\nexpect:\n  max_latency_cycles: 1\n",
     );
-    match load_scenario(&p) {
+    match load_scenario(&p, None) {
         Err(CliError::Scenario { message, .. }) => {
             assert!(
                 message.contains("needs a crypto engine configuration"),
@@ -361,6 +361,6 @@ fn loader_never_panics_on_truncated_files() {
         }
         std::fs::write(&path, &full[..end]).expect("write truncation");
         // Ok or Err are both acceptable; a panic fails the test.
-        let _ = load_scenario(&path);
+        let _ = load_scenario(&path, None);
     }
 }

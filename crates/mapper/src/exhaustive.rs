@@ -19,16 +19,12 @@ use secureloop_workload::{ConvLayer, Dim, DimMap};
 
 use crate::factors::divisors;
 
-/// Hard cap on evaluated mappings; enumeration stops (returning the
-/// best found so far plus a truncation flag) when it is hit.
-pub const DEFAULT_BUDGET: u64 = 2_000_000;
-
 /// Spaces no larger than this (see [`space_upper_bound`]) are enumerated
 /// outright by [`crate::search`] — the top rung of its degradation
 /// ladder.
 pub const EXHAUSTIVE_SPACE_CAP: u128 = 20_000;
 
-/// Upper bound on the number of mappings [`exhaustive_search`] would
+/// Upper bound on the number of mappings the exhaustive rung would
 /// enumerate for `layer`: ordered 5-slot factorisations of every
 /// dimension times the representative order set at both temporal
 /// levels. Cheap (no allocation) — used to decide whether exhaustive
@@ -62,18 +58,6 @@ pub fn space_upper_bound(layer: &ConvLayer) -> u128 {
     total
 }
 
-/// Result of an exhaustive search.
-#[derive(Debug, Clone)]
-pub struct ExhaustiveResult {
-    /// Best mapping and its evaluation, if any candidate was valid.
-    pub best: Option<(Mapping, Evaluation)>,
-    /// Mappings attempted (valid or not) — the budget unit.
-    pub evaluated: u64,
-    /// Whether the budget truncated the enumeration (the result is
-    /// then a lower bound on quality, not a certified optimum).
-    pub truncated: bool,
-}
-
 /// All ways to split `n` into `k` ordered factors.
 fn splits(n: u64, k: usize) -> Vec<Vec<u64>> {
     if k == 1 {
@@ -100,20 +84,8 @@ fn order_set() -> Vec<[Dim; 7]> {
     ]
 }
 
-/// Exhaustively search the mapping space of `layer` with the given
-/// evaluation budget (use [`DEFAULT_BUDGET`] if unsure).
-pub fn exhaustive_search(layer: &ConvLayer, arch: &Architecture, budget: u64) -> ExhaustiveResult {
-    let run = run_exhaustive(layer, arch, budget, None, 1);
-    ExhaustiveResult {
-        best: run.keep.into_iter().next(),
-        evaluated: run.evaluated,
-        truncated: run.truncated,
-    }
-}
-
 /// Top-k exhaustive enumeration with an optional wall-clock deadline —
-/// the engine behind [`exhaustive_search`] and the exhaustive rung of
-/// [`crate::search`].
+/// the exhaustive rung of [`crate::search`].
 pub(crate) struct ExhaustiveTopK {
     /// Retained `(mapping, evaluation)` pairs, best first.
     pub keep: Vec<(Mapping, Evaluation)>,
@@ -264,9 +236,9 @@ mod tests {
     fn exhaustive_finds_a_certified_optimum_on_a_tiny_layer() {
         let layer = tiny_layer();
         let arch = Architecture::eyeriss_base();
-        let r = exhaustive_search(&layer, &arch, DEFAULT_BUDGET);
+        let r = run_exhaustive(&layer, &arch, 2_000_000, None, 1);
         assert!(!r.truncated, "tiny layer must fit the budget");
-        let (_, best) = r.best.expect("found");
+        let (_, best) = r.keep.into_iter().next().expect("found");
         assert!(r.evaluated > 1000);
         // The random search must approach (never beat by much, since
         // the exhaustive order set is representative but not total).
@@ -306,10 +278,10 @@ mod tests {
             .build()
             .unwrap();
         let arch = Architecture::eyeriss_base();
-        let r = exhaustive_search(&layer, &arch, 200_000);
+        let r = run_exhaustive(&layer, &arch, 200_000, None, 1);
         assert!(r.truncated, "mid-sized layer must exceed 200k attempts");
         assert_eq!(r.evaluated, 200_000);
         // Enough of the space is covered to have found something.
-        assert!(r.best.is_some());
+        assert!(!r.keep.is_empty());
     }
 }

@@ -109,7 +109,7 @@ use secureloop_workload::ConvLayer;
 pub use cache::{cache_key, search_cached, CandidateCache};
 pub use cancel::{CancelToken, TaskContext, TaskScope};
 pub use error::MapperError;
-pub use exhaustive::{exhaustive_search, space_upper_bound, ExhaustiveResult};
+pub use exhaustive::space_upper_bound;
 pub use fault::{FaultPlan, FaultScope};
 pub use greedy::greedy_mapping;
 pub use pareto::{dominates, hypervolume, FrontInsert, ParetoFront, ParetoPoint};

@@ -43,26 +43,33 @@ impl ReplayResult {
     }
 }
 
+/// Cycles the crypto engines need for `bits_by_dt` in one step: none
+/// without a crypto configuration, the slowest stream when one engine
+/// group serves each datatype, else the total over the shared engines.
+fn crypto_cycles(arch: &Architecture, bits_by_dt: [u64; 3]) -> f64 {
+    let Some(crypto) = arch.crypto() else {
+        return 0.0;
+    };
+    match crypto.per_stream_bytes_per_cycle() {
+        Some(per) => bits_by_dt
+            .iter()
+            .map(|&b| b as f64 / 8.0 / per)
+            .fold(0.0f64, f64::max),
+        None => bits_by_dt.iter().sum::<u64>() as f64 / 8.0 / crypto.total_bytes_per_cycle(),
+    }
+}
+
 /// Cycles to move `bits_by_dt` through DRAM + crypto in one step.
 fn transfer_cycles(arch: &Architecture, bits_by_dt: [u64; 3]) -> f64 {
     let total_bytes = bits_by_dt.iter().sum::<u64>() as f64 / 8.0;
-    let mut t = total_bytes / arch.dram().bytes_per_cycle();
-    if let Some(crypto) = arch.crypto() {
-        let c = match crypto.per_stream_bytes_per_cycle() {
-            Some(per) => bits_by_dt
-                .iter()
-                .map(|&b| b as f64 / 8.0 / per)
-                .fold(0.0f64, f64::max),
-            None => total_bytes / crypto.total_bytes_per_cycle(),
-        };
-        t = t.max(c);
-    }
-    t
+    (total_bytes / arch.dram().bytes_per_cycle()).max(crypto_cycles(arch, bits_by_dt))
 }
 
-/// Replay `trace` on `arch` with double buffering.
-pub fn replay(trace: &Trace, arch: &Architecture) -> ReplayResult {
-    // Aggregate per-step transfer demand.
+/// The double-buffered pipeline over `trace`'s steps. `step_cost`
+/// prices one step's transfer demand (bits per datatype); it is called
+/// once per step, in step order, so a stateful model (the banked DRAM's
+/// open rows) sees the steps as they happen.
+fn replay_with(trace: &Trace, step_cost: impl FnMut([u64; 3]) -> f64) -> ReplayResult {
     let word = u64::from(trace.word_bits);
     let mut per_step: Vec<[u64; 3]> = vec![[0; 3]; trace.steps as usize];
     for e in &trace.events {
@@ -70,16 +77,15 @@ pub fn replay(trace: &Trace, arch: &Architecture) -> ReplayResult {
         per_step[e.step as usize][i] += e.words * word;
     }
 
-    let mut total = 0.0f64;
+    let costs: Vec<f64> = per_step.into_iter().map(step_cost).collect();
+    let fill = costs.first().copied().unwrap_or(0.0);
+    let mut total = fill;
     let mut transfer_sum = 0.0f64;
-    let fill = transfer_cycles(arch, per_step[0]);
-    total += fill;
-    for (i, &bits) in per_step.iter().enumerate() {
+    for (i, &cost) in costs.iter().enumerate() {
         // Step i computes while step i+1's data is staged.
-        let staged = per_step.get(i + 1).copied().unwrap_or([0; 3]);
-        let t = transfer_cycles(arch, staged);
-        transfer_sum += transfer_cycles(arch, bits);
-        total += (trace.compute_per_step as f64).max(t);
+        let staged = costs.get(i + 1).copied().unwrap_or(0.0);
+        transfer_sum += cost;
+        total += (trace.compute_per_step as f64).max(staged);
     }
 
     ReplayResult {
@@ -88,6 +94,11 @@ pub fn replay(trace: &Trace, arch: &Architecture) -> ReplayResult {
         transfer_cycles: transfer_sum.ceil() as u64,
         fill_cycles: fill.ceil() as u64,
     }
+}
+
+/// Replay `trace` on `arch` with double buffering.
+pub fn replay(trace: &Trace, arch: &Architecture) -> ReplayResult {
+    replay_with(trace, |bits| transfer_cycles(arch, bits))
 }
 
 /// Detailed replay: per-step transfer time comes from the banked DRAM
@@ -102,19 +113,12 @@ pub fn replay_detailed(
     arch: &Architecture,
     timing: crate::dram::DramTiming,
 ) -> ReplayResult {
-    let word = u64::from(trace.word_bits);
-    let mut per_step: Vec<[u64; 3]> = vec![[0; 3]; trace.steps as usize];
-    for e in &trace.events {
-        let i = secureloop_loopnest::dt_index(e.dt);
-        per_step[e.step as usize][i] += e.words * word;
-    }
-
     // Persistent DRAM state across steps (open rows survive), with the
     // same per-tensor address layout as `replay_dram`.
     let mut dram = crate::dram::DramSim::new(timing);
     let mut cursors = [0u64; 3];
     const TENSOR_STRIDE: u64 = 1 << 32;
-    let mut step_transfer = |bits: [u64; 3]| -> f64 {
+    replay_with(trace, |bits| {
         let before = dram.result().cycles;
         for (i, &b) in bits.iter().enumerate() {
             if b == 0 {
@@ -125,35 +129,8 @@ pub fn replay_detailed(
             cursors[i] = (cursors[i] + bytes) % (16 << 20);
         }
         let dram_cycles = (dram.result().cycles - before) as f64;
-        let crypto_cycles = match arch.crypto() {
-            None => 0.0,
-            Some(c) => match c.per_stream_bytes_per_cycle() {
-                Some(per) => bits
-                    .iter()
-                    .map(|&b| b as f64 / 8.0 / per)
-                    .fold(0.0f64, f64::max),
-                None => bits.iter().sum::<u64>() as f64 / 8.0 / c.total_bytes_per_cycle(),
-            },
-        };
-        dram_cycles.max(crypto_cycles)
-    };
-
-    let step_costs: Vec<f64> = per_step.iter().map(|&b| step_transfer(b)).collect();
-    let fill = step_costs.first().copied().unwrap_or(0.0);
-    let mut total = fill;
-    let mut transfer_sum = 0.0;
-    for (i, &cost) in step_costs.iter().enumerate() {
-        let staged = step_costs.get(i + 1).copied().unwrap_or(0.0);
-        transfer_sum += cost;
-        total += (trace.compute_per_step as f64).max(staged);
-    }
-
-    ReplayResult {
-        total_cycles: total.ceil() as u64,
-        compute_cycles: trace.compute_per_step * trace.steps,
-        transfer_cycles: transfer_sum.ceil() as u64,
-        fill_cycles: fill.ceil() as u64,
-    }
+        dram_cycles.max(crypto_cycles(arch, bits))
+    })
 }
 
 #[cfg(test)]
@@ -265,6 +242,29 @@ mod tests {
         // The banked model can only be slower than the flat division.
         let flat = replay(&trace, &arch);
         assert!(detailed.transfer_cycles >= flat.transfer_cycles);
+    }
+
+    #[test]
+    fn zero_step_trace_replays_to_zero() {
+        let empty = Trace {
+            events: Vec::new(),
+            steps: 0,
+            compute_per_step: 7,
+            word_bits: 8,
+        };
+        let zero = ReplayResult {
+            total_cycles: 0,
+            compute_cycles: 0,
+            transfer_cycles: 0,
+            fill_cycles: 0,
+        };
+        let arch = secureloop_arch::Architecture::eyeriss_base()
+            .with_crypto(CryptoConfig::new(EngineClass::Parallel, 3));
+        assert_eq!(replay(&empty, &arch), zero);
+        assert_eq!(
+            replay_detailed(&empty, &arch, crate::dram::DramTiming::lpddr4()),
+            zero
+        );
     }
 
     #[test]
