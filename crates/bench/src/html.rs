@@ -40,13 +40,15 @@ fn escape(s: &str) -> String {
 }
 
 /// Build the report page from every `.csv` and `.svg` in `dir`
-/// (sorted by name), returning the HTML.
+/// (sorted by name), returning the HTML. The CSVs named in `linked`
+/// time the machine that made them; the page links them instead of
+/// inlining their rows, so it is the same on every machine.
 ///
 /// # Errors
 ///
 /// Propagates directory-read failures; unreadable individual files are
 /// skipped with a note in the page.
-pub fn build_report(dir: &Path) -> std::io::Result<String> {
+pub fn build_report(dir: &Path, linked: &[String]) -> std::io::Result<String> {
     let mut names: Vec<String> = fs::read_dir(dir)?
         .filter_map(|e| e.ok())
         .filter_map(|e| e.file_name().into_string().ok())
@@ -68,7 +70,13 @@ pub fn build_report(dir: &Path) -> std::io::Result<String> {
     for name in &names {
         let _ = writeln!(html, "<h2 id=\"{0}\">{0}</h2>", escape(name));
         let path = dir.join(name);
-        if name.ends_with(".svg") {
+        if linked.contains(name) {
+            let _ = writeln!(
+                html,
+                "<p><a href=\"{0}\">{0}</a>: timings of the machine that ran it, not inlined.</p>",
+                escape(name)
+            );
+        } else if name.ends_with(".svg") {
             match fs::read_to_string(&path) {
                 Ok(svg) => html.push_str(&svg),
                 Err(e) => {
@@ -121,13 +129,17 @@ mod tests {
         fs::create_dir_all(&dir).unwrap();
         fs::write(dir.join("b_table.csv"), "x,y\n1,2\n").unwrap();
         fs::write(dir.join("a_plot.svg"), "<svg xmlns=\"x\"></svg>").unwrap();
-        let html = build_report(&dir).unwrap();
+        fs::write(dir.join("c_timings.csv"), "case,us\nx,3\n").unwrap();
+        let html = build_report(&dir, &["c_timings.csv".to_string()]).unwrap();
         // Sorted: svg section before csv section.
         let svg_pos = html.find("a_plot.svg").unwrap();
         let csv_pos = html.find("b_table.csv").unwrap();
         assert!(svg_pos < csv_pos);
         assert!(html.contains("<svg"));
         assert!(html.contains("<td>2</td>"));
+        // Machine-dependent rows are linked, not inlined.
+        assert!(html.contains("<a href=\"c_timings.csv\">"));
+        assert!(!html.contains("<td>3</td>"));
         fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -348,9 +348,10 @@ impl Output {
 /// Run `figure`, print its table and notes, and write its CSV and extra
 /// artifacts under `dir`. A machine-dependent entry only prints unless
 /// `all` runs it, so timing it alone leaves the committed files as they
-/// are. A file that cannot be written is a warning: the remaining
-/// entries still run.
-pub fn emit(figure: &Figure, dir: &Path, all: bool) {
+/// are; when `all` writes it, its CSV's name is returned, for the index
+/// to link rather than inline. A file that cannot be written is a
+/// warning: the remaining entries still run.
+pub fn emit(figure: &Figure, dir: &Path, all: bool) -> Option<String> {
     println!("===== {} — {} =====\n", figure.name, figure.about);
     let out = (figure.run)();
     print!("{}", out.table.to_text());
@@ -366,13 +367,14 @@ pub fn emit(figure: &Figure, dir: &Path, all: bool) {
     println!();
     if out.machine_dependent && !all {
         println!("[{csv_name} not written: only `all` refreshes machine-dependent results]\n");
-        return;
+        return None;
     }
     write_result(dir, &csv_name, &out.table.to_csv());
     for (name, contents) in &out.files {
         write_result(dir, name, contents);
     }
     println!();
+    out.machine_dependent.then_some(csv_name)
 }
 
 /// Write `contents` to `dir/name` (creating `dir`) and report the path.

@@ -17,11 +17,12 @@ fn main() -> ExitCode {
         Ok(Command::Gate(g, flags)) => gate::run(g, &flags),
         Ok(Command::Figures { figures, index }) => {
             let dir = Path::new("results");
-            for figure in figures {
-                emit(figure, dir, index);
-            }
+            let linked: Vec<String> = figures
+                .into_iter()
+                .filter_map(|figure| emit(figure, dir, index))
+                .collect();
             if index {
-                match html::build_report(dir) {
+                match html::build_report(dir, &linked) {
                     Ok(page) => write_result(dir, "index.html", &page),
                     Err(e) => eprintln!("warning: cannot read {}: {e}", dir.display()),
                 }

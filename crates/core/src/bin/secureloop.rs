@@ -5,6 +5,7 @@
 //!     --engine parallel --engines 3 --pe 14x12 --glb-kb 131 [--json]
 //! secureloop dse --workload alexnet
 //! secureloop workloads
+//! secureloop help    # or `--help`, or `<command> --help`
 //! ```
 //!
 //! Exit codes: `0` success, `1` fatal error, `2` completed but
@@ -56,7 +57,7 @@ fn main() -> ExitCode {
             // losing the tail of the usage text must not panic.
             let _ = writeln!(io::stderr(), "{e}");
             if matches!(e, CliError::Usage(_)) {
-                let _ = writeln!(io::stderr(), "{}", secureloop::cli::USAGE);
+                let _ = writeln!(io::stderr(), "{}", secureloop::cli::help_text(None));
             }
             // A shutdown request that surfaced as an error (e.g. a
             // cancelled schedule) is still "interrupted", not fatal.

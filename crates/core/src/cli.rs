@@ -1,9 +1,11 @@
 //! Command-line front end (used by the `secureloop` binary).
 //!
 //! Kept inside the library so the parser and command dispatch are unit
-//! testable; the binary is a thin wrapper around [`run`].
+//! testable; the binary is a thin wrapper around [`run`]. Each flag is
+//! declared once, in one table that parsing and help both read.
 
 use std::fmt::Write as _;
+use std::str::FromStr;
 use std::time::Duration;
 
 use secureloop_arch::{Architecture, Dataflow, DramSpec};
@@ -20,127 +22,113 @@ use crate::error::SecureLoopError;
 use crate::report;
 use crate::run::{parse_scheme, Entry, RunSpec};
 use crate::scheduler::{Algorithm, LayerOutcome, Scheduler};
+use crate::service::AdmissionPolicy;
+use crate::supervisor::SupervisorConfig;
 
-/// Usage text printed on argument errors.
-pub const USAGE: &str = "\
-usage:
-  secureloop schedule --workload <name> [--algorithm <algo>] [options]
-  secureloop dse --workload <name> [options]
-  secureloop trace --workload <name> --layer <i> [options]
-  secureloop serve --state-dir <dir> [options]
-  secureloop suite <dir> [--json]
-  secureloop compare-schemes --workload <name> [options]
-  secureloop workloads
+/// A `secureloop` subcommand.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Command {
+    /// Schedule one workload on one design.
+    Schedule,
+    /// Trace and replay one layer's best mapping.
+    Trace,
+    /// Price one design under every protection scheme.
+    CompareSchemes,
+    /// Sweep the Fig. 16 design space.
+    Dse,
+    /// Check a directory of scenario files against their bounds.
+    Suite,
+    /// Serve DSE jobs over JSON Lines.
+    Serve,
+    /// List the workload names.
+    Workloads,
+}
 
-workloads: alexnet | alexnet_grouped | resnet18 | resnet50 | mobilenet_v2 |
-           vgg16 | mlp | attention | llm_decode | vit_tiny | dilated_context |
-           resnext
-algorithms: unsecure | crypt-tile-single | crypt-opt-single | crypt-opt-cross
+use Command::{CompareSchemes, Dse, Schedule, Serve, Suite, Trace, Workloads};
 
-suite: run every *.yaml scenario under <dir> (recursively) through the
-  supervised sweep path and check each scenario's expected bounds; see
-  DESIGN.md \"Scenario suites\" for the file format. A load error or a
-  violated bound exits 1 (the report still prints); a degraded-but-in-
-  bounds scenario exits 2.
+/// Every command with its name, arguments and what it does, in the
+/// order help lists them.
+#[rustfmt::skip]
+const COMMANDS: [(Command, &str, &str, &str); 7] = [
+    (Schedule, "schedule", "--workload <name> [options]", "schedule one workload on one design"),
+    (Trace, "trace", "--workload <name> --layer <i> [options]", "trace and replay one layer's best mapping"),
+    (CompareSchemes, "compare-schemes", "--workload <name> [options]",
+     "price one design under every protection scheme against the unprotected baseline"),
+    (Dse, "dse", "--workload <name> [options]", "sweep the 18 Fig. 16 designs and mark the Pareto front"),
+    (Suite, "suite", "<dir> [options]",
+     "check every *.yaml scenario under <dir> against its expected bounds (DESIGN.md \"Scenario suites\")"),
+    (Serve, "serve", "--state-dir <dir> [options]", "serve DSE jobs: JSON-Lines requests on stdin, events on stdout"),
+    (Workloads, "workloads", "", "list the workload names"),
+];
 
-compare-schemes: run one design under every protection scheme and
-  tabulate latency/energy/overhead deltas against the unprotected
-  baseline; combinations a scheme cannot realise on the chosen engine
-  class are reported as unsupported.
+impl Command {
+    /// The command's name on the command line.
+    pub fn name(self) -> &'static str {
+        COMMANDS[self as usize].1
+    }
 
-options:
-  --engine <pipelined|parallel|serial>   crypto engine class (default parallel)
-  --engines <n>                          engine count (default 3; 0 = unsecure)
-  --scheme <none|aes-gcm|seculator|seda> protection-scheme cost model (default
-                                         aes-gcm, the paper's Table 2; none
-                                         strips the crypto engines; on suite it
-                                         overrides every scenario, on serve it
-                                         is the default for jobs that do not
-                                         choose their own)
-  --pe <XxY>                             PE array (default 14x12)
-  --glb-kb <n>                           global buffer in kB (default 131)
-  --dram <lpddr4|lpddr4-128|hbm2>        DRAM interface (default lpddr4)
-  --arch-file <path.json>                load the architecture from JSON
-                                         (overrides --pe/--glb-kb/--dram/...)
-  --samples <n>                          mapper samples per layer (default 3000;
-                                         a cap in guided mode, which stops
-                                         early once the top-k goes stale)
-  --search-mode <random|guided>          mapper exploration strategy (default
-                                         guided: Pareto-front-guided sampling,
-                                         same schedules-or-better with ~5x
-                                         fewer samples; random reproduces the
-                                         paper's random-pruned search)
-  --iterations <n>                       SA iterations (default 1000)
-  --seed <n>                             RNG seed (default 1)
-  --layer <i>                            layer index (trace command)
-  --deadline-secs <s>                    wall-clock budget per layer search and
-                                         per annealed segment; on expiry the
-                                         engine degrades instead of searching on
-  --checkpoint <path.json>               (dse) write finished design points to
-                                         this file after each evaluation
-  --resume                               (dse) restore finished design points
-                                         from --checkpoint instead of
-                                         re-evaluating them
-  --no-cache                             (dse) disable the cross-design
-                                         candidate cache (enabled by default)
-  --cache-file <path.json>               (dse) persist the candidate cache here
-                                         (default: --checkpoint sibling with a
-                                         .cache.json extension)
-  --workers <n>                          (dse) design points evaluated in
-                                         parallel (default 1; results are
-                                         byte-identical for any value)
-  --max-retries <n>                      (dse) supervised retries per design
-                                         point before it is skipped or
-                                         quarantined (default 2)
-  --task-timeout-secs <s>                (dse) wall-clock watchdog per design
-                                         attempt; a stalled attempt is
-                                         cancelled and retried, and a design
-                                         exhausting its retries is quarantined
-  --trace-out <path.jsonl>               stream telemetry events (mapper,
-                                         authblock, annealing, dse spans) to
-                                         this file as JSON Lines
-  --durability <full|fast>               artifact write discipline for
-                                         checkpoints, caches and journals
-                                         (default full: fsync file and parent
-                                         dir around the atomic rename; fast
-                                         keeps the checksum, .bak generation
-                                         and atomic rename but skips fsyncs)
-  --io-retries <n>                       retries per artifact write before
-                                         persistence degrades to in-memory
-                                         mode (default 3)
-  --io-backoff-ms <ms>                   base backoff between artifact write
-                                         retries; attempt n waits 2^n times
-                                         this long (default 10)
-  --json                                 emit JSON instead of a table
+    fn from_name(name: &str) -> Option<Command> {
+        COMMANDS.iter().find(|c| c.1 == name).map(|c| c.0)
+    }
+}
 
-serve options (JSON-Lines requests on stdin, events on stdout):
-  --state-dir <dir>                      journal, shared cache and per-job
-                                         checkpoints live here (required)
-  --queue-depth <n>                      queued jobs beyond this are shed with
-                                         a typed 'overloaded' response
-                                         (default 8)
-  --service-workers <n>                  jobs run concurrently (default 2)
-  --job-workers <n>                      design points evaluated in parallel
-                                         inside each job (default 1)
-  --cache-budget-mb <n>                  LRU memory budget for the shared
-                                         candidate cache (default unbounded)
-  --admit-max-samples <n>                admission cap on per-layer samples
-                                         (default 20000)
-  --admit-max-designs <n>                admission cap on design points per
-                                         job (default 18)
-  --admit-max-deadline-secs <s>          admission cap on a job's per-layer
-                                         deadline (default 300)
-
+/// The help text: every command and flag, or with `Some(command)` only
+/// that command and the flags it reads. Flags read by the same commands
+/// are listed under one heading.
+pub fn help_text(only: Option<Command>) -> String {
+    let mut out = String::from("usage:\n");
+    for (command, name, args, about) in COMMANDS {
+        if only.is_none_or(|c| c == command) {
+            let _ = writeln!(out, "  {}", format!("secureloop {name} {args}").trim_end());
+            wrap(&mut out, 6, "", about);
+        }
+    }
+    if only.is_none() {
+        let workloads = WORKLOAD_NAMES.replace('\n', ", ");
+        out.push_str("  secureloop help | --help | <command> --help\n\n");
+        wrap(&mut out, 11, "workloads:", &workloads);
+        let algorithms = "unsecure, crypt-tile-single, crypt-opt-single, crypt-opt-cross";
+        wrap(&mut out, 12, "algorithms:", algorithms);
+    }
+    let shown = FLAGS
+        .iter()
+        .filter(|f| only.is_none_or(|c| f.commands.contains(&c)));
+    let mut group: &[Command] = &[];
+    for flag in shown {
+        if flag.commands != group {
+            group = flag.commands;
+            let names: Vec<&str> = group.iter().map(|c| c.name()).collect();
+            let _ = writeln!(out, "\noptions of {}:", names.join(", "));
+        }
+        let head = format!("  {} {}", flag.name, flag.value.unwrap_or_default());
+        wrap(&mut out, 41, head.trim_end(), flag.help);
+    }
+    out.push_str(
+        "
 exit codes:
   0  success, full-quality results
-  1  fatal error (bad arguments, unreadable input, engine failure, a
-     malformed suite scenario or a violated scenario bound)
-  2  completed but degraded (a layer or design point was degraded,
-     skipped or poisoned, or persistence degraded: artifact writes
-     kept failing after retries — e.g. a full disk — so results were
-     computed in memory but checkpoints/journals were not saved)
-  3  interrupted by SIGINT/SIGTERM; checkpoint flushed, re-run with
-     --resume to continue";
+  1  fatal error: bad arguments or input, engine failure, a failed scenario
+  2  completed but degraded: a layer or design point degraded, skipped or
+     poisoned, or artifact writes kept failing so results went unsaved
+  3  interrupted by SIGINT/SIGTERM; checkpoint flushed, re-run with --resume",
+    );
+    out
+}
+
+/// Append `head` padded to `margin` columns, then `text` wrapped to 80
+/// columns with continuation lines indented to `margin`.
+fn wrap(out: &mut String, margin: usize, head: &str, text: &str) {
+    let mut line = format!("{:<margin$}", format!("{head} "));
+    for word in text.split_whitespace() {
+        if line.len() > margin && line.len() + word.len() > 80 {
+            let _ = writeln!(out, "{}", line.trim_end());
+            line = " ".repeat(margin);
+        }
+        line.push_str(word);
+        line.push(' ');
+    }
+    let _ = writeln!(out, "{}", line.trim_end());
+}
 
 /// CLI failure modes.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -201,18 +189,15 @@ fn arch_err(field: impl Into<String>, message: impl Into<String>) -> CliError {
     }
 }
 
-/// Parsed command line.
+/// Parsed command line: the command, the `suite` directory and the
+/// flags (see `secureloop help`).
 #[derive(Debug, Clone)]
 pub struct Options {
-    /// Subcommand: `schedule`, `dse` or `workloads`.
-    pub command: String,
-    /// The run fields (`--workload`, `--algorithm`, `--samples`,
-    /// `--iterations`, `--seed`, `--deadline-secs`, `--scheme`). A
-    /// `--scheme` of `None` keeps the default AES-GCM pricing from the
-    /// arch file / engine flags.
+    /// The subcommand.
+    pub command: Command,
+    /// The run fields.
     pub run: RunSpec,
-    /// The architecture flags (`--pe`, `--glb-kb`, `--dram`,
-    /// `--engine`, `--engines`), validated like an `--arch-file`.
+    /// The architecture flags, validated like an `--arch-file`.
     pub arch: ArchFile,
     /// Mapper exploration strategy (`--search-mode`).
     pub search_mode: SearchMode,
@@ -226,25 +211,21 @@ pub struct Options {
     pub checkpoint: Option<String>,
     /// Restore finished design points from the checkpoint.
     pub resume: bool,
-    /// Cross-design candidate cache for the `dse` command (on unless
-    /// `--no-cache`).
+    /// Cross-design candidate cache for the `dse` command.
     pub cache: bool,
     /// Explicit on-disk home for the candidate cache.
     pub cache_file: Option<String>,
     /// Design points evaluated in parallel by the `dse` command.
     pub workers: usize,
-    /// Supervised retries per design point for the `dse` command.
+    /// Supervised retries per design point (`dse` and `serve`).
     pub max_retries: Option<u32>,
-    /// Per-attempt wall-clock watchdog (seconds) for the `dse` command.
+    /// Per-attempt wall-clock watchdog in seconds (`dse` and `serve`).
     pub task_timeout_secs: Option<f64>,
     /// Stream telemetry events to this file as JSON Lines.
     pub trace_out: Option<String>,
-    /// Artifact write discipline and retry budget (`--durability`,
-    /// `--io-retries`, `--io-backoff-ms`), for every checkpoint,
-    /// cache and journal the run persists.
+    /// Write discipline of every checkpoint, cache and journal.
     pub durability: DurabilityPolicy,
-    /// State dir for the `serve` command (journal, shared cache,
-    /// per-job checkpoints).
+    /// State dir for the `serve` command.
     pub state_dir: Option<String>,
     /// Queue bound for the `serve` command.
     pub queue_depth: usize,
@@ -264,230 +245,248 @@ pub struct Options {
     pub suite_dir: Option<String>,
 }
 
-impl Default for Options {
-    fn default() -> Self {
-        Options {
-            command: String::new(),
-            run: RunSpec::default(),
-            // The Eyeriss base with three parallel engines.
-            arch: ArchFile {
-                engines: Some(3),
-                ..ArchFile::default()
-            },
-            search_mode: SearchMode::Guided,
-            json: false,
-            layer: 0,
-            arch_file: None,
-            checkpoint: None,
-            resume: false,
-            cache: true,
-            cache_file: None,
-            workers: 1,
-            max_retries: None,
-            task_timeout_secs: None,
-            trace_out: None,
-            durability: DurabilityPolicy::default(),
-            state_dir: None,
-            queue_depth: 8,
-            service_workers: 2,
-            job_workers: 1,
-            cache_budget_mb: None,
-            admit_max_samples: None,
-            admit_max_designs: None,
-            admit_max_deadline_secs: None,
-            suite_dir: None,
-        }
+/// One command-line flag.
+struct Flag {
+    name: &'static str,
+    /// The commands that read the flag; the others reject it.
+    commands: &'static [Command],
+    /// The value's placeholder in help; `None` for a switch.
+    value: Option<&'static str>,
+    /// Stores the value (empty for a switch) in `Options`; it gets the
+    /// flag's name for its error text.
+    set: fn(&mut Options, &str, &str) -> Result<(), CliError>,
+    help: &'static str,
+}
+
+/// Commands that run the workload named by `--workload`.
+const RUN: &[Command] = &[Schedule, Trace, CompareSchemes, Dse];
+/// Commands that anneal (`trace` maps one layer and stops).
+const ANNEAL: &[Command] = &[Schedule, CompareSchemes, Dse];
+/// Commands that build one design from the architecture flags.
+const ARCH: &[Command] = &[Schedule, Trace, CompareSchemes];
+/// Commands that run supervised sweeps and persist artifacts.
+const SWEEP: &[Command] = &[Dse, Serve];
+/// Every command that runs work.
+const WORK: &[Command] = &[Schedule, Trace, CompareSchemes, Dse, Suite, Serve];
+
+/// Every flag, once, in the order help lists them; flags read by the
+/// same commands sit together.
+#[rustfmt::skip]
+const FLAGS: &[Flag] = &[
+    Flag { name: "--workload", commands: RUN, value: Some("<name>"), set: run_field,
+           help: "workload to run (see `secureloop workloads`)" },
+    Flag { name: "--samples", commands: RUN, value: Some("<n>"), set: run_field,
+           help: "mapper samples per layer (default 3000; a cap in guided mode)" },
+    Flag { name: "--seed", commands: RUN, value: Some("<n>"), set: run_field, help: "RNG seed (default 1)" },
+    Flag { name: "--deadline-secs", commands: RUN, value: Some("<s>"), set: run_field,
+           help: "wall-clock budget per layer search and per annealed segment; on expiry the engine degrades" },
+    Flag { name: "--algorithm", commands: ANNEAL, value: Some("<algo>"), set: run_field,
+           help: "scheduling algorithm (default crypt-opt-cross)" },
+    Flag { name: "--iterations", commands: ANNEAL, value: Some("<n>"), set: run_field,
+           help: "SA iterations (default 1000)" },
+    Flag { name: "--scheme", commands: &[Schedule, Trace, Dse, Suite, Serve],
+           value: Some("<none|aes-gcm|seculator|seda>"), set: run_field,
+           help: "protection scheme (default aes-gcm; none strips the crypto engines; on suite it overrides \
+                  every scenario, on serve it is the jobs' default)" },
+    Flag { name: "--search-mode", commands: WORK, value: Some("<random|guided>"), set: |o, _, v| {
+               let mode = SearchMode::from_name(v).ok_or_else(|| usage(format!("unknown search mode '{v}'")));
+               mode.map(|m| o.search_mode = m)
+           },
+           help: "mapper exploration (default guided, Pareto-front-guided; random is the paper's search)" },
+    Flag { name: "--trace-out", commands: WORK, value: Some("<path.jsonl>"), set: |o, _, v| text(&mut o.trace_out, v),
+           help: "stream telemetry events to this file as JSON Lines" },
+    Flag { name: "--json", commands: &[Schedule, CompareSchemes, Dse, Suite], value: None,
+           set: |o, _, _| { o.json = true; Ok(()) }, help: "emit JSON instead of a table" },
+    Flag { name: "--engine", commands: ARCH, value: Some("<pipelined|parallel|serial>"),
+           set: |o, _, v| text(&mut o.arch.engine, v), help: "crypto engine class (default parallel)" },
+    Flag { name: "--engines", commands: ARCH, value: Some("<n>"),
+           set: |o, f, v| int(f, v).map(|n| o.arch.engines = Some(n)), help: "engine count (default 3; 0 = unsecure)" },
+    Flag { name: "--pe", commands: ARCH, value: Some("<XxY>"), set: |o, _, v| {
+               let (x, y) = v.split_once('x').ok_or_else(|| usage("--pe expects XxY, e.g. 14x12"))?;
+               let x = x.parse().map_err(|_| usage("bad PE width"))?;
+               y.parse().map(|y| o.arch.pe = Some([x, y])).map_err(|_| usage("bad PE height"))
+           },
+           help: "PE array (default 14x12)" },
+    Flag { name: "--glb-kb", commands: ARCH, value: Some("<n>"),
+           set: |o, f, v| int(f, v).map(|kb| o.arch.glb_kb = Some(kb)), help: "global buffer in kB (default 131)" },
+    Flag { name: "--dram", commands: ARCH, value: Some("<lpddr4|lpddr4-128|hbm2>"),
+           set: |o, _, v| text(&mut o.arch.dram, v), help: "DRAM interface (default lpddr4)" },
+    Flag { name: "--arch-file", commands: ARCH, value: Some("<path.json>"), set: |o, _, v| text(&mut o.arch_file, v),
+           help: "load the architecture from JSON (overrides the other architecture flags)" },
+    Flag { name: "--layer", commands: &[Trace], value: Some("<i>"),
+           set: |o, f, v| num(f, v, "an index").map(|i| o.layer = i), help: "layer index (default 0)" },
+    Flag { name: "--checkpoint", commands: &[Dse], value: Some("<path.json>"), set: |o, _, v| text(&mut o.checkpoint, v),
+           help: "write finished design points to this file after each evaluation" },
+    Flag { name: "--resume", commands: &[Dse], value: None, set: |o, _, _| { o.resume = true; Ok(()) },
+           help: "restore finished design points from --checkpoint instead of re-evaluating them" },
+    Flag { name: "--no-cache", commands: &[Dse], value: None, set: |o, _, _| { o.cache = false; Ok(()) },
+           help: "disable the cross-design candidate cache" },
+    Flag { name: "--cache-file", commands: &[Dse], value: Some("<path.json>"), set: |o, _, v| text(&mut o.cache_file, v),
+           help: "persist the candidate cache here (default: next to --checkpoint, as .cache.json)" },
+    Flag { name: "--workers", commands: &[Dse], value: Some("<n>"), set: |o, f, v| count(f, v).map(|n| o.workers = n),
+           help: "design points evaluated in parallel (default 1; results are byte-identical)" },
+    Flag { name: "--max-retries", commands: SWEEP, value: Some("<n>"),
+           set: |o, f, v| int(f, v).map(|n| o.max_retries = Some(n)),
+           help: "supervised retries per design point before it is skipped or quarantined (default 2)" },
+    Flag { name: "--task-timeout-secs", commands: SWEEP, value: Some("<s>"),
+           set: |o, f, v| secs(f, v).map(|s| o.task_timeout_secs = Some(s)),
+           help: "wall-clock watchdog per design attempt; a stalled attempt is cancelled and retried" },
+    Flag { name: "--durability", commands: SWEEP, value: Some("<full|fast>"), set: |o, _, v| match v {
+               "full" | "fast" => { o.durability.fsync = v == "full"; Ok(()) }
+               _ => Err(usage(format!("unknown durability '{v}' (expected full | fast)"))),
+           },
+           help: "artifact writes: full fsyncs file and directory (default), fast skips the fsyncs" },
+    Flag { name: "--io-retries", commands: SWEEP, value: Some("<n>"),
+           set: |o, f, v| int(f, v).map(|n| o.durability.retries = n),
+           help: "retries per artifact write before persistence degrades to memory (default 3)" },
+    Flag { name: "--io-backoff-ms", commands: SWEEP, value: Some("<ms>"),
+           set: |o, f, v| num(f, v, "an integer (milliseconds)").map(|ms| o.durability.backoff = Duration::from_millis(ms)),
+           help: "backoff base between artifact write retries; attempt n waits 2^n times this (default 10)" },
+    Flag { name: "--state-dir", commands: &[Serve], value: Some("<dir>"), set: |o, _, v| text(&mut o.state_dir, v),
+           help: "journal, shared cache and per-job checkpoints live here (required)" },
+    Flag { name: "--queue-depth", commands: &[Serve], value: Some("<n>"),
+           set: |o, f, v| count(f, v).map(|n| o.queue_depth = n),
+           help: "queued jobs beyond this are shed as 'overloaded' (default 8)" },
+    Flag { name: "--service-workers", commands: &[Serve], value: Some("<n>"),
+           set: |o, f, v| count(f, v).map(|n| o.service_workers = n), help: "jobs run concurrently (default 2)" },
+    Flag { name: "--job-workers", commands: &[Serve], value: Some("<n>"),
+           set: |o, f, v| count(f, v).map(|n| o.job_workers = n),
+           help: "design points evaluated in parallel inside each job (default 1)" },
+    Flag { name: "--cache-budget-mb", commands: &[Serve], value: Some("<n>"),
+           set: |o, f, v| int(f, v).map(|n| o.cache_budget_mb = Some(n)),
+           help: "LRU memory budget for the shared candidate cache (default unbounded)" },
+    Flag { name: "--admit-max-samples", commands: &[Serve], value: Some("<n>"),
+           set: |o, f, v| int(f, v).map(|n| o.admit_max_samples = Some(n)),
+           help: "admission cap on per-layer samples (default 20000)" },
+    Flag { name: "--admit-max-designs", commands: &[Serve], value: Some("<n>"),
+           set: |o, f, v| int(f, v).map(|n| o.admit_max_designs = Some(n)),
+           help: "admission cap on design points per job (default 18)" },
+    Flag { name: "--admit-max-deadline-secs", commands: &[Serve], value: Some("<s>"),
+           set: |o, f, v| secs(f, v).map(|s| o.admit_max_deadline_secs = Some(s)),
+           help: "admission cap on a job's per-layer deadline (default 300)" },
+];
+
+/// A run field, parsed by the one [`RunSpec`] parser.
+fn run_field(o: &mut Options, flag: &str, text: &str) -> Result<(), CliError> {
+    o.run.set_flag(flag, text).map(drop).map_err(usage)
+}
+
+/// A free-text value: a path or a name checked where it is used.
+fn text(field: &mut Option<String>, value: &str) -> Result<(), CliError> {
+    *field = Some(value.to_string());
+    Ok(())
+}
+
+/// `text` as a `T`, or "`flag` expects `what`".
+fn num<T: FromStr>(flag: &str, text: &str, what: &str) -> Result<T, CliError> {
+    text.parse()
+        .map_err(|_| usage(format!("{flag} expects {what}")))
+}
+
+fn int<T: FromStr>(flag: &str, text: &str) -> Result<T, CliError> {
+    num(flag, text, "an integer")
+}
+
+/// An integer of at least 1.
+fn count(flag: &str, text: &str) -> Result<usize, CliError> {
+    match int(flag, text)? {
+        0 => Err(usage(format!("{flag} must be at least 1"))),
+        n => Ok(n),
     }
 }
 
-/// Parse raw arguments.
+/// A positive, finite number of seconds.
+fn secs(flag: &str, text: &str) -> Result<f64, CliError> {
+    let value: f64 = num(flag, text, "a number of seconds")?;
+    if value.is_finite() && value > 0.0 {
+        return Ok(value);
+    }
+    Err(usage(format!("{flag} must be a positive number")))
+}
+
+/// Parse raw arguments, looking each flag up in the flag table.
 ///
 /// # Errors
 ///
-/// [`CliError::Usage`] on unknown commands, flags or malformed values;
-/// [`CliError::Arch`] naming the field when the architecture flags
-/// fail the `--arch-file` checks.
+/// [`CliError::Usage`] on unknown commands or flags, a flag the command
+/// does not read (naming both), and malformed values;
+/// [`CliError::Arch`] naming the field when the architecture flags fail
+/// the `--arch-file` checks.
 pub fn parse(args: &[String]) -> Result<Options, CliError> {
-    let mut opts = Options::default();
     let mut it = args.iter();
-    opts.command = it.next().ok_or_else(|| usage("missing command"))?.clone();
-    if !matches!(
-        opts.command.as_str(),
-        "schedule" | "dse" | "workloads" | "trace" | "serve" | "suite" | "compare-schemes"
-    ) {
-        return Err(usage(format!("unknown command '{}'", opts.command)));
-    }
-    while let Some(flag) = it.next() {
-        let mut value = || {
-            it.next()
-                .cloned()
-                .ok_or_else(|| usage(format!("flag {flag} needs a value")))
+    let name = it.next().ok_or_else(|| usage("missing command"))?;
+    let command =
+        Command::from_name(name).ok_or_else(|| usage(format!("unknown command '{name}'")))?;
+    let mut opts = Options {
+        command,
+        run: RunSpec::default(),
+        // The Eyeriss base with three parallel engines.
+        arch: ArchFile {
+            engines: Some(3),
+            ..ArchFile::default()
+        },
+        search_mode: SearchMode::Guided,
+        json: false,
+        layer: 0,
+        arch_file: None,
+        checkpoint: None,
+        resume: false,
+        cache: true,
+        cache_file: None,
+        workers: 1,
+        max_retries: None,
+        task_timeout_secs: None,
+        trace_out: None,
+        durability: DurabilityPolicy::default(),
+        state_dir: None,
+        queue_depth: 8,
+        service_workers: 2,
+        job_workers: 1,
+        cache_budget_mb: None,
+        admit_max_samples: None,
+        admit_max_designs: None,
+        admit_max_deadline_secs: None,
+        suite_dir: None,
+    };
+    while let Some(arg) = it.next() {
+        let Some(flag) = FLAGS.iter().find(|f| f.name == arg) else {
+            if command == Suite && !arg.starts_with('-') && opts.suite_dir.is_none() {
+                opts.suite_dir = Some(arg.clone());
+                continue;
+            }
+            return Err(usage(format!("unknown flag '{arg}'")));
         };
-        match flag.as_str() {
-            "--workload" | "--algorithm" | "--scheme" | "--samples" | "--iterations" | "--seed"
-            | "--deadline-secs" => {
-                let text = value()?;
-                opts.run.set_flag(flag, &text).map_err(usage)?;
-            }
-            "--engine" => opts.arch.engine = Some(value()?),
-            "--engines" => {
-                opts.arch.engines = Some(
-                    value()?
-                        .parse()
-                        .map_err(|_| usage("--engines expects an integer"))?,
-                )
-            }
-            "--pe" => {
-                let v = value()?;
-                let (x, y) = v
-                    .split_once('x')
-                    .ok_or_else(|| usage("--pe expects XxY, e.g. 14x12"))?;
-                opts.arch.pe = Some([
-                    x.parse().map_err(|_| usage("bad PE width"))?,
-                    y.parse().map_err(|_| usage("bad PE height"))?,
-                ]);
-            }
-            "--glb-kb" => {
-                opts.arch.glb_kb = Some(
-                    value()?
-                        .parse()
-                        .map_err(|_| usage("--glb-kb expects an integer"))?,
-                )
-            }
-            "--dram" => opts.arch.dram = Some(value()?),
-            "--search-mode" => {
-                let v = value()?;
-                opts.search_mode = SearchMode::from_name(&v)
-                    .ok_or_else(|| usage(format!("unknown search mode '{v}'")))?;
-            }
-            "--json" => opts.json = true,
-            "--arch-file" => opts.arch_file = Some(value()?),
-            "--checkpoint" => opts.checkpoint = Some(value()?),
-            "--resume" => opts.resume = true,
-            "--no-cache" => opts.cache = false,
-            "--cache-file" => opts.cache_file = Some(value()?),
-            "--workers" => {
-                opts.workers = value()?
-                    .parse()
-                    .map_err(|_| usage("--workers expects an integer"))?;
-                if opts.workers == 0 {
-                    return Err(usage("--workers must be at least 1"));
-                }
-            }
-            "--max-retries" => {
-                opts.max_retries = Some(
-                    value()?
-                        .parse()
-                        .map_err(|_| usage("--max-retries expects an integer"))?,
-                )
-            }
-            "--task-timeout-secs" => {
-                let secs: f64 = value()?
-                    .parse()
-                    .map_err(|_| usage("--task-timeout-secs expects a number of seconds"))?;
-                if !secs.is_finite() || secs <= 0.0 {
-                    return Err(usage("--task-timeout-secs must be a positive number"));
-                }
-                opts.task_timeout_secs = Some(secs);
-            }
-            "--trace-out" => opts.trace_out = Some(value()?),
-            "--durability" => {
-                let v = value()?;
-                opts.durability.fsync = match v.as_str() {
-                    "full" => true,
-                    "fast" => false,
-                    other => {
-                        return Err(usage(format!(
-                            "unknown durability '{other}' (expected full | fast)"
-                        )))
-                    }
-                };
-            }
-            "--io-retries" => {
-                opts.durability.retries = value()?
-                    .parse()
-                    .map_err(|_| usage("--io-retries expects an integer"))?
-            }
-            "--io-backoff-ms" => {
-                let ms: u64 = value()?
-                    .parse()
-                    .map_err(|_| usage("--io-backoff-ms expects an integer (milliseconds)"))?;
-                opts.durability.backoff = Duration::from_millis(ms);
-            }
-            "--state-dir" => opts.state_dir = Some(value()?),
-            "--queue-depth" => {
-                opts.queue_depth = value()?
-                    .parse()
-                    .map_err(|_| usage("--queue-depth expects an integer"))?;
-                if opts.queue_depth == 0 {
-                    return Err(usage("--queue-depth must be at least 1"));
-                }
-            }
-            "--service-workers" => {
-                opts.service_workers = value()?
-                    .parse()
-                    .map_err(|_| usage("--service-workers expects an integer"))?;
-                if opts.service_workers == 0 {
-                    return Err(usage("--service-workers must be at least 1"));
-                }
-            }
-            "--job-workers" => {
-                opts.job_workers = value()?
-                    .parse()
-                    .map_err(|_| usage("--job-workers expects an integer"))?;
-                if opts.job_workers == 0 {
-                    return Err(usage("--job-workers must be at least 1"));
-                }
-            }
-            "--cache-budget-mb" => {
-                opts.cache_budget_mb = Some(
-                    value()?
-                        .parse()
-                        .map_err(|_| usage("--cache-budget-mb expects an integer"))?,
-                )
-            }
-            "--admit-max-samples" => {
-                opts.admit_max_samples = Some(
-                    value()?
-                        .parse()
-                        .map_err(|_| usage("--admit-max-samples expects an integer"))?,
-                )
-            }
-            "--admit-max-designs" => {
-                opts.admit_max_designs = Some(
-                    value()?
-                        .parse()
-                        .map_err(|_| usage("--admit-max-designs expects an integer"))?,
-                )
-            }
-            "--admit-max-deadline-secs" => {
-                let secs: f64 = value()?
-                    .parse()
-                    .map_err(|_| usage("--admit-max-deadline-secs expects a number of seconds"))?;
-                if !secs.is_finite() || secs <= 0.0 {
-                    return Err(usage("--admit-max-deadline-secs must be a positive number"));
-                }
-                opts.admit_max_deadline_secs = Some(secs);
-            }
-            "--layer" => {
-                opts.layer = value()?
-                    .parse()
-                    .map_err(|_| usage("--layer expects an index"))?
-            }
-            other
-                if !other.starts_with('-')
-                    && opts.command == "suite"
-                    && opts.suite_dir.is_none() =>
-            {
-                opts.suite_dir = Some(other.to_string())
-            }
-            other => return Err(usage(format!("unknown flag '{other}'"))),
+        if !flag.commands.contains(&command) {
+            return Err(usage(format!(
+                "{name} does not take {arg} (see `secureloop {name} --help`)"
+            )));
         }
+        let text = match flag.value {
+            Some(_) => it
+                .next()
+                .ok_or_else(|| usage(format!("flag {arg} needs a value")))?,
+            None => "",
+        };
+        (flag.set)(&mut opts, arg, text)?;
     }
-    // The architecture flags meet the `--arch-file` checks here, before
-    // any command runs (and even where the command ignores them).
-    arch_from_file(&opts.arch)?;
+    // The architecture flags meet the `--arch-file` checks before the
+    // command runs.
+    if ARCH.contains(&command) {
+        arch_from_file(&opts.arch)?;
+    }
     Ok(opts)
+}
+
+/// The help `args` ask for: all of it for `help` or `--help` alone,
+/// a command's own for `--help` after its name.
+fn help(args: &[String]) -> Option<String> {
+    match args {
+        [only] if only == "help" || only == "--help" => Some(help_text(None)),
+        [name, rest @ ..] if rest.iter().any(|a| a == "--help") => {
+            Command::from_name(name).map(|c| help_text(Some(c)))
+        }
+        _ => None,
+    }
 }
 
 /// Workload names accepted by `--workload` and scenario files, one per
@@ -790,8 +789,18 @@ fn network(opts: &Options) -> Result<Network, CliError> {
         .run
         .workload
         .as_deref()
-        .ok_or_else(|| usage(format!("{} needs --workload", opts.command)))?;
+        .ok_or_else(|| usage(format!("{} needs --workload", opts.command.name())))?;
     workload(name)
+}
+
+/// The supervisor of `dse` and `serve` sweeps.
+fn supervisor(opts: &Options) -> SupervisorConfig {
+    let mut supervisor = SupervisorConfig::default();
+    if let Some(retries) = opts.max_retries {
+        supervisor.max_retries = retries;
+    }
+    supervisor.task_timeout = opts.task_timeout_secs.map(Duration::from_secs_f64);
+    supervisor
 }
 
 fn scheduler(opts: &Options, arch: Architecture) -> Scheduler {
@@ -827,7 +836,7 @@ fn outcome_summary(sched: &crate::scheduler::NetworkSchedule) -> String {
 }
 
 /// How a successfully dispatched command resolved, for the binary's
-/// exit-code taxonomy (see the `exit codes:` section of [`USAGE`]).
+/// exit-code taxonomy (see the `exit codes:` section of [`help_text`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RunStatus {
     /// Full-quality results: exit code 0.
@@ -879,7 +888,8 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
 }
 
 /// Execute a parsed command and return its stdout payload plus the
-/// [`RunStatus`] driving the binary's exit code.
+/// [`RunStatus`] driving the binary's exit code. A help request
+/// (`help`, `--help`, `<command> --help`) returns the help text.
 ///
 /// Telemetry is reset per invocation so counters reflect exactly this
 /// run; with `--trace-out` a JSON-Lines sink is installed for the
@@ -892,6 +902,9 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
 /// [`CliError::Usage`] for any argument problem; computation itself is
 /// infallible for the built-in workloads.
 pub fn run_with_status(args: &[String]) -> Result<CliOutput, CliError> {
+    if let Some(text) = help(args) {
+        return Ok(CliOutput::ok(text));
+    }
     let opts = parse(args)?;
     secureloop_telemetry::reset();
     let tracing = match &opts.trace_out {
@@ -912,9 +925,9 @@ pub fn run_with_status(args: &[String]) -> Result<CliOutput, CliError> {
 }
 
 fn dispatch(opts: &Options) -> Result<CliOutput, CliError> {
-    match opts.command.as_str() {
-        "workloads" => Ok(CliOutput::ok(WORKLOAD_NAMES.to_string())),
-        "suite" => {
+    match opts.command {
+        Workloads => Ok(CliOutput::ok(WORKLOAD_NAMES.to_string())),
+        Suite => {
             let dir = opts
                 .suite_dir
                 .as_deref()
@@ -926,40 +939,30 @@ fn dispatch(opts: &Options) -> Result<CliOutput, CliError> {
                 opts.run.scheme,
             )
         }
-        "serve" => {
+        Serve => {
             let state_dir = opts
                 .state_dir
                 .as_deref()
                 .ok_or_else(|| usage("serve needs --state-dir"))?;
+            let caps = AdmissionPolicy::default();
             let mut cfg = crate::service::ServiceConfig::new(state_dir)
                 .with_queue_depth(opts.queue_depth)
                 .with_workers(opts.service_workers)
                 .with_job_workers(opts.job_workers)
                 .with_search_mode(opts.search_mode)
                 .with_default_scheme(opts.run.scheme)
-                .with_durability(opts.durability.clone());
+                .with_durability(opts.durability.clone())
+                .with_admission(AdmissionPolicy {
+                    max_samples: opts.admit_max_samples.unwrap_or(caps.max_samples),
+                    max_designs: opts.admit_max_designs.unwrap_or(caps.max_designs),
+                    max_deadline_secs: opts
+                        .admit_max_deadline_secs
+                        .unwrap_or(caps.max_deadline_secs),
+                })
+                .with_supervisor(supervisor(opts));
             if let Some(mb) = opts.cache_budget_mb {
                 cfg = cfg.with_cache_budget_bytes(mb.saturating_mul(1024 * 1024));
             }
-            let mut admission = crate::service::AdmissionPolicy::default();
-            if let Some(n) = opts.admit_max_samples {
-                admission.max_samples = n;
-            }
-            if let Some(n) = opts.admit_max_designs {
-                admission.max_designs = n;
-            }
-            if let Some(secs) = opts.admit_max_deadline_secs {
-                admission.max_deadline_secs = secs;
-            }
-            cfg = cfg.with_admission(admission);
-            let mut supervisor = crate::supervisor::SupervisorConfig::default();
-            if let Some(retries) = opts.max_retries {
-                supervisor.max_retries = retries;
-            }
-            if let Some(secs) = opts.task_timeout_secs {
-                supervisor.task_timeout = Some(Duration::from_secs_f64(secs));
-            }
-            cfg = cfg.with_supervisor(supervisor);
             let server = crate::service::Server::new(cfg)?;
             let status = server.serve(std::io::stdin(), std::io::stdout());
             Ok(CliOutput {
@@ -967,7 +970,7 @@ fn dispatch(opts: &Options) -> Result<CliOutput, CliError> {
                 status,
             })
         }
-        "schedule" => {
+        Schedule => {
             let net = network(opts)?;
             let arch = architecture(opts)?;
             let sched = scheduler(opts, arch).schedule(&net, opts.run.algorithm)?;
@@ -1024,7 +1027,7 @@ fn dispatch(opts: &Options) -> Result<CliOutput, CliError> {
                 Ok(CliOutput { text: out, status })
             }
         }
-        "trace" => {
+        Trace => {
             let net = network(opts)?;
             let layer = net.layers().get(opts.layer).ok_or_else(|| {
                 usage(format!(
@@ -1064,7 +1067,7 @@ fn dispatch(opts: &Options) -> Result<CliOutput, CliError> {
             );
             Ok(CliOutput::ok(out))
         }
-        "dse" => {
+        Dse => {
             let net = network(opts)?;
             let designs = fig16_designs(&[], opts.run.scheme).map_err(usage)?;
             let (search, annealing) = opts.run.configs(Entry::Sweep, opts.search_mode);
@@ -1072,13 +1075,8 @@ fn dispatch(opts: &Options) -> Result<CliOutput, CliError> {
                 .with_cache(opts.cache)
                 .with_resume(opts.resume)
                 .with_workers(opts.workers)
-                .with_durability(opts.durability.clone());
-            if let Some(retries) = opts.max_retries {
-                sweep_opts = sweep_opts.with_max_retries(retries);
-            }
-            if let Some(secs) = opts.task_timeout_secs {
-                sweep_opts = sweep_opts.with_task_timeout(Duration::from_secs_f64(secs));
-            }
+                .with_durability(opts.durability.clone())
+                .with_supervisor(supervisor(opts));
             if let Some(path) = &opts.checkpoint {
                 sweep_opts = sweep_opts.with_checkpoint(path);
             }
@@ -1174,19 +1172,15 @@ fn dispatch(opts: &Options) -> Result<CliOutput, CliError> {
             ));
             Ok(CliOutput { text: out, status })
         }
-        "compare-schemes" => {
-            let name = opts
-                .run
-                .workload
-                .as_deref()
-                .ok_or_else(|| usage("compare-schemes needs --workload"))?;
+        CompareSchemes => {
+            let net = network(opts)?;
+            let name = opts.run.workload.as_deref().unwrap_or_default();
             if opts.run.algorithm == Algorithm::Unsecure {
                 return Err(usage(
                     "compare-schemes runs the unprotected baseline itself; \
                      pick a secure --algorithm for the protected rows",
                 ));
             }
-            let net = workload(name)?;
             let file = arch_file(opts)?;
             let base = arch_from_file(&file)?;
             if base.crypto().is_none() {
@@ -1322,10 +1316,6 @@ fn dispatch(opts: &Options) -> Result<CliOutput, CliError> {
             }
             Ok(CliOutput { text: out, status })
         }
-        // `parse` validated the command already, but keep this path an
-        // ordinary error so a future command added to one place but not
-        // the other degrades into a usage message instead of a panic.
-        other => Err(usage(format!("unknown command '{other}'"))),
     }
 }
 
@@ -1345,7 +1335,7 @@ mod tests {
              --dram hbm2 --samples 100 --iterations 50 --seed 9 --json",
         ))
         .unwrap();
-        assert_eq!(o.command, "schedule");
+        assert_eq!(o.command, Schedule);
         assert_eq!(o.run.workload.as_deref(), Some("alexnet"));
         assert_eq!(o.run.algorithm, Algorithm::CryptOptSingle);
         assert_eq!(o.arch.engine.as_deref(), Some("serial"));
@@ -1394,7 +1384,7 @@ mod tests {
     #[test]
     fn parse_suite_positional_dir() {
         let o = parse(&argv("suite suites/smoke --json")).unwrap();
-        assert_eq!(o.command, "suite");
+        assert_eq!(o.command, Suite);
         assert_eq!(o.suite_dir.as_deref(), Some("suites/smoke"));
         assert!(o.json);
         // A second positional is an error, and other commands reject
@@ -1415,7 +1405,7 @@ mod tests {
         let o = parse(&argv("suite suites/smoke --scheme none")).unwrap();
         assert_eq!(o.run.scheme, Some(SchemeId::None));
         let o = parse(&argv("compare-schemes --workload alexnet")).unwrap();
-        assert_eq!(o.command, "compare-schemes");
+        assert_eq!(o.command, CompareSchemes);
         assert_eq!(o.run.scheme, None, "default is the architecture's scheme");
         let e = parse(&argv("dse --workload alexnet --scheme rot13")).unwrap_err();
         assert!(
@@ -1681,5 +1671,167 @@ mod tests {
     fn missing_workload_reports_usage() {
         let e = run(&argv("schedule")).unwrap_err();
         assert!(e.to_string().contains("--workload"), "{e}");
+    }
+
+    /// The flags each command reads, written out independently of the
+    /// flag table: what `dispatch` and its helpers consume.
+    fn reads(command: Command) -> Vec<&'static str> {
+        let run = [
+            "--workload",
+            "--algorithm",
+            "--scheme",
+            "--samples",
+            "--iterations",
+            "--seed",
+            "--deadline-secs",
+        ];
+        let arch = [
+            "--engine",
+            "--engines",
+            "--pe",
+            "--glb-kb",
+            "--dram",
+            "--arch-file",
+        ];
+        let sweep = [
+            "--max-retries",
+            "--task-timeout-secs",
+            "--durability",
+            "--io-retries",
+            "--io-backoff-ms",
+        ];
+        let serve = [
+            "--state-dir",
+            "--queue-depth",
+            "--service-workers",
+            "--job-workers",
+            "--cache-budget-mb",
+            "--admit-max-samples",
+            "--admit-max-designs",
+            "--admit-max-deadline-secs",
+        ];
+        let dse = [
+            "--checkpoint",
+            "--resume",
+            "--no-cache",
+            "--cache-file",
+            "--workers",
+        ];
+        let but = |all: &[&'static str], skip: &[&str]| -> Vec<&'static str> {
+            all.iter().copied().filter(|f| !skip.contains(f)).collect()
+        };
+        let mut flags = match command {
+            Schedule => [&run[..], &arch, &["--search-mode", "--json"]].concat(),
+            // `trace` maps one layer: no algorithm, no annealing.
+            Trace => [
+                &but(&run, &["--algorithm", "--iterations"])[..],
+                &arch,
+                &["--layer", "--search-mode"],
+            ]
+            .concat(),
+            // Every row sets its own scheme.
+            CompareSchemes => [
+                &but(&run, &["--scheme"])[..],
+                &arch,
+                &["--search-mode", "--json"],
+            ]
+            .concat(),
+            Dse => [&run[..], &dse, &sweep, &["--search-mode", "--json"]].concat(),
+            Suite => vec!["--scheme", "--search-mode", "--json"],
+            Serve => [&serve[..], &sweep, &["--search-mode", "--scheme"]].concat(),
+            Workloads => vec![],
+        };
+        if command != Workloads {
+            flags.push("--trace-out");
+        }
+        flags
+    }
+
+    /// A value each flag accepts.
+    fn sample(flag: &str) -> &'static str {
+        match flag {
+            "--workload" => "alexnet",
+            "--algorithm" => "unsecure",
+            "--scheme" => "none",
+            "--engine" => "serial",
+            "--pe" => "8x8",
+            "--dram" => "hbm2",
+            "--search-mode" => "random",
+            "--durability" => "fast",
+            "--arch-file" | "--checkpoint" | "--cache-file" | "--trace-out" | "--state-dir" => "x",
+            _ => "2",
+        }
+    }
+
+    #[test]
+    fn each_command_accepts_exactly_the_flags_it_reads() {
+        let mut names: Vec<&str> = FLAGS.iter().map(|f| f.name).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), FLAGS.len(), "a flag is declared twice");
+        for (command, name, ..) in COMMANDS {
+            let reads = reads(command);
+            for flag in FLAGS {
+                let mut args = vec![name.to_string(), flag.name.to_string()];
+                if flag.value.is_some() {
+                    args.push(sample(flag.name).to_string());
+                }
+                match parse(&args) {
+                    Ok(o) => {
+                        assert!(reads.contains(&flag.name), "{name} accepts {}", flag.name);
+                        assert_eq!(o.command, command);
+                    }
+                    Err(e) => {
+                        assert!(!reads.contains(&flag.name), "{name} {}: {e}", flag.name);
+                        let CliError::Usage(msg) = e else {
+                            panic!("{name} {}: {e:?}", flag.name)
+                        };
+                        assert!(msg.starts_with(&format!("{name} does not take {}", flag.name)));
+                    }
+                }
+            }
+            // Every flag a command reads is in the table.
+            for flag in reads {
+                assert!(names.contains(&flag), "{name} reads undeclared {flag}");
+            }
+        }
+    }
+
+    #[test]
+    fn help_renders_the_table() {
+        for (i, (command, name, ..)) in COMMANDS.into_iter().enumerate() {
+            assert_eq!(command as usize, i, "COMMANDS is in declaration order");
+            assert_eq!(Command::from_name(name), Some(command));
+            // A command's help lists exactly the flags it reads.
+            let text = run(&argv(&format!("{name} --help"))).unwrap();
+            let mut listed: Vec<&str> = text
+                .lines()
+                .filter_map(|l| l.strip_prefix("  --"))
+                .map(|l| &l[..l.find(' ').unwrap_or(l.len())])
+                .collect();
+            let mut want: Vec<&str> = reads(command).iter().map(|f| &f[2..]).collect();
+            listed.sort_unstable();
+            want.sort_unstable();
+            assert_eq!(listed, want, "{name} --help");
+        }
+        let full = run(&argv("help")).unwrap();
+        assert_eq!(run(&argv("--help")).unwrap(), full);
+        for flag in FLAGS {
+            assert_eq!(
+                full.matches(&format!("\n  {} ", flag.name)).count()
+                    + full.matches(&format!("\n  {}\n", flag.name)).count(),
+                1,
+                "{} is listed once",
+                flag.name
+            );
+        }
+        for line in full.lines() {
+            assert!(line.chars().count() <= 80, "wider than 80 columns: {line}");
+        }
+        // `help` is no flag: a command given `help` still fails.
+        assert!(matches!(
+            parse(&argv("schedule help")),
+            Err(CliError::Usage(_))
+        ));
     }
 }

@@ -378,18 +378,6 @@ impl SweepOptions {
         self
     }
 
-    /// Set the supervisor's retry budget.
-    pub fn with_max_retries(mut self, retries: u32) -> Self {
-        self.supervisor.max_retries = retries;
-        self
-    }
-
-    /// Set the supervisor's per-attempt wall-clock budget.
-    pub fn with_task_timeout(mut self, timeout: std::time::Duration) -> Self {
-        self.supervisor.task_timeout = Some(timeout);
-        self
-    }
-
     /// Use a caller-owned candidate cache (implies `use_cache`); the
     /// sweep will not load or persist it.
     pub fn with_shared_cache(mut self, cache: Arc<CandidateCache>) -> Self {

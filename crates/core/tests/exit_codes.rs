@@ -40,6 +40,71 @@ fn usage_error_exits_one() {
 }
 
 #[test]
+fn help_prints_to_stdout_and_exits_zero() {
+    for args in [&["help"][..], &["--help"], &["dse", "--help"]] {
+        let out = bin().args(args).output().expect("binary runs");
+        assert_eq!(out.status.code(), Some(0), "{args:?}");
+        assert!(out.stderr.is_empty(), "{args:?}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(stdout.starts_with("usage:"), "{args:?}: {stdout}");
+        assert!(stdout.contains("--workers"), "{args:?}: {stdout}");
+    }
+}
+
+#[test]
+fn a_flag_the_command_does_not_read_exits_one_naming_both() {
+    // Each of these used to exit 0 (or run a whole sweep) with the flag
+    // silently dropped.
+    let state = tmp_dir("secureloop-exit-codes-unread-flag");
+    let state = state.to_str().unwrap();
+    let cases: [(&[&str], &str); 7] = [
+        (&["compare-schemes", "--scheme", "seda"], "--scheme"),
+        (
+            &["dse", "--pe", "28x24", "--glb-kb", "512", "--engines", "1"],
+            "--pe",
+        ),
+        (
+            &[
+                "schedule",
+                "--checkpoint",
+                "x.json",
+                "--workers",
+                "7",
+                "--state-dir",
+                "d",
+                "--layer",
+                "3",
+            ],
+            "--checkpoint",
+        ),
+        (&["suite", "suites", "--samples", "50"], "--samples"),
+        (
+            &["serve", "--state-dir", state, "--samples", "50"],
+            "--samples",
+        ),
+        (&["workloads", "--json"], "--json"),
+        (&["dse", "--layer", "2"], "--layer"),
+    ];
+    for (args, flag) in cases {
+        let started = Instant::now();
+        let out = bin()
+            .args(args)
+            .stdin(Stdio::null())
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let first = stderr.lines().next().unwrap_or_default();
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?}: no output");
+        assert!(
+            first.contains(args[0]) && first.contains(flag),
+            "{args:?}: the first line names the command and {flag}: {first}"
+        );
+        assert!(started.elapsed() < Duration::from_secs(10), "{args:?} ran");
+    }
+}
+
+#[test]
 fn unknown_workload_exits_one() {
     let out = bin()
         .args(["schedule", "--workload", "definitely-not-a-network"])
