@@ -22,7 +22,8 @@ use secureloop_crypto::sim::{EngineSim, Request};
 use secureloop_crypto::{Aes128, AesGcm, EngineClass};
 use secureloop_loopnest::evaluate;
 use secureloop_mapper::{
-    search, search_group, GuidedSampler, MappingSampler, SearchConfig, SearchMode,
+    search, search_cached, search_group, CandidateCache, GuidedSampler, MappingSampler,
+    SearchConfig, SearchMode,
 };
 use secureloop_telemetry as telemetry;
 use secureloop_workload::zoo;
@@ -139,9 +140,9 @@ fn authblock(m: &mut Micro) {
     });
 }
 
-/// Mapper throughput: one loopnest evaluation, one uniform and one
-/// guided sampler draw, and a whole single-layer search (the step-1
-/// cost).
+/// Mapper throughput: one loopnest evaluation, one candidate-cache hit,
+/// one uniform and one guided sampler draw, and a whole single-layer
+/// search (the step-1 cost).
 fn mapper(m: &mut Micro) {
     let layer = zoo::resnet18().layers()[5].clone();
     let arch = Architecture::eyeriss_base();
@@ -155,6 +156,12 @@ fn mapper(m: &mut Micro) {
     let mapping = &guides[0];
     m.case("loopnest_evaluate", || {
         evaluate(black_box(&layer), black_box(&arch), black_box(mapping))
+    });
+    // The first warm-up run fills the cache; each timed run is a hit,
+    // which parses the entry's four mapping texts and re-prices each.
+    let (cache, cfg) = (CandidateCache::new(), SearchConfig::quick().with_top_k(4));
+    m.case("candidate_cache_hit/top4", || {
+        search_cached(black_box(&layer), &arch, &[], &cfg, Some(&cache))
     });
     m.case("sampler_draw", || sampler.sample());
     let mut guided = GuidedSampler::new(&layer, &arch, 42, &guides);

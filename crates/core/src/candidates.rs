@@ -1,13 +1,15 @@
 //! Step 1: per-layer top-k loopnest candidates.
 //!
 //! Runs the crypt-aware mapper once per *distinct search* (repeated
-//! blocks in ResNet/MobileNetV2 share their search) and exposes the
-//! retained candidates per layer index. A failing layer does not abort
+//! blocks in ResNet/MobileNetV2 share their search, and one
+//! [`LayerCandidates`] behind an [`Arc`]) and exposes the retained
+//! candidates per layer index. A failing layer does not abort
 //! the search: its [`LayerCandidates`] carries the typed error instead,
 //! and the scheduler isolates it (see
 //! [`crate::scheduler::LayerOutcome`]).
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use secureloop_arch::Architecture;
 use secureloop_loopnest::{Evaluation, Mapping};
@@ -16,7 +18,8 @@ use secureloop_mapper::{
 };
 use secureloop_workload::{ConvLayer, Network};
 
-/// One retained schedule for one layer.
+/// The retained schedules of one distinct layer search, shared by
+/// every layer of a network that has the same search key.
 #[derive(Debug, Clone)]
 pub struct LayerCandidates {
     /// `(mapping, evaluation)` pairs, best-latency first. Empty when
@@ -46,31 +49,14 @@ impl LayerCandidates {
     pub fn is_empty(&self) -> bool {
         self.options.is_empty()
     }
-
-    /// Whether the result is below full quality: produced by a fallback
-    /// rung or cut short by a deadline.
-    pub fn degraded(&self) -> bool {
-        !self.is_empty() && (self.tier == SearchTier::Greedy || self.truncated)
-    }
 }
 
 /// Top-k candidates for every layer of a network.
 #[derive(Debug, Clone)]
 pub struct CandidateSet {
-    /// Indexed like `network.layers()`.
-    pub per_layer: Vec<LayerCandidates>,
-}
-
-impl CandidateSet {
-    /// Indices of layers whose search failed outright.
-    pub fn failed_layers(&self) -> Vec<usize> {
-        self.per_layer
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.is_empty())
-            .map(|(i, _)| i)
-            .collect()
-    }
+    /// Indexed like `network.layers()`. Layers with the same search key
+    /// share one [`LayerCandidates`].
+    pub per_layer: Vec<Arc<LayerCandidates>>,
 }
 
 fn search_layer(
@@ -97,8 +83,9 @@ fn search_layer(
 }
 
 /// Run the step-1 search for every layer of `network`, deduplicating
-/// layers with the same [`cache_key`]. Never panics: failed layers come
-/// back with empty options and their [`MapperError`] attached.
+/// layers with the same [`cache_key`]: they share one
+/// [`LayerCandidates`]. Never panics: failed layers come back with
+/// empty options and their [`MapperError`] attached.
 pub fn find_candidates(network: &Network, arch: &Architecture, cfg: &SearchConfig) -> CandidateSet {
     find_candidates_cached(network, arch, &[], cfg, None)
 }
@@ -122,18 +109,20 @@ pub fn find_candidates_cached(
     // the same key. (`search_cached` independently bypasses the
     // cross-design cache for a task carrying a plan.)
     let use_dedup = cancel::current_context().fault.is_none();
-    let mut by_key: HashMap<String, LayerCandidates> = HashMap::new();
+    let mut by_key: HashMap<String, Arc<LayerCandidates>> = HashMap::new();
     let per_layer = network
         .layers()
         .iter()
         .map(|layer| {
+            let search = || Arc::new(search_layer(layer, arch, siblings, cfg, cache));
             if !use_dedup {
-                return search_layer(layer, arch, siblings, cfg, cache);
+                return search();
             }
-            by_key
-                .entry(cache_key(layer, arch, cfg))
-                .or_insert_with(|| search_layer(layer, arch, siblings, cfg, cache))
-                .clone()
+            Arc::clone(
+                by_key
+                    .entry(cache_key(layer, arch, cfg))
+                    .or_insert_with(search),
+            )
         })
         .collect();
     CandidateSet { per_layer }
@@ -150,7 +139,6 @@ mod tests {
         let net = zoo::alexnet_conv();
         let set = find_candidates(&net, &Architecture::eyeriss_base(), &SearchConfig::quick());
         assert_eq!(set.per_layer.len(), net.len());
-        assert!(set.failed_layers().is_empty());
         for (i, c) in set.per_layer.iter().enumerate() {
             assert!(!c.is_empty(), "layer {i}");
             assert!(c.error.is_none());
@@ -163,24 +151,29 @@ mod tests {
 
     #[test]
     fn shape_dedup_shares_results() {
-        // AlexNet conv3 and conv4 differ (256->384 vs 384->384), but
-        // ResNet's repeated 3x3 blocks are identical shapes.
+        // ResNet's repeated 3x3 blocks are identical shapes: layers with
+        // one key share one `LayerCandidates`, and each still equals the
+        // search it would have run alone.
         let net = zoo::resnet18();
-        let set = find_candidates(&net, &Architecture::eyeriss_base(), &SearchConfig::quick());
-        let l1b1c2 = net
+        let arch = Architecture::eyeriss_base();
+        let cfg = SearchConfig::quick();
+        let set = find_candidates(&net, &arch, &cfg);
+        let keys: Vec<String> = net
             .layers()
             .iter()
-            .position(|l| l.name() == "l1b1c2")
-            .unwrap();
-        let l1b2c2 = net
-            .layers()
-            .iter()
-            .position(|l| l.name() == "l1b2c2")
-            .unwrap();
-        assert_eq!(
-            set.per_layer[l1b1c2].best().unwrap().1.latency_cycles,
-            set.per_layer[l1b2c2].best().unwrap().1.latency_cycles
-        );
+            .map(|l| cache_key(l, &arch, &cfg))
+            .collect();
+        let mut shared = 0;
+        for (i, layer) in net.layers().iter().enumerate() {
+            for j in 0..i {
+                let same = Arc::ptr_eq(&set.per_layer[i], &set.per_layer[j]);
+                assert_eq!(same, keys[i] == keys[j], "layers {j} and {i}");
+                shared += usize::from(same);
+            }
+            let own = secureloop_mapper::search(layer, &arch, &cfg).unwrap();
+            assert_eq!(set.per_layer[i].options, own.candidates, "{}", layer.name());
+        }
+        assert!(shared > 0, "ResNet18 repeats a search key");
     }
 
     #[test]
@@ -220,7 +213,7 @@ mod tests {
             .iter()
             .position(|l| l.name() == "conv2")
             .unwrap();
-        assert_eq!(set.failed_layers(), vec![idx]);
+        assert!(set.per_layer[idx].is_empty());
         assert!(matches!(
             set.per_layer[idx].error,
             Some(MapperError::InjectedFailure { .. })

@@ -240,6 +240,16 @@ impl SweepCheckpoint {
             .map(|(_, s)| s)
     }
 
+    /// The finished schedule for a design label, moved out when `take`
+    /// and copied otherwise; else the label's quarantine cause.
+    pub(crate) fn resolve(&mut self, label: &str, take: bool) -> Result<NetworkSchedule, String> {
+        match self.entries.iter().position(|(l, _)| l == label) {
+            Some(at) if take => Ok(self.entries.remove(at).1),
+            Some(at) => Ok(self.entries[at].1.clone()),
+            None => Err(self.poisoned_cause(label).unwrap_or_default().to_string()),
+        }
+    }
+
     /// Record a finished design point (replacing any previous entry
     /// with the same label, and clearing any quarantine on it — a
     /// successful evaluation supersedes an old poisoning).
@@ -272,16 +282,6 @@ impl SweepCheckpoint {
             .iter()
             .find(|(l, _)| l == label)
             .map(|(_, cause)| cause.as_str())
-    }
-
-    /// Number of finished design points.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether no design point has finished yet.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 
     /// Write the checkpoint durably with `policy` ([`artifact::save`]).
@@ -424,7 +424,7 @@ mod tests {
         let back = rec.value;
         assert!(back.matches("AlexNet", Algorithm::CryptOptSingle));
         assert!(!back.matches("ResNet18", Algorithm::CryptOptSingle));
-        assert_eq!(back.len(), 1);
+        assert_eq!(back.entries.len(), 1);
         assert!(back.get("design-a").is_some());
         assert!(back.get("design-b").is_none());
         fs::remove_file(&path).unwrap();
@@ -542,7 +542,11 @@ mod tests {
         fs::write(&path, "\u{0}\u{0}garbage\u{0}").unwrap();
         let rec = artifact::load::<SweepCheckpoint>(&path).unwrap();
         assert_eq!(rec.source, LoadSource::Backup);
-        assert_eq!(rec.value.len(), 1, "previous generation had one design");
+        assert_eq!(
+            rec.value.entries.len(),
+            1,
+            "previous generation had one design"
+        );
         assert!(rec.value.get("design-a").is_some());
         assert!(rec.warnings[0].contains("backup"), "{:?}", rec.warnings);
         fs::remove_file(&path).unwrap();

@@ -12,7 +12,7 @@
 //! panics are caught, attempts can carry a wall-clock watchdog
 //! ([`SupervisorConfig::task_timeout`]), and failures retry with
 //! exponential backoff. A design point that exhausts its retries
-//! panicking or stalling becomes [`DesignOutcome::Poisoned`], is
+//! panicking or stalling is poisoned: it is
 //! quarantined in the checkpoint (so `--resume` skips it instead of
 //! re-crashing), and the other design points are unaffected — their
 //! results are byte-identical to a fault-free run. Cancelling
@@ -434,24 +434,17 @@ pub fn evaluate_designs(
         .unwrap_or_default()
 }
 
-/// How one design point resolved within a sweep.
-#[derive(Debug, Clone)]
-pub enum DesignOutcome {
+/// How one design point resolved within a sweep. The checkpoint holds
+/// an evaluated design's schedule and a poisoned design's cause.
+enum DesignOutcome {
     /// The design point produced a schedule.
-    Evaluated(NetworkSchedule),
+    Evaluated,
     /// The design point failed with a typed error (after retries) and
     /// the sweep moved on.
     Skipped(String),
     /// The design point exhausted its supervised retries panicking or
-    /// stalling: it is quarantined in the checkpoint and reported with
-    /// its captured panic payload or timeout cause.
-    Poisoned {
-        /// Captured panic payload or timeout cause.
-        cause: String,
-        /// Supervised attempts spent (0 when restored from a
-        /// checkpoint's quarantine).
-        attempts: u32,
-    },
+    /// stalling, and is quarantined.
+    Poisoned,
 }
 
 /// The incremental DSE engine: design points evaluated by a worker
@@ -465,8 +458,12 @@ pub enum DesignOutcome {
 /// returns exactly what the search it memoised computed — see
 /// `secureloop_mapper::cache`).
 ///
-/// With [`SweepOptions::checkpoint_path`] set, every finished design
-/// point is written (atomically) to that file; with
+/// The sweep's [`SweepCheckpoint`] is its single store of finished
+/// schedules, with or without a path, keyed by design label (a label
+/// names one design): each evaluated schedule moves into it, and the
+/// merge moves them out in design order. With
+/// [`SweepOptions::checkpoint_path`] set, the checkpoint is written
+/// (atomically) to that file after every finished design point; with
 /// [`SweepOptions::resume`] also set, design points already present in
 /// a matching checkpoint are restored instead of re-evaluated. A
 /// checkpoint written for a different workload or algorithm is ignored,
@@ -560,18 +557,15 @@ pub fn evaluate_designs_sweep(
     // carries the rest.
     let mut slots: Vec<Option<DesignOutcome>> = Vec::with_capacity(designs.len());
     for arch in designs {
-        if let Some(done) = ckpt.get(arch.name()) {
+        if ckpt.get(arch.name()).is_some() {
             run.reused += 1;
             DESIGNS_REUSED.incr();
-            slots.push(Some(DesignOutcome::Evaluated(done.clone())));
-        } else if let Some(cause) = ckpt.poisoned_cause(arch.name()) {
+            slots.push(Some(DesignOutcome::Evaluated));
+        } else if ckpt.poisoned_cause(arch.name()).is_some() {
             // Quarantined by a previous invocation: report it without
             // re-running it (that is the point of the quarantine).
             DESIGNS_POISONED.incr();
-            slots.push(Some(DesignOutcome::Poisoned {
-                cause: cause.to_string(),
-                attempts: 0,
-            }));
+            slots.push(Some(DesignOutcome::Poisoned));
         } else {
             slots.push(None);
         }
@@ -654,22 +648,22 @@ pub fn evaluate_designs_sweep(
                     span.add_field("attempts", attempts.to_string());
                 }
                 let mut state = ckpt_state.lock().expect("checkpoint lock");
-                state.0.insert(label, s.clone());
+                state.0.insert(label, s);
                 save(&mut state);
-                (idx, Some(DesignOutcome::Evaluated(s)))
+                (idx, Some(DesignOutcome::Evaluated))
             }
             SupervisedOutcome::Failed { error, .. } => {
                 DESIGNS_SKIPPED.incr();
                 span.add_field("outcome", "skipped");
                 (idx, Some(DesignOutcome::Skipped(error.to_string())))
             }
-            SupervisedOutcome::Poisoned { cause, attempts } => {
+            SupervisedOutcome::Poisoned { cause, .. } => {
                 DESIGNS_POISONED.incr();
                 span.add_field("outcome", "poisoned");
                 let mut state = ckpt_state.lock().expect("checkpoint lock");
-                state.0.insert_poisoned(label, cause.clone());
+                state.0.insert_poisoned(label, cause);
                 save(&mut state);
-                (idx, Some(DesignOutcome::Poisoned { cause, attempts }))
+                (idx, Some(DesignOutcome::Poisoned))
             }
             SupervisedOutcome::Cancelled => {
                 span.add_field("outcome", "cancelled");
@@ -685,12 +679,13 @@ pub fn evaluate_designs_sweep(
         (evaluate_one(pending[k]), false)
     });
     for (idx, outcome) in finished {
-        if matches!(outcome, Some(DesignOutcome::Evaluated(_))) {
+        if matches!(outcome, Some(DesignOutcome::Evaluated)) {
             run.evaluated += 1;
         }
         slots[idx] = outcome;
     }
-    if let Some(e) = ckpt_state.into_inner().expect("checkpoint lock").1 {
+    let (mut ckpt, persist_error) = ckpt_state.into_inner().expect("checkpoint lock");
+    if let Some(e) = persist_error {
         // Persistent I/O failure (ENOSPC, EROFS) must never abort a
         // sweep: the results above are complete and correct, only the
         // on-disk state is behind. Degrade instead of erroring.
@@ -705,20 +700,25 @@ pub fn evaluate_designs_sweep(
     // slot means a cancellation stopped the sweep early: the run
     // is reported interrupted (and resumable), never half-merged.
     let mut interrupted = opts.cancel.is_cancelled();
-    for (arch, slot) in designs.iter().zip(slots) {
-        match slot {
-            Some(DesignOutcome::Evaluated(schedule)) => run.results.push(DseResult {
-                label: arch.name().to_string(),
+    for (i, (arch, slot)) in designs.iter().zip(slots).enumerate() {
+        let label = arch.name();
+        let Some(outcome) = slot else {
+            interrupted = true;
+            continue;
+        };
+        if let DesignOutcome::Skipped(error) = outcome {
+            run.skipped.push((label.to_string(), error));
+            continue;
+        }
+        // Evaluated and poisoned designs resolve from the checkpoint: a
+        // label's last occurrence moves its schedule out, earlier ones copy.
+        match ckpt.resolve(label, rank[label] == i) {
+            Ok(schedule) => run.results.push(DseResult {
+                label: label.to_string(),
                 area: AreaModel::of(arch),
                 schedule,
             }),
-            Some(DesignOutcome::Skipped(error)) => {
-                run.skipped.push((arch.name().to_string(), error));
-            }
-            Some(DesignOutcome::Poisoned { cause, .. }) => {
-                run.poisoned.push((arch.name().to_string(), cause));
-            }
-            None => interrupted = true,
+            Err(cause) => run.poisoned.push((label.to_string(), cause)),
         }
     }
     run.interrupted = interrupted;

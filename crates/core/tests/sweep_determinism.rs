@@ -5,9 +5,14 @@
 //! what the search it memoised computed, so nothing observable may vary.
 //! The same holds for the AuthBlock overhead memo a sweep shares across
 //! its designs: a sweep reproduces independent per-design schedules.
+//! The sweep's checkpoint is its one store of finished schedules, so a
+//! sweep returns the same schedules with or without a checkpoint file,
+//! and a resume returns what an uninterrupted sweep would.
 
+use secureloop::artifact::{self, DurabilityPolicy};
+use secureloop::checkpoint::{schedule_to_json, SweepCheckpoint};
 use secureloop::dse::{
-    evaluate_designs_sweep, fig16_design_space, pareto_front, DseResult, SweepOptions,
+    evaluate_designs_sweep, fig16_design_space, pareto_front, DseResult, SweepOptions, SweepRun,
 };
 use secureloop::{Algorithm, AnnealingConfig, Scheduler};
 use secureloop_arch::Architecture;
@@ -212,5 +217,96 @@ fn checkpoint_bytes_do_not_depend_on_the_worker_count() {
         bytes(1) == bytes(3),
         "a 3-worker sweep must write the 1-worker checkpoint byte for byte"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `(label, schedule JSON)` per result, in result order.
+fn schedules(run: &SweepRun) -> Vec<(String, String)> {
+    run.results
+        .iter()
+        .map(|r| (r.label.clone(), schedule_to_json(&r.schedule).pretty()))
+        .collect()
+}
+
+#[test]
+fn checkpointed_and_plain_sweeps_return_the_same_schedules() {
+    let net = zoo::alexnet_conv();
+    // A label may recur: each occurrence still gets its own result.
+    let mut designs: Vec<Architecture> = fig16_design_space().into_iter().take(3).collect();
+    designs.push(designs[0].clone());
+    let dir = std::env::temp_dir().join(format!("secureloop-ckpt-store-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("sweep.ckpt.json");
+    let sweep = |opts: SweepOptions| {
+        evaluate_designs_sweep(
+            &net,
+            &designs,
+            Algorithm::CryptOptCross,
+            &SearchConfig::quick(),
+            &AnnealingConfig::quick(),
+            &opts.with_workers(2),
+        )
+        .expect("sweep succeeds")
+    };
+    let plain = schedules(&sweep(SweepOptions::new()));
+    let checkpointed = schedules(&sweep(SweepOptions::new().with_checkpoint(&path)));
+    let labels: Vec<&str> = designs.iter().map(Architecture::name).collect();
+    assert_eq!(
+        plain.iter().map(|(l, _)| l.as_str()).collect::<Vec<_>>(),
+        labels,
+        "results in design order"
+    );
+    assert_eq!(plain, checkpointed);
+    assert_eq!(
+        plain[0].1, plain[3].1,
+        "a repeated label repeats its schedule"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_resume_with_restored_and_quarantined_designs_matches_an_uninterrupted_sweep() {
+    let net = zoo::alexnet_conv();
+    let designs: Vec<Architecture> = fig16_design_space().into_iter().take(5).collect();
+    let dir = std::env::temp_dir().join(format!("secureloop-ckpt-resume-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("sweep.ckpt.json");
+    let sweep = |opts: SweepOptions| {
+        evaluate_designs_sweep(
+            &net,
+            &designs,
+            Algorithm::CryptOptSingle,
+            &SearchConfig::quick(),
+            &AnnealingConfig::quick(),
+            &opts.with_checkpoint(&path).with_cache(false),
+        )
+        .expect("sweep succeeds")
+    };
+    let uninterrupted = sweep(SweepOptions::new());
+    assert_eq!(uninterrupted.evaluated, designs.len());
+
+    // Keep designs 0 and 3 finished, quarantine design 2, and leave
+    // designs 1 and 4 to be evaluated again.
+    let saved = artifact::load::<SweepCheckpoint>(&path).unwrap().value;
+    let mut partial = SweepCheckpoint::new(saved.workload.clone(), saved.algorithm);
+    for (label, schedule) in saved.entries {
+        if label == designs[0].name() || label == designs[3].name() {
+            partial.insert(label, schedule);
+        }
+    }
+    partial.insert_poisoned(designs[2].name(), "stalled");
+    partial
+        .save_with(&path, &DurabilityPolicy::default())
+        .unwrap();
+
+    let resumed = sweep(SweepOptions::new().with_resume(true));
+    assert_eq!((resumed.reused, resumed.evaluated), (2, 2));
+    assert_eq!(
+        resumed.poisoned,
+        vec![(designs[2].name().to_string(), "stalled".to_string())]
+    );
+    let mut expected = schedules(&uninterrupted);
+    expected.remove(2);
+    assert_eq!(schedules(&resumed), expected);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -11,20 +11,19 @@
 //! dataflow) share one draw stream: a miss runs one [`search_group`]
 //! for them all and fills each one's entry (see [`search_cached`]).
 //!
-//! An entry stores only what determines its outcome beyond the key:
-//! the retained mappings, best first, plus the tier and the sample
-//! tallies. Every hit re-prices those mappings with [`evaluate`]
-//! against the hitting layer and architecture; key equality makes that
-//! exact, so a hit costs top-k evaluations (not a search) and the
-//! evaluations themselves are never stored. A mapping that fails to
-//! evaluate on a hit (a damaged file whose mappings still parse)
-//! evicts the entry and demotes the request to a miss.
+//! An entry holds, in memory as on disk, the retained mappings (best
+//! first, each as its canonical [`CompactMapping`] text), the tier and
+//! the sample tallies. Every hit parses the text and re-prices each
+//! mapping with [`evaluate`] against the hitting layer and
+//! architecture; key equality makes that exact, so a hit costs top-k
+//! parses and evaluations (not a search). A mapping that fails to parse
+//! or to evaluate on a hit evicts the entry and demotes it to a miss.
 //!
 //! The cache round-trips to disk through
 //! [`secureloop_artifact::Persistent`], like `SweepCheckpoint`, so
-//! `--resume` runs start warm. On disk each mapping is in compact text
-//! form; loading parses it into the same entry form, so a record whose
-//! mapping does not parse is dropped by the artifact salvage ladder.
+//! `--resume` runs start warm. Saving writes the text as is; loading
+//! parses and re-renders it, so a record whose mapping does not parse
+//! is dropped by the salvage ladder, and saved bytes stay canonical.
 //!
 //! Lookups are bypassed — never consulted, never populated — when the
 //! search carries a wall-clock deadline (truncated results are
@@ -33,7 +32,6 @@
 //! Other tasks sharing the cache keep using it.
 
 use std::collections::{HashMap, HashSet};
-use std::mem::size_of;
 use std::ops::RangeInclusive;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -71,8 +69,8 @@ const PER_ENTRY_BYTES: usize = 256;
 /// One cached search outcome, less the evaluations a hit recomputes.
 #[derive(Debug)]
 struct Stored {
-    /// The retained mappings, best first (never empty).
-    mappings: Vec<Mapping>,
+    /// The retained mappings' canonical text, best first (never empty).
+    mappings: Vec<String>,
     tier: SearchTier,
     valid_samples: usize,
     total_samples: usize,
@@ -83,8 +81,12 @@ struct Stored {
 
 impl Stored {
     fn of(result: &MapperResult) -> Stored {
+        let mappings = result
+            .candidates
+            .iter()
+            .map(|(m, _)| CompactMapping(m).to_string());
         Stored {
-            mappings: result.candidates.iter().map(|(m, _)| m.clone()).collect(),
+            mappings: mappings.collect(),
             tier: result.tier,
             valid_samples: result.valid_samples,
             total_samples: result.total_samples,
@@ -94,7 +96,7 @@ impl Stored {
 
     /// Bytes charged against the budget for this entry under `key`.
     fn cost(&self, key: &str) -> usize {
-        PER_ENTRY_BYTES + key.len() + self.mappings.len() * size_of::<Mapping>()
+        PER_ENTRY_BYTES + key.len() + self.mappings.iter().map(String::len).sum::<usize>()
     }
 }
 
@@ -117,10 +119,11 @@ impl Inner {
         }
     }
 
-    /// Look up a search outcome, re-pricing its mappings against the
-    /// hitting (layer, arch) — key equality makes that exact. Returns
-    /// `None` (a miss) when absent or when a mapping fails to evaluate,
-    /// which evicts the entry. A hit refreshes the entry's LRU position.
+    /// Look up a search outcome, parsing its mappings and re-pricing them
+    /// against the hitting (layer, arch) — key equality makes that exact.
+    /// Returns `None` (a miss) when absent or when a mapping fails to
+    /// parse or evaluate, which evicts the entry. A hit refreshes its LRU
+    /// position.
     fn lookup(
         &mut self,
         key: &str,
@@ -129,12 +132,15 @@ impl Inner {
     ) -> Option<MapperResult> {
         let clock = self.clock + 1;
         let entry = self.map.get_mut(key)?;
-        let priced: Result<Vec<_>, _> = entry
+        let priced: Option<Vec<_>> = entry
             .mappings
             .iter()
-            .map(|m| evaluate(layer, arch, m).map(|e| (m.clone(), e)))
+            .map(|text| {
+                let m: Mapping = text.parse().ok()?;
+                evaluate(layer, arch, &m).ok().map(|e| (m, e))
+            })
             .collect();
-        let Ok(candidates) = priced else {
+        let Some(candidates) = priced else {
             self.remove(key);
             return None;
         };
@@ -229,9 +235,9 @@ impl CandidateCache {
     }
 
     /// Bound the cache's approximate footprint: each entry is charged a
-    /// fixed 256 bytes, plus its key's length, plus
-    /// `size_of::<Mapping>()` per retained mapping (evaluations are
-    /// recomputed on hit, so they are not charged). Once the budget is
+    /// fixed 256 bytes, plus its key's length, plus the length of every
+    /// retained mapping's stored text (evaluations are recomputed on
+    /// hit, so they are not charged). Once the budget is
     /// exceeded, least-recently-used entries are evicted (the most
     /// recent entry always survives). The budget is enforced
     /// immediately, so applying it to a freshly-loaded cache trims it
@@ -243,14 +249,9 @@ impl CandidateCache {
         self
     }
 
-    /// The configured byte budget, if any.
-    pub fn budget_bytes(&self) -> Option<usize> {
-        self.budget
-    }
-
-    /// Bytes currently charged against the budget, summed over entries
-    /// as [`CandidateCache::with_budget_bytes`] describes. An estimate
-    /// that bounds growth; it does not audit the allocator.
+    /// Bytes currently charged against the budget: per entry, 256 bytes,
+    /// its key and its mapping text ([`CandidateCache::with_budget_bytes`]).
+    /// An estimate that bounds growth; it does not audit the allocator.
     pub fn approx_bytes(&self) -> usize {
         self.inner.lock().expect("cache lock").bytes
     }
@@ -364,11 +365,11 @@ impl CandidateCache {
     }
 }
 
-/// On disk, one record per entry, sorted by key, mappings in compact
-/// text form. Loading parses every mapping, so a loaded entry has the
-/// same form as an inserted one. Only the current version loads: an
-/// older file's keys could alias candidates across search modes or
-/// protection schemes.
+/// On disk, one record per entry, sorted by key, with the mapping text
+/// the entry holds. Loading parses and re-renders every mapping, so a
+/// loaded entry has the same form as an inserted one. Only the current
+/// version loads: an older file's keys could alias candidates across
+/// search modes or protection schemes.
 impl Persistent for CandidateCache {
     const KIND: &'static str = "candidate-cache";
     const NOUN: &'static str = "cache";
@@ -394,7 +395,7 @@ impl Persistent for CandidateCache {
                 let mappings = entry
                     .mappings
                     .iter()
-                    .map(|m| Json::from(CompactMapping(m).to_string().as_str()))
+                    .map(|text| Json::from(text.as_str()))
                     .collect();
                 Json::obj()
                     .field("key", key.as_str())
@@ -426,10 +427,12 @@ impl Persistent for CandidateCache {
             .iter()
             .map(|m| {
                 let text = m.as_str().ok_or_else(|| field("mappings"))?;
-                text.parse()
-                    .map_err(|err| format!("unparseable mapping '{text}': {err}"))
+                let mapping: Mapping = text
+                    .parse()
+                    .map_err(|err| format!("unparseable mapping '{text}': {err}"))?;
+                Ok(CompactMapping(&mapping).to_string())
             })
-            .collect::<Result<Vec<Mapping>, _>>()?;
+            .collect::<Result<Vec<String>, String>>()?;
         let entry = Stored {
             mappings,
             tier,
@@ -792,6 +795,84 @@ mod tests {
     }
 
     #[test]
+    fn entries_hold_their_saved_records_and_round_trip_byte_for_byte() {
+        let dir = std::env::temp_dir().join("secureloop-cache-record-form");
+        fs::create_dir_all(&dir).unwrap();
+        let (first, second) = (dir.join("first.json"), dir.join("second.json"));
+        let layers: Vec<ConvLayer> = zoo::alexnet_conv().layers().to_vec();
+        let arch = Architecture::eyeriss_base();
+        let cfg = SearchConfig::quick();
+        let cold = CandidateCache::new();
+        for layer in &layers {
+            search_cached(layer, &arch, &[], &cfg, Some(&cold)).unwrap();
+        }
+
+        // In memory, each entry holds the canonical text of its search's
+        // mappings, and that text is its saved record.
+        let records = cold.write_records("entries");
+        assert_eq!(records.len(), layers.len());
+        let inner = cold.inner.lock().unwrap();
+        for layer in &layers {
+            let key = cache_key(layer, &arch, &cfg);
+            let own: Vec<String> = search(layer, &arch, &cfg)
+                .unwrap()
+                .candidates
+                .iter()
+                .map(|(m, _)| CompactMapping(m).to_string())
+                .collect();
+            let record = records
+                .iter()
+                .find(|r| r["key"].as_str() == Some(key.as_str()))
+                .unwrap();
+            let saved: Vec<&str> = record["mappings"]
+                .as_array()
+                .unwrap()
+                .iter()
+                .map(|m| m.as_str().unwrap())
+                .collect();
+            assert_eq!(inner.map[&key].mappings, own, "{}", layer.name());
+            assert_eq!(saved, own, "{}", layer.name());
+        }
+        drop(inner);
+
+        // Save, load and save again: the same bytes.
+        let policy = DurabilityPolicy::default();
+        cold.save_with(&first, &policy).unwrap();
+        let warm = artifact::load::<CandidateCache>(&first).unwrap().value;
+        warm.save_with(&second, &policy).unwrap();
+        assert_eq!(fs::read(&first).unwrap(), fs::read(&second).unwrap());
+
+        // A hit on the loaded cache equals a fresh search.
+        for layer in &layers {
+            let hit = search_cached(layer, &arch, &[], &cfg, Some(&warm)).unwrap();
+            let fresh = search(layer, &arch, &cfg).unwrap();
+            assert_bit_identical(&hit, &fresh, layer.name());
+        }
+        assert_eq!((warm.hits(), warm.misses()), (layers.len() as u64, 0));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn text_that_does_not_parse_on_a_hit_evicts_and_misses() {
+        let cache = CandidateCache::new();
+        let arch = Architecture::eyeriss_base();
+        let cfg = SearchConfig::quick();
+        let fresh = search_cached(&layer(), &arch, &[], &cfg, Some(&cache)).unwrap();
+        let key = cache_key(&layer(), &arch, &cfg);
+        cache
+            .inner
+            .lock()
+            .unwrap()
+            .map
+            .get_mut(&key)
+            .unwrap()
+            .mappings[0] = "not a mapping".to_string();
+        let again = search_cached(&layer(), &arch, &[], &cfg, Some(&cache)).unwrap();
+        assert_eq!((cache.hits(), cache.misses()), (0, 2));
+        assert_bit_identical(&again, &fresh, "recomputed");
+    }
+
+    #[test]
     fn corrupted_cache_files_are_rejected_with_a_message() {
         let dir = std::env::temp_dir().join("secureloop-cache-corrupt");
         fs::create_dir_all(&dir).unwrap();
@@ -928,9 +1009,9 @@ mod tests {
         let layers: Vec<ConvLayer> = zoo::alexnet_conv().layers().to_vec();
         let arch = Architecture::eyeriss_base();
         let cfg = SearchConfig::quick();
-        // Too small for AlexNet's five entries: each costs 256 + key +
-        // 3 * size_of::<Mapping>() (296) bytes.
-        let cache = CandidateCache::new().with_budget_bytes(6 * 1024);
+        // Room for two of AlexNet's five entries: each costs 256 + key +
+        // the text of its 3 mappings, about 0.75 KB in all.
+        let cache = CandidateCache::new().with_budget_bytes(2 * 1024);
         search_cached(&layers[0], &arch, &[], &cfg, Some(&cache)).unwrap();
         search_cached(&layers[1], &arch, &[], &cfg, Some(&cache)).unwrap();
         // Touch layer 0 so layer 1 is the LRU entry.
@@ -942,7 +1023,7 @@ mod tests {
         }
         assert!(cache.evictions() > 0, "budget must force evictions");
         assert!(
-            cache.approx_bytes() <= 6 * 1024 || cache.len() == 1,
+            cache.approx_bytes() <= 2 * 1024 || cache.len() == 1,
             "budget respected (modulo the keep-one rule): {} bytes",
             cache.approx_bytes()
         );
@@ -975,7 +1056,7 @@ mod tests {
         assert_eq!(cache.evictions(), 0);
         assert_eq!(cache.len(), zoo::alexnet_conv().layers().len());
         assert!(cache.approx_bytes() > 0);
-        assert_eq!(cache.budget_bytes(), None);
+        assert_eq!(cache.budget, None);
     }
 
     #[test]

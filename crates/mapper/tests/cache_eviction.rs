@@ -40,7 +40,7 @@ fn assert_identical(a: &MapperResult, b: &MapperResult, ctx: &str) {
 }
 
 /// Pool of layers drawn from the model zoo, 19 distinct search-space
-/// keys charged about 26 kB at `SearchConfig::quick()`: more than twice
+/// keys charged about 14 kB at `SearchConfig::quick()`: more than twice
 /// the largest budget below.
 fn layer_pool() -> Vec<ConvLayer> {
     let mut layers: Vec<ConvLayer> = zoo::alexnet_conv().layers().to_vec();
@@ -59,7 +59,7 @@ proptest! {
     /// eviction — must equal the reference cold search bit for bit.
     #[test]
     fn concurrent_hits_survive_eviction_byte_identical(
-        budget_kb in 2usize..12,
+        budget_kb in 1usize..7,
         churn_rounds in 2usize..5,
         reader_key in 0usize..4,
     ) {
